@@ -12,6 +12,7 @@ from .zeta_core import (
     theta,
     zeta,
     zeta_grid,
+    zeta_on_line,
 )
 from .dirichlet import (
     BoundedCoeffFn,

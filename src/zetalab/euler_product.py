@@ -133,20 +133,10 @@ def mean_square_discrete(
     dev_sq = np.zeros(N)
     for anchor in anchors:
         s0 = complex(anchor)
-        points = s0 + 1j * shifts
-        exact = _zeta_on_shift_points(points, domain)
+        exact = zeta_core.zeta_on_line(s0.real, s0.imag + shifts, domain)
         truncated = _zeta_m_on_shifts(level, s0, shifts)
         dev_sq = np.maximum(dev_sq, np.abs(exact - truncated) ** 2)
     return MeanSquareStat(m=level.m, N=N, sigma=sigma, value=float(dev_sq.mean()), mode=mode)
-
-
-def _zeta_on_shift_points(points: np.ndarray, domain: zeta_core.EvalDomain) -> np.ndarray:
-    """zeta over points with comparable heights grouped into blocks."""
-    out = np.empty(points.size, dtype=np.complex128)
-    block = 512
-    for start in range(0, points.size, block):
-        out[start : start + block] = zeta_core.zeta_grid(points[start : start + block], domain)
-    return out
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,9 +17,6 @@ from . import zeta_core
 from .beatty import BeattyPair, sigma_alpha
 from .equidist import _guarded_floor
 from .errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
-
-_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class VerticalGrid:
@@ -85,28 +81,6 @@ class HitDensityReport:
         )
 
 
-def _zeta_shift_values(
-    sigma: float,
-    heights: np.ndarray,
-    domain: zeta_core.EvalDomain,
-    threads: int = 1,
-) -> np.ndarray:
-    """zeta(sigma + i t) for an ascending array of heights, evaluated in
-    blocks of comparable height (deterministic merge order)."""
-    points = sigma + 1j * heights
-    blocks = [(i, points[i : i + _BLOCK]) for i in range(0, points.size, _BLOCK)]
-    out = np.empty(points.size, dtype=np.complex128)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda ib: (ib[0], zeta_core.zeta_grid(ib[1], domain)), blocks)
-            for i, vals in results:
-                out[i : i + _BLOCK] = vals
-    else:
-        for i, blk in blocks:
-            out[i : i + _BLOCK] = zeta_core.zeta_grid(blk, domain)
-    return out
-
-
 def scan_disk_hits(
     grid: VerticalGrid,
     disk: TargetDisk,
@@ -125,7 +99,7 @@ def scan_disk_hits(
     # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
     # every needed height once.
     heights = grid.s.imag + grid.h * np.arange(1, N + grid.l)
-    values = _zeta_shift_values(grid.s.real, heights, domain, threads)
+    values = zeta_core.zeta_on_line(grid.s.real, heights, domain, threads)
     dev = np.abs(values - disk.a)
     inside = dev < disk.epsilon
     # hit(n) = all of inside[n - 1 .. n + l - 2]
@@ -176,7 +150,7 @@ def _sup_dev_per_shift(
     sup = np.zeros(shifts.size)
     for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
         heights = pt.imag + shifts
-        vals = _zeta_shift_values(pt.real, heights, domain, threads)
+        vals = zeta_core.zeta_on_line(pt.real, heights, domain, threads)
         sup = np.maximum(sup, np.abs(vals - target))
     return sup
 
@@ -327,25 +301,23 @@ def left_half_flip(
         raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {domain.t_max}")
     heights = grid.s.imag + grid.h * np.arange(1, N + grid.l)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = np.abs(_zeta_shift_values(1.0 - grid.s.real, heights, domain, threads))
+    mirrored = np.abs(zeta_core.zeta_on_line(1.0 - grid.s.real, heights, domain, threads))
     big = mirrored >= 2.0 * r / c
     window = np.ones(N, dtype=bool)
     for k in range(grid.l):
         window &= big[k : k + N]
     predicted = np.nonzero(window)[0] + 1
-    confirmed, disagreements = [], []
-    for n in predicted:
-        pts = grid.s + 1j * grid.h * (n + np.arange(grid.l))
-        direct = np.abs(zeta_core.zeta_grid(pts, domain))
-        if np.all(direct > r):
-            confirmed.append(int(n))
-        else:
-            disagreements.append(int(n))
+    # grid point k of shift n sits at height Im s + h (n + k): confirm every
+    # prediction from one line scan over the distinct heights they need
+    needed = predicted[:, None] + np.arange(grid.l)
+    idx = np.unique(needed)
+    direct = np.abs(zeta_core.zeta_on_line(grid.s.real, grid.s.imag + grid.h * idx, domain, threads))
+    ok = np.all(direct[np.searchsorted(idx, needed)] > r, axis=1)
     return FlipReport(
         N=N,
         predicted_hits=tuple(int(n) for n in predicted),
-        confirmed_hits=tuple(confirmed),
-        disagreements=tuple(disagreements),
+        confirmed_hits=tuple(int(n) for n in predicted[ok]),
+        disagreements=tuple(int(n) for n in predicted[~ok]),
         params={
             "s": str(grid.s),
             "h": grid.h,

@@ -2,8 +2,24 @@
 theta and Hardy's Z on a strip around the critical line.
 
 zeta uses Euler-Maclaurin summation with an adaptive term count
-N ~ max(20, 2|t|) and 8 Bernoulli correction terms, which keeps the
-absolute error comfortably below 1e-9 for |t| <= 1e4 and Re s > -1.
+N ~ max(20, 2|t|) and 8 Bernoulli correction terms.  The scalar `zeta`
+sums the N powers n^{-s} directly; `zeta_grid`, and `zeta_on_line` which
+feeds it blocks of 512 heights, reaches them by a recurrence along the
+points that restarts exactly every 64 points.  Both kernels lose about
+eps |t| log N of phase per term, so the error grows with |t|, and left of
+the critical line with the size of the terms.  Measured against mpmath at
+30 digits, the error relative to max(1, |zeta|) stays below
+
+    Re s          |t| <= 1e4   |t| <= 3e4
+    [1, 40]       5e-12        5e-12
+    [1/2, 1)      5e-11        2e-10
+    [0, 1/2)      2e-10        6e-10
+    (-1, 0)       1e-9         3e-9
+
+for both kernels; the largest values measured are 2.1e-12, 1.7e-11 /
+8.1e-11, 7.0e-11 / 2.3e-10 and 3.5e-10 / 1.1e-9.  The absolute error is
+this times |zeta|, which grows like |t|^(1/2 - Re s) left of the line: at
+Re s = -0.9, t = 1e4 it is about 1e-5.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
 """
 
@@ -11,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial, pi
 
@@ -30,6 +47,9 @@ LNPI = math.log(pi)
 LN2PI = math.log(2.0 * pi)
 
 POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
+
+_RESTART = 64  # points per exact restart of the partial-sum recurrence
+_LINE_BLOCK = 512  # heights per zeta_grid call in zeta_on_line
 
 # B_2, B_4, ..., B_16
 _BERNOULLI = (
@@ -60,11 +80,12 @@ _LANCZOS = (
 
 @dataclass(frozen=True)
 class EvalDomain:
-    """Strip on which the Euler-Maclaurin error budget is certified.
+    """Strip on which zeta may be evaluated.
 
-    The 1e-9 absolute-error claim holds for |t| <= 1e4; the default
-    t_max is larger because the same formula stays accurate well beyond
-    and the shift scans need headroom.
+    The default strip is the one the error table of the module docstring
+    covers: relative to max(1, |zeta|), below 3e-9 everywhere on it and
+    below 2e-10 for Re s >= 1/2; the error grows with |t| and towards the
+    left edge.
     """
 
     sigma_min: float = -0.99
@@ -79,10 +100,12 @@ class EvalDomain:
         if not (self.sigma_min < self.sigma_max):
             raise ValueError("sigma_min must be below sigma_max")
 
-    def contains(self, s: complex) -> bool:
+    def contains(self, s: complex | np.ndarray) -> bool | np.ndarray:
+        """Whether s lies in the strip; elementwise for an array of points."""
         return (
-            self.sigma_min <= s.real <= self.sigma_max
-            and abs(s.imag) <= self.t_max
+            (self.sigma_min <= s.real)
+            & (s.real <= self.sigma_max)
+            & (abs(s.imag) <= self.t_max)
         )
 
 
@@ -145,6 +168,51 @@ def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN, terms: int | None = No
     return _require_finite(_zeta_em(s, n_terms), "zeta")
 
 
+def _powers(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Rows n^{-s} = exp(-s log n): one row per point of s, one column per log."""
+    rows = np.multiply.outer(-s, logs)
+    return np.exp(rows, out=rows)
+
+
+def _partial_sums(s: np.ndarray, logs: np.ndarray, max_block_elems: int) -> np.ndarray:
+    """sum_{n <= N} n^{-s} for every point of the 1-D array s, N = logs.size.
+
+    The points are cut into tiles of _RESTART consecutive points.  A tile's
+    first row of powers is exact; each later row is the one before times
+    exp(-(s_k - s_{k-1}) log n), with one such step row per distinct
+    consecutive difference as stored, so a progression pays a complex
+    multiply per term instead of an exp.  All tiles advance together.  The
+    terms are taken in column slices so that the rows, step rows and gather
+    buffer of a slice hold at most max_block_elems values.
+    """
+    out = np.zeros(s.size, dtype=np.complex128)
+    if s.size == 0:
+        return out
+    first = np.arange(0, s.size, _RESTART)
+    # positions 1.._RESTART-1 of every tile; those past the end repeat the
+    # last point and are never swept
+    at = np.minimum(first[:, None] + np.arange(1, _RESTART), s.size - 1)
+    diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
+    step_of = step_of.reshape(at.shape)
+    last = s.size - first[-1]  # points in the final tile
+    width = max(1, max_block_elems // (2 * first.size + diffs.size))
+    for c in range(0, logs.size, width):
+        row = _powers(s[first], logs[c : c + width])
+        steps = _powers(diffs, logs[c : c + width])
+        gather = np.empty_like(row)
+        out[first] += row.sum(axis=1)
+        for j in range(1, min(_RESTART, s.size)):
+            k = first.size if j < last else first.size - 1
+            g = step_of[:k, j - 1]
+            if np.all(g == g[0]):  # a progression: one step row for every tile
+                row[:k] *= steps[g[0]]
+            else:
+                row[:k] *= np.take(steps, g, axis=0, out=gather[:k])
+            out[first[:k] + j] += row[:k].sum(axis=1)
+        del row, steps, gather  # before the next slice is allocated
+    return out
+
+
 def zeta_grid(
     s_values: np.ndarray,
     domain: EvalDomain = DEFAULT_DOMAIN,
@@ -154,24 +222,27 @@ def zeta_grid(
     """Vectorised zeta over an array of points sharing one term count.
 
     The term count is taken from the largest |Im s| in the array, so this
-    is intended for blocks of points with comparable height.
+    is intended for blocks of points with comparable height.  The partial
+    sum runs along the flattened array with a multiplicative recurrence
+    (see _partial_sums); it is cheapest when consecutive points differ by
+    one of a few steps.  Raises PoleAt1 or OutOfDomain for the first point
+    near s = 1 or outside the domain.
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
     flat = s_values.ravel()
-    for z in flat:
-        if abs(z - 1.0) < POLE_GUARD:
+    pole = np.abs(flat - 1.0) < POLE_GUARD
+    bad = pole | ~domain.contains(flat)
+    if bad.any():
+        i = np.argmax(bad)
+        z = flat[i]
+        if pole[i]:
             raise PoleAt1(f"grid point {z} is within {POLE_GUARD} of the pole at 1")
-        if not domain.contains(z):
-            raise OutOfDomain(f"grid point {z} outside {domain}")
+        raise OutOfDomain(f"grid point {z} outside {domain}")
     neg = flat.imag < 0.0
     work = np.where(neg, flat.conj(), flat)
     n_terms = terms if terms is not None else _em_term_count(float(np.max(np.abs(work.imag), initial=0.0)))
     logs = _logs(n_terms)
-    out = np.empty(work.shape, dtype=np.complex128)
-    chunk = max(1, max_block_elems // n_terms)
-    for start in range(0, work.size, chunk):
-        blk = work[start : start + chunk]
-        out[start : start + chunk] = np.exp(-blk[:, None] * logs[None, :]).sum(axis=1)
+    out = _partial_sums(work, logs, max_block_elems)
     log_n = logs[-1]
     out += np.exp((1 - work) * log_n) / (work - 1)
     out -= 0.5 * np.exp(-work * log_n)
@@ -186,6 +257,26 @@ def zeta_grid(
     if not np.all(np.isfinite(out)):
         raise OutOfDomain("zeta_grid produced non-finite values")
     return out.reshape(s_values.shape)
+
+
+def zeta_on_line(
+    sigma: float,
+    heights: np.ndarray,
+    domain: EvalDomain = DEFAULT_DOMAIN,
+    threads: int = 1,
+) -> np.ndarray:
+    """zeta(sigma + i t) for an ascending array of heights t.
+
+    Consecutive runs of _LINE_BLOCK heights go to zeta_grid on a pool of
+    `threads` threads, each run with the term count of its own top height.
+    The runs are merged in order, so the result does not depend on the
+    thread count.
+    """
+    points = sigma + 1j * np.asarray(heights, dtype=np.float64)
+    blocks = [points[i : i + _LINE_BLOCK] for i in range(0, points.size, _LINE_BLOCK)]
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        values = list(pool.map(zeta_grid, blocks, [domain] * len(blocks)))
+    return np.concatenate(values) if values else points
 
 
 def _log_sin(z: complex) -> complex:

@@ -150,6 +150,18 @@ class TestLeftHalfFlip:
         assert rep.disagreements == ()
         assert set(rep.confirmed_hits) == set(rep.predicted_hits)
 
+    def test_confirmation_split_matches_pointwise(self):
+        # c = 4 predicts |zeta(s)| > 1 from |zeta(1 - s)| >= 0.5, which often fails
+        grid = ss.VerticalGrid(s=0.3 + 60j, h=1.0, l=2)
+        rep = ss.left_half_flip(grid, r=1.0, c=4.0, N=400, t0=50.0, threads=2)
+        confirmed = [
+            n for n in rep.predicted_hits
+            if all(abs(zc.zeta(grid.s + 1j * grid.h * (n + k))) > 1.0 for k in range(grid.l))
+        ]
+        assert rep.disagreements and rep.confirmed_hits
+        assert list(rep.confirmed_hits) == confirmed
+        assert sorted(rep.confirmed_hits + rep.disagreements) == list(rep.predicted_hits)
+
     def test_onset_guard(self):
         grid = ss.VerticalGrid(s=0.3 + 2j, h=1.0, l=1)
         with pytest.raises(ChiBoundUnavailable):

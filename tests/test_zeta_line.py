@@ -1,0 +1,136 @@
+"""The partial-sum recurrence in zeta_grid and the zeta_on_line driver:
+accuracy against mpmath, determinism across thread counts, and equivalence
+of the scans with a direct exp-per-term summation."""
+
+import tracemalloc
+
+import mpmath
+import numpy as np
+import pytest
+
+from zetalab import euler_product as ep
+from zetalab import shift_search as ss
+from zetalab import zeta_core as zc
+from zetalab.beatty import GOLDEN, BeattyPair, sigma_alpha
+from zetalab.errors import OutOfDomain, PoleAt1
+
+mpmath.mp.dps = 30
+
+
+def _contract(sigma: float, t: float) -> float:
+    """Stated error of zeta and zeta_grid relative to max(1, |zeta|)
+    (zeta_core module docstring)."""
+    low = abs(t) <= 1e4
+    if sigma >= 1.0:
+        return 5e-12
+    if sigma >= 0.5:
+        return 5e-11 if low else 2e-10
+    if sigma >= 0.0:
+        return 2e-10 if low else 6e-10
+    return 1e-9 if low else 3e-9
+
+
+def _swap_heights() -> np.ndarray:
+    pair = BeattyPair.from_alpha(GOLDEN)
+    return 10.0 + np.sort([float(sigma_alpha(pair, n)) for n in range(1, 2001)])
+
+
+def _line_cases():
+    rng = np.random.default_rng(11)
+    return {
+        "progression-2.85e4": (0.6, 28_500.0 + 0.5 * np.arange(512)),
+        "golden-beatty": (0.75, 10.0 + np.floor(GOLDEN * np.arange(1489, 2001))),
+        "sorted-swap": (0.75, _swap_heights()[-512:]),
+        "scattered": (0.5, np.sort(rng.uniform(9_000.0, 10_000.0, 512))),
+        "left-of-zero": (-0.9, 9_500.25 + np.arange(512)),
+        "left-half": (0.3, 9_500.25 + np.arange(512)),
+        "right-half": (0.75, 9_500.25 + np.arange(512)),
+    }
+
+
+# first and last rows of the first two restart tiles, plus the block's end
+_SAMPLE = (0, 1, 63, 64, 127, 300, 511)
+
+
+@pytest.mark.parametrize("case", sorted(_line_cases()))
+def test_line_blocks_against_mpmath(case):
+    sigma, heights = _line_cases()[case]
+    values = zc.zeta_on_line(sigma, heights)
+    for i in _SAMPLE:
+        s = complex(sigma, heights[i])
+        exact = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        scale = max(1.0, abs(exact))
+        bound = _contract(sigma, heights[i])
+        assert abs(values[i] - exact) / scale < bound, (case, i)
+        assert abs(zc.zeta(s) - exact) / scale < bound, (case, i)
+
+
+def test_midpoint_grid_against_mpmath():
+    grid = ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01)
+    values = zc.zeta_grid(grid)
+    assert values.shape == grid.shape
+    rng = np.random.default_rng(3)
+    for i, j in zip(rng.integers(0, grid.shape[0], 12), rng.integers(0, grid.shape[1], 12)):
+        s = complex(grid[i, j])
+        exact = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        assert abs(values[i, j] - exact) / max(1.0, abs(exact)) < _contract(s.real, s.imag)
+
+
+def test_zeta_on_line_independent_of_threads():
+    heights = 5_000.25 + 0.7 * np.arange(1_300)
+    first = zc.zeta_on_line(0.75, heights, threads=1)
+    assert first.shape == heights.shape
+    for threads in (2, 3):
+        assert zc.zeta_on_line(0.75, heights, threads=threads).tobytes() == first.tobytes()
+    assert zc.zeta_on_line(0.75, np.empty(0)).size == 0
+
+
+def test_grid_names_first_offending_point():
+    with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
+        zc.zeta_grid(np.array([[0.5 + 3j, 1.0 + 0j], [-2.0 + 0j, 0.5 + 4j]]))
+    with pytest.raises(OutOfDomain, match=r"\(-2\+0j\)"):
+        zc.zeta_grid(np.array([0.5 + 3j, -2.0 + 0j, 1.0 + 0j]))
+    with pytest.raises(OutOfDomain):
+        zc.zeta_grid(np.array([0.5 + 3j, complex(np.nan, 1.0)]))
+
+
+def test_working_memory_bounded_for_scattered_block():
+    heights = np.sort(np.random.default_rng(5).uniform(9_000.0, 10_000.0, 512))
+    budget = 200_000
+    zc.zeta_grid(0.5 + 1j * heights[:2], max_block_elems=budget)  # grow the log cache
+    tracemalloc.start()
+    try:
+        zc.zeta_grid(0.5 + 1j * heights, max_block_elems=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * budget + 2**20
+
+
+def _direct_partial_sums(s, logs, max_block_elems):
+    """The exp-per-term partial sum that the recurrence replaced."""
+    out = np.empty(s.size, dtype=np.complex128)
+    chunk = max(1, max_block_elems // logs.size)
+    for i in range(0, s.size, chunk):
+        out[i : i + chunk] = np.exp(-np.multiply.outer(s[i : i + chunk], logs)).sum(axis=1)
+    return out
+
+
+def _criterion_10_and_11():
+    grid = ss.VerticalGrid(s=0.75 + 0j, h=1.0, l=1)
+    hits, _ = ss.scan_disk_hits(grid, ss.TargetDisk(a=1.0 + 0j, epsilon=0.6), 10**4, threads=2)
+    chi_rep = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 200.0), 500)
+    flip_grid = ss.VerticalGrid(s=complex(0.3, max(50.0, chi_rep.t0)), h=1.0, l=2)
+    flip = ss.left_half_flip(flip_grid, r=1.0, c=1.0, N=10**4, t0=chi_rep.t0, threads=2)
+    return {h.n: h.max_dev for h in hits}, flip
+
+
+def test_scans_match_direct_summation(monkeypatch):
+    hits, flip = _criterion_10_and_11()
+    monkeypatch.setattr(zc, "_partial_sums", _direct_partial_sums)
+    ref_hits, ref_flip = _criterion_10_and_11()
+    assert sorted(hits) == sorted(ref_hits)
+    assert max(abs(hits[n] - ref_hits[n]) for n in hits) < 1e-10
+    assert flip.predicted_hits == ref_flip.predicted_hits
+    assert flip.confirmed_hits == ref_flip.confirmed_hits
+    assert flip.disagreements == ref_flip.disagreements
