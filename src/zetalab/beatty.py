@@ -5,9 +5,7 @@ alpha theta1 + alpha' theta2."""
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousFloor, Unclassifiable
-from .dirichlet import Permutation
 
 FLOOR_GUARD = 1e-9
 
@@ -59,17 +56,23 @@ def beatty_term(alpha: float, m: int) -> int:
     return math.floor(x)
 
 
-def _beatty_values(alpha: float, n_max: int) -> np.ndarray:
-    """floor(m alpha) for all m with floor(m alpha) <= n_max, vectorised."""
-    m_top = int(n_max / alpha) + 2
-    m = np.arange(1, m_top + 1, dtype=np.float64)
+def beatty_terms(alpha: float, m: np.ndarray) -> np.ndarray:
+    """floor(m * alpha) for an array of multipliers m, as floats, with the
+    guard of beatty_term."""
     x = m * alpha
     nearest = np.round(x)
     close = (x != nearest) & (np.abs(x - nearest) < FLOOR_GUARD)
     if np.any(close):
-        bad = int(np.nonzero(close)[0][0] + 1)
-        raise AmbiguousFloor(f"{bad} * {alpha} too close to an integer")
-    vals = np.floor(x).astype(np.int64)
+        bad = m[np.nonzero(close)[0][0]]
+        raise AmbiguousFloor(f"{int(bad)} * {alpha} is within {FLOOR_GUARD} of an integer")
+    return np.floor(x, out=x)
+
+
+def _beatty_values(alpha: float, n_max: int) -> np.ndarray:
+    """floor(m alpha) for all m with floor(m alpha) <= n_max, vectorised."""
+    m_top = int(n_max / alpha) + 2
+    m = np.arange(1, m_top + 1, dtype=np.float64)
+    vals = beatty_terms(alpha, m).astype(np.int64)
     return vals[vals <= n_max]
 
 
@@ -84,15 +87,6 @@ class PartitionReport:
     @property
     def is_partition(self) -> bool:
         return self.overlaps.size == 0 and self.gaps.size == 0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["value", "class"])
-            for v in self.overlaps:
-                w.writerow([int(v), "overlap"])
-            for v in self.gaps:
-                w.writerow([int(v), "gap"])
 
 
 def rayleigh_partition_check(pair: BeattyPair, n_max: int) -> PartitionReport:
@@ -142,10 +136,6 @@ def sigma_alpha(pair: BeattyPair, n: int) -> int:
     )
 
 
-def beatty_permutation(pair: BeattyPair) -> Permutation:
-    return Permutation(lambda n: sigma_alpha(pair, n), kind="beatty")
-
-
 @dataclass(frozen=True)
 class ExclusionWitness:
     """A quadratic whose root lands within 1e-9 of alpha.
@@ -166,15 +156,6 @@ class ExclusionWitness:
             d1 * math.log(q1) / (2.0 * math.pi),
             d2 * math.log(q2) / (2.0 * math.pi),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "k": list(self.k),
-            "theta1": {"delta": self.theta1[0], "q": str(self.theta1[1])},
-            "theta2": {"delta": self.theta2[0], "q": str(self.theta2[1])},
-            "roots": list(self.roots),
-            "distance": self.distance,
-        }
 
 
 def _rationals_from_primes(primes: list[int], exponent_bound: int) -> list[Fraction]:
@@ -248,10 +229,3 @@ def exclusion_scan(
                     )
                 )
     return witnesses
-
-
-def witnesses_to_json(witnesses: list[ExclusionWitness], params: dict) -> str:
-    return json.dumps(
-        {"params": params, "witnesses": [w.to_dict() for w in witnesses]},
-        sort_keys=True,
-    )

@@ -12,6 +12,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .config import ExperimentConfig, config_roundtrip, warn_unknown_keys
 from .errors import ParseError, ZetaLabError
 
 USAGE_ERROR = 64
+_CSV_COMMANDS = ("hits", "beatty", "weyl")  # every other command writes JSON only
+_NOT_PARAMS = ("command", "output", "format", "seed", "threads", "dry_run", "config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,14 +43,14 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _write_report(cfg: ExperimentConfig, results: dict, csv_rows=None) -> None:
+def _write_report(cfg: ExperimentConfig, results: dict, csv_rows: list | None) -> None:
     report = {
         "config": cfg.as_dict(),
         "results": results,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if cfg.output:
-        if cfg.format == "csv" and csv_rows is not None:
+        if cfg.format == "csv":
             with open(cfg.output, "w", newline="") as fh:
                 for row in csv_rows:
                     fh.write(",".join(_csv_cell(c) for c in row) + "\n")
@@ -78,19 +81,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zetalab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zeta", help="evaluate zeta(s)")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
-    _add_common(p)
-
-    p = sub.add_parser("chi", help="evaluate the functional-equation factor")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
-    _add_common(p)
+    for name, what in (("zeta", "zeta(s)"), ("chi", "the functional-equation factor")):
+        p = sub.add_parser(name, help=f"evaluate {what}")
+        p.add_argument("--re", type=float, required=True)
+        p.add_argument("--im", type=float, default=0.0)
 
     p = sub.add_parser("ztheta", help="theta(t) and Hardy Z(t)")
     p.add_argument("--t", type=float, required=True)
-    _add_common(p)
 
     p = sub.add_parser("uniqueness", help="uniqueness certificate scan")
     p.add_argument("--t1", type=float, default=0.0)
@@ -102,12 +99,10 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=dirichlet.DEFAULT_TOL)
     p.add_argument("--coeffs", choices=("zeta", "pow2"), default="zeta")
     p.add_argument("--swap", help="n1,n2 for a transposition permutation")
-    _add_common(p)
 
     p = sub.add_parser("beatty", help="Rayleigh partition check")
     p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
     p.add_argument("--check", type=int, required=True, help="partition bound n_max")
-    _add_common(p)
 
     p = sub.add_parser("weyl", help="Weyl sum decay")
     p.add_argument("--mode", choices=("linear", "beatty"), default="linear")
@@ -121,14 +116,12 @@ def build_parser() -> _Parser:
     p.add_argument("--delta1", type=float, default=1.0)
     p.add_argument("--delta2", type=float, default=1.0)
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
 
     p = sub.add_parser("meansquare", help="discrete mean-square approximation")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--shift-step", type=float, default=1.0, help="x_n = step * n")
-    _add_common(p)
 
     p = sub.add_parser("limit-theorem", help="empirical discrete limit theorem")
     p.add_argument("--m", type=int, required=True)
@@ -136,7 +129,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.75)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    _add_common(p)
 
     p = sub.add_parser("hits", help="disk-hit scan on a vertical grid")
     p.add_argument("--sigma", type=float, required=True)
@@ -147,7 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a-im", type=float, default=0.0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
 
     for name in ("joint-hits", "sis"):
         p = sub.add_parser(name, help="joint Beatty / swap-permutation hit density")
@@ -164,7 +155,6 @@ def build_parser() -> _Parser:
         p.add_argument("--a2-im", type=float, default=0.0)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--N", type=int, required=True)
-        _add_common(p)
 
     p = sub.add_parser("flip", help="left-half flip via the functional equation")
     p.add_argument("--sigma", type=float, required=True)
@@ -174,7 +164,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
 
     p = sub.add_parser("bergman", help="Bergman sup bound on a rectangle")
     p.add_argument("--f", choices=("one", "s", "s2", "zeta"), required=True)
@@ -185,8 +174,9 @@ def build_parser() -> _Parser:
     p.add_argument("--y1", type=float, default=1.05)
     p.add_argument("--z-re", type=float, required=True)
     p.add_argument("--z-im", type=float, required=True)
-    _add_common(p)
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
@@ -216,12 +206,7 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "output", "format", "seed", "threads", "dry_run", "config")
-        and v is not None
-    }
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     cfg = ExperimentConfig(
         command=args.command,
         params=params,
@@ -235,151 +220,168 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig
             raise ParseError(
                 f"config file command {file_cfg.command!r} does not match {cfg.command!r}"
             )
-        merged = dict(file_cfg.params)
         # explicit flags win over file values
-        given = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        given = {a[2:].split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
         for key, value in params.items():
-            if key in given or key not in merged:
-                merged[key] = value
-        cfg.params = merged
-        if file_cfg.seed is not None and "seed" not in given:
-            cfg.seed = file_cfg.seed
-        if file_cfg.output is not None and "output" not in given:
-            cfg.output = file_cfg.output
+            if key in given or key not in file_cfg.params:
+                file_cfg.params[key] = value
+        cfg.params = file_cfg.params
+        for key in ("seed", "output", "format"):
+            if getattr(file_cfg, key) is not None and key not in given:
+                setattr(cfg, key, getattr(file_cfg, key))
     return cfg
 
 
-def _run_command(cfg: ExperimentConfig, threads: int) -> tuple[dict, list | None]:
-    p = cfg.params
-    cmd = cfg.command
-    if cmd == "zeta":
-        value = zeta_core.zeta(complex(p["re"], p.get("im", 0.0)))
-        print(_fmt_complex(value))
-        return {"value": _fmt_complex(value)}, None
-    if cmd == "chi":
-        value = zeta_core.chi(complex(p["re"], p.get("im", 0.0)))
-        return {"value": _fmt_complex(value), "abs": abs(value)}, None
-    if cmd == "ztheta":
-        t = float(p["t"])
-        return {"theta": zeta_core.theta(t), "Z": zeta_core.hardy_z(t)}, None
-    if cmd == "uniqueness":
-        f = dirichlet.power_of_two_indicator() if p.get("coeffs") == "pow2" else dirichlet.constant_one()
-        perm = dirichlet.identity_permutation()
-        if p.get("swap"):
-            n1, n2 = (int(x) for x in str(p["swap"]).split(","))
-            perm = dirichlet.transposition(n1, n2)
-        cert = dirichlet.uniqueness_bound(
-            f, f,
-            dirichlet.Progression(float(p.get("t1", 0.0)), float(p["delta1"])),
-            dirichlet.Progression(float(p.get("t2", 0.0)), float(p["delta2"])),
-            perm, int(p["n_max"]), int(p["m_max"]), float(p.get("tol", dirichlet.DEFAULT_TOL)),
-        )
-        if cert is None:
-            return {"certificate": None}, None
-        return {"certificate": json.loads(cert.to_json())}, None
-    if cmd == "beatty":
-        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-        rep = beatty_mod.rayleigh_partition_check(pair, int(p["check"]))
-        return {
-            "n_max": rep.n_max,
-            "count_alpha": rep.count_alpha,
-            "count_alpha_prime": rep.count_alpha_prime,
-            "overlaps": int(rep.overlaps.size),
-            "gaps": int(rep.gaps.size),
-            "is_partition": rep.is_partition,
-        }, [("value", "class")] + [(int(v), "overlap") for v in rep.overlaps[:1000]] + [
-            (int(v), "gap") for v in rep.gaps[:1000]
-        ]
-    if cmd == "weyl":
-        n_total = int(p["N"])
-        if p.get("mode", "linear") == "linear":
-            beta = float(p["beta"])
-            rep = equidist.weyl_sum(lambda n: n * beta, float(p.get("freq", 1.0)), n_total)
-        else:
-            pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-            freq = equidist.FrequencyVector(
-                primes1=_parse_weights(str(p.get("m1", ""))),
-                primes2=_parse_weights(str(p.get("m2", ""))),
-                delta1=float(p.get("delta1", 1.0)),
-                delta2=float(p.get("delta2", 1.0)),
-            )
-            rep = equidist.joint_beatty_weyl(
-                pair, float(p.get("t1", 0.0)), float(p.get("t2", 0.0)), freq, n_total
-            )
-        rows = [("N", "magnitude")] + list(rep.trajectory)
-        return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
-    if cmd == "meansquare":
-        level = euler_product.TruncationLevel.of(int(p["m"]))
-        n_total = int(p["N"])
-        shifts = float(p.get("shift_step", 1.0)) * np.arange(1, n_total + 1)
-        stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
-        return {"m": stat.m, "N": stat.N, "sigma": stat.sigma, "value": stat.value,
-                "mode": stat.mode}, None
-    if cmd == "limit-theorem":
-        level = euler_product.TruncationLevel.of(int(p["m"]))
-        rep = euler_product.empirical_limit_theorem(
-            level, float(p["h"]), complex(float(p.get("sigma", 0.75)), 0.0),
-            int(p["N"]), int(p["trials"]), int(cfg.seed or 0),
-        )
-        return json.loads(rep.to_json()), None
-    if cmd == "hits":
-        grid = shift_search.VerticalGrid(
-            s=complex(p["sigma"], p.get("im0", 0.0)), h=float(p["h"]), l=int(p["l"])
-        )
-        disk = shift_search.TargetDisk(
-            a=complex(p["a_re"], p.get("a_im", 0.0)), epsilon=float(p["eps"])
-        )
-        hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]), threads=threads)
-        rows = [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
-        return json.loads(rep.to_json()), rows
-    if cmd in ("joint-hits", "sis"):
-        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-        fn = (
-            shift_search.corollary_sis_density
-            if cmd == "sis"
-            else shift_search.joint_beatty_hits
-        )
-        rep = fn(
-            pair,
-            float(p.get("t1", 0.0)), float(p.get("t2", 0.0)),
-            float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0)),
-            np.array([complex(p["s_re"], p.get("s_im", 0.0))]),
-            (complex(p["a1_re"], p.get("a1_im", 0.0)), complex(p["a2_re"], p.get("a2_im", 0.0))),
-            float(p["eps"]), int(p["N"]), threads=threads,
-        )
-        return json.loads(rep.to_json()), None
-    if cmd == "flip":
-        sigma = float(p["sigma"])
-        c = float(p.get("c", 1.0))
-        t_start = float(p["t_start"])
-        chi_rep = zeta_core.chi_lower_bound_check(sigma, c, (2.0, t_start), 500)
-        if chi_rep.t0 is None:
-            raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
-        grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
-        rep = shift_search.left_half_flip(
-            grid, float(p["r"]), c, int(p["N"]), chi_rep.t0, threads=threads
-        )
-        return json.loads(rep.to_json()), None
-    if cmd == "bergman":
-        rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
-        grid = rect.midpoint_grid(float(p["step"]))
-        kind = str(p["f"])
-        if kind == "one":
-            samples = np.ones_like(grid)
-        elif kind == "s":
-            samples = grid
-        elif kind == "s2":
-            samples = grid ** 2
-        else:
-            samples = zeta_core.zeta_grid(grid)
-        z = complex(p["z_re"], p["z_im"])
-        bound = euler_product.bergman_sup_bound(samples, rect, z)
-        f_z = {"one": 1.0 + 0j, "s": z, "s2": z * z, "zeta": zeta_core.zeta(z)}[kind]
-        return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
-    raise ZetaLabError(f"unknown command {cmd!r}")
+def _zeta(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    value = zeta_core.zeta(complex(p["re"], p.get("im", 0.0)))
+    print(_fmt_complex(value))
+    return {"value": _fmt_complex(value)}, None
 
 
-_KNOWN_KEYS = None  # filled from the argparse definitions at first use
+def _chi(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    value = zeta_core.chi(complex(p["re"], p.get("im", 0.0)))
+    return {"value": _fmt_complex(value), "abs": abs(value)}, None
+
+
+def _ztheta(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    t = float(p["t"])
+    return {"theta": zeta_core.theta(t), "Z": zeta_core.hardy_z(t)}, None
+
+
+def _uniqueness(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    f = dirichlet.power_of_two_indicator() if p.get("coeffs") == "pow2" else dirichlet.constant_one()
+    perm = dirichlet.identity_permutation()
+    if p.get("swap"):
+        n1, n2 = (int(x) for x in str(p["swap"]).split(","))
+        perm = dirichlet.transposition(n1, n2)
+    cert = dirichlet.uniqueness_bound(
+        f, f,
+        dirichlet.Progression(float(p.get("t1", 0.0)), float(p["delta1"])),
+        dirichlet.Progression(float(p.get("t2", 0.0)), float(p["delta2"])),
+        perm, int(p["n_max"]), int(p["m_max"]), float(p.get("tol", dirichlet.DEFAULT_TOL)),
+    )
+    if cert is None:
+        return {"certificate": None}, None
+    return {"certificate": {
+        "tool": "zetalab", "witness_n": cert.n, "mu": cert.mu,
+        "phi_mu": {"re": cert.phi_mu.real, "im": cert.phi_mu.imag},
+        "b_n": cert.b_n, "b": cert.b, "scan_n_max": cert.scan_limits[0],
+        "scan_m_max": cert.scan_limits[1], "tol": cert.tol,
+    }}, None
+
+
+def _beatty(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
+    rep = beatty_mod.rayleigh_partition_check(pair, int(p["check"]))
+    return {
+        "n_max": rep.n_max,
+        "count_alpha": rep.count_alpha,
+        "count_alpha_prime": rep.count_alpha_prime,
+        "overlaps": int(rep.overlaps.size),
+        "gaps": int(rep.gaps.size),
+        "is_partition": rep.is_partition,
+    }, [("value", "class")] + [(int(v), "overlap") for v in rep.overlaps[:1000]] + [
+        (int(v), "gap") for v in rep.gaps[:1000]
+    ]
+
+
+def _weyl(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    n_total = int(p["N"])
+    if p.get("mode", "linear") == "linear":
+        beta = float(p["beta"])
+        rep = equidist.weyl_sum(lambda n: n * beta, float(p.get("freq", 1.0)), n_total)
+    else:
+        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
+        freq = equidist.FrequencyVector(
+            primes1=_parse_weights(str(p.get("m1", ""))),
+            primes2=_parse_weights(str(p.get("m2", ""))),
+            delta1=float(p.get("delta1", 1.0)),
+            delta2=float(p.get("delta2", 1.0)),
+        )
+        rep = equidist.joint_beatty_weyl(
+            pair, float(p.get("t1", 0.0)), float(p.get("t2", 0.0)), freq, n_total
+        )
+    rows = [("N", "magnitude")] + list(rep.trajectory)
+    return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
+
+
+def _meansquare(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    level = euler_product.TruncationLevel.of(int(p["m"]))
+    n_total = int(p["N"])
+    shifts = float(p.get("shift_step", 1.0)) * np.arange(1, n_total + 1)
+    stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
+    return asdict(stat), None
+
+
+def _limit_theorem(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    level = euler_product.TruncationLevel.of(int(p["m"]))
+    rep = euler_product.empirical_limit_theorem(
+        level, float(p["h"]), complex(float(p.get("sigma", 0.75)), 0.0),
+        int(p["N"]), int(p["trials"]), int(seed or 0),
+    )
+    return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
+            "note": "finitely many phases only; truncated surrogate of the limit law"}, None
+
+
+def _hits(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    grid = shift_search.VerticalGrid(
+        s=complex(p["sigma"], p.get("im0", 0.0)), h=float(p["h"]), l=int(p["l"])
+    )
+    disk = shift_search.TargetDisk(
+        a=complex(p["a_re"], p.get("a_im", 0.0)), epsilon=float(p["eps"])
+    )
+    hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]), threads=threads)
+    return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
+
+
+def _pair_hits(scan, p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
+    rep = scan(
+        pair,
+        float(p.get("t1", 0.0)), float(p.get("t2", 0.0)),
+        float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0)),
+        np.array([complex(p["s_re"], p.get("s_im", 0.0))]),
+        (complex(p["a1_re"], p.get("a1_im", 0.0)), complex(p["a2_re"], p.get("a2_im", 0.0))),
+        float(p["eps"]), int(p["N"]), threads=threads,
+    )
+    return asdict(rep), None
+
+
+def _flip(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    sigma = float(p["sigma"])
+    c = float(p.get("c", 1.0))
+    t_start = float(p["t_start"])
+    chi_rep = zeta_core.chi_lower_bound_check(sigma, c, (2.0, t_start), 500)
+    if chi_rep.t0 is None:
+        raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
+    grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
+    rep = shift_search.left_half_flip(
+        grid, float(p["r"]), c, int(p["N"]), chi_rep.t0, threads=threads
+    )
+    return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
+            "disagreements": rep.disagreements, "params": rep.params}, None
+
+
+def _bergman(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+    rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
+    grid = rect.midpoint_grid(float(p["step"]))
+    kind = str(p["f"])
+    samples = {"one": np.ones_like, "s": np.asarray, "s2": np.square,
+               "zeta": zeta_core.zeta_grid}[kind](grid)
+    z = complex(p["z_re"], p["z_im"])
+    bound = euler_product.bergman_sup_bound(samples, rect, z)
+    f_z = {"one": 1.0 + 0j, "s": z, "s2": z * z, "zeta": zeta_core.zeta(z)}[kind]
+    return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
+
+
+# command -> function(params, seed, threads) returning (results, CSV rows or None)
+_COMMANDS = {
+    "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
+    "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
+    "limit-theorem": _limit_theorem, "hits": _hits, "flip": _flip, "bergman": _bergman,
+    "joint-hits": lambda *a: _pair_hits(shift_search.joint_beatty_hits, *a),
+    "sis": lambda *a: _pair_hits(shift_search.corollary_sis_density, *a),
+}
 
 
 def run(argv: list[str]) -> int:
@@ -387,21 +389,18 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args, argv)
-        known = {
-            k for k in vars(args)
-            if k not in ("output", "format", "seed", "threads", "dry_run", "config")
-        }
-        warn_unknown_keys(cfg, known)
+        if cfg.format == "csv" and cfg.command not in _CSV_COMMANDS:
+            message = f"{cfg.command} has no CSV report (only {', '.join(_CSV_COMMANDS)} have one)"
+            if args.format == "csv":  # from the flag: a usage error
+                parser.error(message)
+            raise ParseError(message)
+        warn_unknown_keys(cfg, {k for k in vars(args) if k not in _NOT_PARAMS})
         if args.dry_run:
             print(json.dumps({"config": cfg.as_dict(), **_cost_estimate(cfg)}, sort_keys=True))
             return 0
-        results, csv_rows = _run_command(cfg, threads=max(1, args.threads))
-        _write_report(cfg, results, csv_rows)
+        _write_report(cfg, *_COMMANDS[cfg.command](cfg.params, cfg.seed, max(1, args.threads)))
         return 0
-    except ZetaLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ZetaLabError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover

@@ -6,9 +6,8 @@ built from a finite scan."""
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,7 +73,7 @@ class Progression:
 class Permutation:
     """Lazily evaluated bijection of the positive integers.
 
-    kind is one of {"identity", "transposition", "beatty", "explicit-table"}.
+    kind is one of {"identity", "transposition", "explicit-table"}.
     Bijectivity is only checkable on finite prefixes; see check_prefix.
     """
 
@@ -196,22 +195,6 @@ class UniquenessCertificate:
     b: float
     scan_limits: tuple[int, int]
     tol: float = DEFAULT_TOL
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tool": "zetalab",
-                "witness_n": self.n,
-                "mu": self.mu,
-                "phi_mu": {"re": self.phi_mu.real, "im": self.phi_mu.imag},
-                "b_n": self.b_n,
-                "b": self.b,
-                "scan_n_max": self.scan_limits[0],
-                "scan_m_max": self.scan_limits[1],
-                "tol": self.tol,
-            },
-            sort_keys=True,
-        )
 
 
 def uniqueness_bound(

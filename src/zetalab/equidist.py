@@ -7,15 +7,14 @@ double accuracy."""
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .beatty import FLOOR_GUARD, BeattyPair
-from .errors import AmbiguousFloor, HypothesisViolation
+from .beatty import BeattyPair, beatty_terms
+from .errors import HypothesisViolation
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
@@ -93,13 +92,6 @@ class WeylReport:
         if not (0.0 <= self.sum_magnitude <= 1.0 + 1e-12):
             raise ValueError("normalised Weyl sum must lie in [0, 1]")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "magnitude"])
-            for n, mag in self.trajectory:
-                w.writerow([n, f"{mag:.17g}"])
-
 
 def _accumulate_phases(phase_fn: Callable[[np.ndarray], np.ndarray], N: int) -> WeylReport:
     """Sum exp(2 pi i phase(n)) for n = 1..N with power-of-two checkpoints."""
@@ -132,14 +124,6 @@ def weyl_sum(seq: Callable[[np.ndarray], np.ndarray], freq: float, N: int) -> We
     return _accumulate_phases(lambda n: freq * seq(n), N)
 
 
-def _guarded_floor(x: np.ndarray, alpha: float) -> np.ndarray:
-    nearest = np.round(x)
-    close = (x != nearest) & (np.abs(x - nearest) < FLOOR_GUARD)
-    if np.any(close):
-        raise AmbiguousFloor(f"floor of n * {alpha} ambiguous at n = {int(np.nonzero(close)[0][0] + 1)}")
-    return np.floor(x)
-
-
 def joint_beatty_weyl(
     pair: BeattyPair,
     t1: float,
@@ -156,8 +140,8 @@ def joint_beatty_weyl(
     d1, d2 = freq.delta1, freq.delta2
 
     def phase(n: np.ndarray) -> np.ndarray:
-        fa = _guarded_floor(n * pair.alpha, pair.alpha)
-        fb = _guarded_floor(n * pair.alpha_prime, pair.alpha_prime)
+        fa = beatty_terms(pair.alpha, n)
+        fb = beatty_terms(pair.alpha_prime, n)
         return (t1 + d1 * fa) * u1 + (t2 + d2 * fb) * u2
 
     return _accumulate_phases(phase, N)

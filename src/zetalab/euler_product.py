@@ -5,7 +5,6 @@ limit theorem."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -204,23 +203,6 @@ class LimitTheoremReport:
     @property
     def max_ks(self) -> float:
         return max(self.ks_re, self.ks_im, self.ks_log_abs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "h": self.h,
-                "s0": {"re": self.s0.real, "im": self.s0.imag},
-                "N": self.N,
-                "trials": self.trials,
-                "seed": self.seed,
-                "ks_re": self.ks_re,
-                "ks_im": self.ks_im,
-                "ks_log_abs": self.ks_log_abs,
-                "note": "finitely many phases only; truncated surrogate of the limit law",
-            },
-            sort_keys=True,
-        )
 
 
 def empirical_limit_theorem(

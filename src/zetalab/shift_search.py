@@ -5,17 +5,13 @@ equation."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import zeta_core
-from .beatty import BeattyPair, sigma_alpha
-from .equidist import _guarded_floor
+from .beatty import BeattyPair, beatty_terms, sigma_alpha
 from .errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
 
 @dataclass(frozen=True)
@@ -66,19 +62,6 @@ class HitDensityReport:
     def __post_init__(self):
         if not (0.0 <= self.density <= 1.0):
             raise ValueError("density must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "hits": self.hits,
-                "density": self.density,
-                "first_hits": list(self.first_hits),
-                "params": self.params,
-            },
-            sort_keys=True,
-            default=str,
-        )
 
 
 def scan_disk_hits(
@@ -131,14 +114,6 @@ def scan_disk_hits(
     return hits, report
 
 
-def hits_to_csv(hits: list[ShiftHit], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "max_dev"])
-        for h in hits:
-            w.writerow([h.n, f"{h.max_dev:.17g}"])
-
-
 def _sup_dev_per_shift(
     grid_pts: np.ndarray,
     shifts: np.ndarray,
@@ -174,8 +149,8 @@ def joint_beatty_hits(
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1, dtype=np.float64)
-    fa = _guarded_floor(n * pair.alpha, pair.alpha)
-    fb = _guarded_floor(n * pair.alpha_prime, pair.alpha_prime)
+    fa = beatty_terms(pair.alpha, n)
+    fb = beatty_terms(pair.alpha_prime, n)
     shifts1 = t1 + delta1 * fa
     shifts2 = t2 + delta2 * fb
     sup1 = _sup_dev_per_shift(grid_pts, shifts1, complex(a1), domain, threads)
@@ -263,19 +238,6 @@ class FlipReport:
     confirmed_hits: tuple[int, ...]
     disagreements: tuple[int, ...]
     params: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "predicted": list(self.predicted_hits),
-                "confirmed": list(self.confirmed_hits),
-                "disagreements": list(self.disagreements),
-                "params": self.params,
-            },
-            sort_keys=True,
-            default=str,
-        )
 
 
 def left_half_flip(

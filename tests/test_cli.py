@@ -6,14 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import config as cf
+from zetalab import zeta_core as zc
 from zetalab.cli import build_parser, run
 from zetalab.errors import ParseError
+
+
+HITS = ["hits", "--sigma", "0.75", "--im0", "10", "--h", "1", "--l", "1",
+        "--a-re", "1", "--eps", "0.5", "--N", "200"]
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_zeta(s):
+    raise AssertionError("evaluated before the report format was checked")
 
 
 class TestExitCodes:
@@ -135,15 +144,21 @@ class TestDryRunAndReports:
 
     def test_csv_report(self, tmp_path, capsys):
         out = tmp_path / "hits.csv"
-        code, _, _ = run_cli(
-            capsys, "hits", "--sigma", "0.75", "--im0", "10", "--h", "1", "--l", "1",
-            "--a-re", "1", "--eps", "0.5", "--N", "200",
-            "--output", str(out), "--format", "csv",
-        )
+        code, _, _ = run_cli(capsys, *HITS, "--output", str(out), "--format", "csv")
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,max_dev"
         assert len(lines) >= 2
+
+    def test_csv_flag_rejected_for_json_only_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(zc, "zeta", _no_zeta)
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["zeta", "--re", "2", "--format", "csv", "--output", str(out)])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert "zeta has no CSV report" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestConfigFile:
@@ -161,6 +176,28 @@ class TestConfigFile:
         cfg.write_text("command = zeta\nre = 2\nim = 0\n")
         code, out, _ = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
         assert code == 0
+
+    def test_file_format_used_when_flag_absent(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"command = hits\nformat = csv\noutput = {out}\n")
+        code, _, _ = run_cli(capsys, *HITS, "--config", str(cfg))
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "n,max_dev"
+        # an explicit --format=json still wins over the file
+        code, _, _ = run_cli(capsys, *HITS, "--config", str(cfg), "--format=json")
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["format"] == "json"
+
+    def test_file_csv_rejected_for_json_only_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(zc, "zeta", _no_zeta)
+        out = tmp_path / "z.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"command = zeta\nre = 2\nformat = csv\noutput = {out}\n")
+        code, stdout, err = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
+        assert code == 2
+        assert "zeta has no CSV report" in err
+        assert stdout == "" and not out.exists()
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import dirichlet as dl
+from zetalab.cli import run
 from zetalab.errors import DivergentRegion, SampleBelowBound
 
 TWO_PI_OVER_LOG2 = 2 * math.pi / math.log(2.0)
@@ -132,13 +133,20 @@ class TestUniquenessBound:
         cert = dl.uniqueness_bound(f1, f2, p1, p2, dl.identity_permutation(), 20, 200)
         assert cert is None
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path, capsys):
         f1, f2, p1, p2 = _zeta_pair()
         cert = dl.uniqueness_bound(f1, f2, p1, p2, dl.identity_permutation(), 3, 50)
-        payload = json.loads(cert.to_json())
+        path = tmp_path / "cert.json"
+        assert run(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "3",
+                    "--m-max", "50", "--output", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())["results"]["certificate"]
         assert payload["mu"] == cert.mu
         assert payload["witness_n"] == cert.n
-        assert payload["b"] == cert.b
+        assert payload["b"] == cert.b and payload["b_n"] == cert.b_n
+        assert complex(payload["phi_mu"]["re"], payload["phi_mu"]["im"]) == cert.phi_mu
+        assert (payload["scan_n_max"], payload["scan_m_max"]) == cert.scan_limits
+        assert payload["tol"] == cert.tol
 
     @given(
         t1=st.floats(-5.0, 5.0),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from zetalab import equidist as eq
 from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
+from zetalab.cli import run
 from zetalab.errors import AmbiguousFloor, HypothesisViolation
 
 TWO_PI_OVER_LOG2 = 2 * math.pi / math.log(2.0)
@@ -78,13 +79,16 @@ class TestWeylSum:
         rep = eq.weyl_sum(lambda n: n * beta, 1.0, 512)
         assert 0.0 <= rep.sum_magnitude <= 1.0
 
-    def test_csv(self, tmp_path):
+    def test_csv(self, tmp_path, capsys):
         rep = eq.weyl_sum(lambda n: n * SQRT2, 1.0, 100)
         path = tmp_path / "weyl.csv"
-        rep.to_csv(path)
+        assert run(["weyl", "--beta", repr(SQRT2), "--N", "100",
+                    "--output", str(path), "--format", "csv"]) == 0
+        capsys.readouterr()
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "N,magnitude"
-        assert len(lines) == len(rep.trajectory) + 1
+        rows = [(int(n), float(mag)) for n, mag in (ln.split(",") for ln in lines[1:])]
+        assert rows == rep.trajectory
 
 
 class TestJointBeattyWeyl:

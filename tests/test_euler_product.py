@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 
 from zetalab import euler_product as ep
 from zetalab import zeta_core as zc
+from zetalab.cli import run
 from zetalab.errors import HypothesisViolation, PointOnBoundary, VanishingFactor
 
 TWO_PI_OVER_LOG2 = 2 * math.pi / math.log(2.0)
@@ -198,12 +199,19 @@ class TestLimitTheorem:
         assert rep.max_ks > 5 * generic.max_ks
         assert rep.max_ks > 0.9
 
-    def test_json_report(self):
+    def test_json_report(self, tmp_path, capsys):
         rep = ep.empirical_limit_theorem(
             ep.TruncationLevel.of(5), 1.0, 0.8, 100, 100, seed=1
         )
-        payload = json.loads(rep.to_json())
+        path = tmp_path / "limit.json"
+        assert run(["limit-theorem", "--m", "5", "--h", "1", "--sigma", "0.8", "--N", "100",
+                    "--trials", "100", "--seed", "1", "--output", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())["results"]
         assert payload["m"] == 5 and payload["seed"] == 1
+        assert payload["s0"] == {"re": 0.8, "im": 0.0}
+        assert [payload["ks_re"], payload["ks_im"], payload["ks_log_abs"]] == [
+            rep.ks_re, rep.ks_im, rep.ks_log_abs]
         assert "truncated" in payload["note"]
 
     def test_validation(self):

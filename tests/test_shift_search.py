@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zetalab import shift_search as ss
+from zetalab.cli import run
 from zetalab import zeta_core as zc
 from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
 from zetalab.errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
@@ -71,15 +72,25 @@ class TestScanDiskHits:
         with pytest.raises(DomainOverflow):
             ss.scan_disk_hits(ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1), disk, 10 ** 6)
 
-    def test_csv_and_json(self, tmp_path):
+    def test_csv_and_json(self, tmp_path, capsys):
         grid = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1)
         disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.5)
         hits, rep = ss.scan_disk_hits(grid, disk, 500)
+        argv = ["hits", "--sigma", "0.75", "--im0", "10", "--h", "1", "--l", "1",
+                "--a-re", "1", "--eps", "0.5", "--N", "500"]
         path = tmp_path / "hits.csv"
-        ss.hits_to_csv(hits, path)
-        assert len(path.read_text().strip().splitlines()) == len(hits) + 1
-        payload = json.loads(rep.to_json())
+        assert run(argv + ["--output", str(path), "--format", "csv"]) == 0
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "n,max_dev"
+        rows = [(int(n), float(dev)) for n, dev in (ln.split(",") for ln in lines[1:])]
+        assert rows == [(h.n, h.max_dev) for h in hits]
+        path = tmp_path / "hits.json"
+        assert run(argv + ["--output", str(path)]) == 0
+        payload = json.loads(path.read_text())["results"]
         assert payload["N"] == 500 and payload["hits"] == rep.hits
+        assert payload["first_hits"] == list(rep.first_hits)
+        assert payload["params"] == rep.params
+        capsys.readouterr()
 
 
 class TestJointBeattyHits:
@@ -172,9 +183,16 @@ class TestLeftHalfFlip:
         with pytest.raises(ValueError):
             ss.left_half_flip(grid, r=0.1, c=1.0, N=10, t0=50.0)
 
-    def test_json(self):
+    def test_json(self, tmp_path, capsys):
         grid = ss.VerticalGrid(s=0.3 + 100j, h=1.0, l=1)
         rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=50, t0=50.0)
-        payload = json.loads(rep.to_json())
+        path = tmp_path / "flip.json"
+        assert run(["flip", "--sigma", "0.3", "--t-start", "100", "--h", "1", "--l", "1",
+                    "--r", "0.1", "--N", "50", "--output", str(path)]) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())["results"]
         assert payload["N"] == 50
         assert payload["predicted"] == list(rep.predicted_hits)
+        assert payload["confirmed"] == list(rep.confirmed_hits)
+        assert payload["disagreements"] == list(rep.disagreements)
+        assert payload["params"]["r"] == 0.1 and payload["params"]["t0"] <= 100.0
