@@ -200,9 +200,15 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
         "meansquare": n,
         "beatty": 2 * n,
         "weyl": n,
-        "limit-theorem": n + int(cfg.params.get("trials", 0)),
+        "limit-theorem": 0,  # Euler products only
     }.get(cfg.command, 1)
-    return {"dry_run": True, "estimated_evaluations": evals}
+    estimate = {"dry_run": True, "estimated_evaluations": evals}
+    m = int(cfg.params.get("m", 0))
+    if cfg.command == "meansquare":  # one anchor: the CLI takes no grid
+        estimate["estimated_euler_factors"] = n * m
+    elif cfg.command == "limit-theorem":
+        estimate["estimated_euler_factors"] = m * (n + int(cfg.params.get("trials", 0)))
+    return estimate
 
 
 def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig:
@@ -280,8 +286,8 @@ def _beatty(p: dict, seed, threads: int) -> tuple[dict, list | None]:
         "overlaps": int(rep.overlaps.size),
         "gaps": int(rep.gaps.size),
         "is_partition": rep.is_partition,
-    }, [("value", "class")] + [(int(v), "overlap") for v in rep.overlaps[:1000]] + [
-        (int(v), "gap") for v in rep.gaps[:1000]
+    }, [("value", "class")] + [(int(v), "overlap") for v in rep.overlaps] + [
+        (int(v), "gap") for v in rep.gaps
     ]
 
 

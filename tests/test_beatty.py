@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestRayleigh:
         assert rows == [[str(v), "overlap"] for v in rep.overlaps] + [
             [str(v), "gap"] for v in rep.gaps]
         assert rep.overlaps.size and rep.gaps.size
+
+    def test_csv_lists_every_overlap_and_gap(self, tmp_path, capsys):
+        out = tmp_path / "partition.csv"
+        assert run(["beatty", "--alpha", "1.5", "--check", "10000",
+                    "--output", str(out), "--format", "csv"]) == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        classes = [ln.split(",")[1] for ln in out.read_text().strip().splitlines()[1:]]
+        assert classes.count("overlap") == summary["overlaps"] == 3333
+        assert classes.count("gap") == summary["gaps"] == 3333
 
     @given(alpha=st.floats(1.05, 10.0))
     @settings(max_examples=40, deadline=None)

@@ -127,6 +127,21 @@ class TestDryRunAndReports:
         assert payload["dry_run"] is True
         assert payload["estimated_evaluations"] == 100002
         assert payload["config"]["command"] == "hits"
+        assert "estimated_euler_factors" not in payload
+
+    def test_dry_run_counts_euler_factors(self, capsys):
+        code, out, _ = run_cli(capsys, "meansquare", "--sigma", "0.9", "--m", "10000",
+                               "--N", "500", "--shift-step", "2", "--dry-run")
+        payload = json.loads(out.strip())
+        assert code == 0
+        assert payload["estimated_evaluations"] == 500
+        assert payload["estimated_euler_factors"] == 500 * 10_000
+        code, out, _ = run_cli(capsys, "limit-theorem", "--m", "200", "--h", "1.5",
+                               "--N", "10000", "--trials", "3000", "--dry-run")
+        payload = json.loads(out.strip())
+        assert code == 0
+        assert payload["estimated_evaluations"] == 0  # products only, no zeta
+        assert payload["estimated_euler_factors"] == 200 * (10_000 + 3000)
 
     def test_json_report_is_deterministic_modulo_timestamp(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -134,3 +134,51 @@ def test_scans_match_direct_summation(monkeypatch):
     assert flip.predicted_hits == ref_flip.predicted_hits
     assert flip.confirmed_hits == ref_flip.confirmed_hits
     assert flip.disagreements == ref_flip.disagreements
+
+
+def _tile_sweep_partial_sums(s, logs, max_block_elems):
+    """The partial-sum recurrence as it stood before the power rows were
+    shared with the Euler products: one loop that allocates its rows, step
+    rows and gather buffer afresh for every column slice."""
+    def powers(points, cols):
+        rows = np.multiply.outer(-points, cols)
+        return np.exp(rows, out=rows)
+
+    out = np.zeros(s.size, dtype=np.complex128)
+    if s.size == 0:
+        return out
+    first = np.arange(0, s.size, zc._RESTART)
+    at = np.minimum(first[:, None] + np.arange(1, zc._RESTART), s.size - 1)
+    diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
+    step_of = step_of.reshape(at.shape)
+    last = s.size - first[-1]
+    width = max(1, max_block_elems // (2 * first.size + diffs.size))
+    for c in range(0, logs.size, width):
+        row = powers(s[first], logs[c : c + width])
+        steps = powers(diffs, logs[c : c + width])
+        gather = np.empty_like(row)
+        out[first] += row.sum(axis=1)
+        for j in range(1, min(zc._RESTART, s.size)):
+            k = first.size if j < last else first.size - 1
+            g = step_of[:k, j - 1]
+            if np.all(g == g[0]):
+                row[:k] *= steps[g[0]]
+            else:
+                row[:k] *= np.take(steps, g, axis=0, out=gather[:k])
+            out[first[:k] + j] += row[:k].sum(axis=1)
+        del row, steps, gather
+    return out
+
+
+@pytest.mark.parametrize("budget", [4_000_000, 200_000, 5_000])
+@pytest.mark.parametrize("case", ["progression", "sorted-beatty", "midpoint-grid"])
+def test_grid_bit_identical_to_tile_sweep(monkeypatch, case, budget):
+    points = {
+        "progression": 0.75 + 1j * (28_000.0 + np.arange(512)),
+        "sorted-beatty": 0.75 + 1j * _swap_heights()[:512],
+        "midpoint-grid": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),
+    }[case]
+    values = zc.zeta_grid(points, max_block_elems=budget)
+    monkeypatch.setattr(zc, "_partial_sums", _tile_sweep_partial_sums)
+    reference = zc.zeta_grid(points, max_block_elems=budget)
+    assert values.tobytes() == reference.tobytes()
