@@ -32,6 +32,7 @@ from .errors import PointOnBoundary, VanishingFactor
 from .primes import first_n_primes, is_prime
 
 _LOG_RANGE = 690.0  # largest |log| allowed for a partial product of factors
+_SAMPLE_BLOCK = 1 << 18  # random factors drawn at once by empirical_limit_theorem
 
 
 @dataclass(frozen=True)
@@ -256,11 +257,17 @@ def empirical_limit_theorem(
     shifts = h * np.arange(1, N + 1, dtype=np.float64)
     shifted = _zeta_m_on_shifts(level, s0, shifts)
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(trials, level.m))
-    factors = 1.0 - np.exp(1j * angles) * np.exp(-s0 * level.log_primes)[None, :]
-    if np.any(np.abs(factors) < 1e-14):
-        raise VanishingFactor("a random Euler factor vanished")
-    random_sample = np.exp(-_log_product(factors, s0.real))
+    powers = np.exp(-s0 * level.log_primes)
+    random_sample = np.empty(trials, dtype=np.complex128)
+    # rows of _SAMPLE_BLOCK // m trials at a time, drawn in the order that
+    # one trials x m draw would take them
+    rows = max(1, _SAMPLE_BLOCK // level.m)
+    for i in range(0, trials, rows):
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=(min(rows, trials - i), level.m))
+        factors = 1.0 - np.exp(1j * angles) * powers[None, :]
+        if np.any(np.abs(factors) < 1e-14):
+            raise VanishingFactor("a random Euler factor vanished")
+        random_sample[i : i + rows] = np.exp(-_log_product(factors, s0.real))
     return LimitTheoremReport(
         m=level.m,
         h=h,

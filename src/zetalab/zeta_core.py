@@ -1,26 +1,31 @@
 """Error-controlled double-precision evaluation of zeta, log-gamma, chi,
 theta and Hardy's Z on a strip around the critical line.
 
-zeta uses Euler-Maclaurin summation with an adaptive term count
-N ~ max(20, 2|t|) and 8 Bernoulli correction terms.  The scalar `zeta`
-sums the N powers n^{-s} directly; `zeta_grid`, and `zeta_on_line` which
-feeds it blocks of 512 heights, reaches them by a recurrence along the
-points that restarts exactly every 64 points; the same power rows give
-the Euler products of euler_product.  Both kernels lose about
-eps |t| log N of phase per term, so the error grows with |t|, and left of
-the critical line with the size of the terms.  Measured against mpmath at
-30 digits, the error relative to max(1, |zeta|) stays below
+zeta uses Euler-Maclaurin summation with K = 16 Bernoulli corrections
+(B_2 ... B_32).  The term count N is the smallest N >= 20 for which
+Backlund's bound on the remainder,
+|R| <= |s + 2K + 1| / (Re s + 2K + 1) |T_{K+1}(N)|, is below 1e-13
+(_em_term_count): about 0.4|t| on and right of the critical line and
+0.6|t| at Re s = -0.9.  The corrections follow from N^{-s} by the ratio of
+consecutive terms, one exp per point.  The scalar `zeta` sums the N powers
+n^{-s} directly; `zeta_grid`, and `zeta_on_line` which feeds it blocks of
+512 heights, reaches them by a recurrence along the points that restarts
+exactly every 64 points; the same power rows give the Euler products of
+euler_product.  Both kernels lose about eps |t| log n of phase in the
+term n^{-s}, so the error grows with |t|, and left of the critical line
+with the size of the terms.  Measured against mpmath at 30 digits, the
+error relative to max(1, |zeta|) stays below
 
     Re s          |t| <= 1e4   |t| <= 3e4
-    [1, 40]       5e-12        5e-12
+    [1, 40]       5e-12        2e-11
     [1/2, 1)      5e-11        2e-10
-    [0, 1/2)      2e-10        6e-10
-    (-1, 0)       1e-9         3e-9
+    [0, 1/2)      1e-10        5e-10
+    (-1, 0)       1.5e-10      8e-10
 
-for both kernels; the largest values measured are 2.1e-12, 1.7e-11 /
-8.1e-11, 7.0e-11 / 2.3e-10 and 3.5e-10 / 1.1e-9.  The absolute error is
-this times |zeta|, which grows like |t|^(1/2 - Re s) left of the line: at
-Re s = -0.9, t = 1e4 it is about 1e-5.
+for both kernels; the largest values measured are 1.9e-12 / 6.0e-12,
+1.8e-11 / 9.0e-11, 3.5e-11 / 1.7e-10 and 4.2e-11 / 2.5e-10.  The
+absolute error is this times |zeta|, which grows like |t|^(1/2 - Re s)
+left of the line: at Re s = -0.99, t = 1e4 it is about 3e-6.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
 """
 
@@ -30,7 +35,7 @@ import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import factorial, pi
+from math import pi
 
 import numpy as np
 
@@ -53,7 +58,7 @@ _RESTART = 64  # points per exact restart of the partial-sum recurrence
 _LINE_BLOCK = 512  # heights per zeta_grid call in zeta_on_line
 _BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
 
-# B_2, B_4, ..., B_16
+# B_2, B_4, ..., B_32: the _EM_K Euler-Maclaurin corrections
 _BERNOULLI = (
     1.0 / 6,
     -1.0 / 30,
@@ -63,7 +68,18 @@ _BERNOULLI = (
     -691.0 / 2730,
     7.0 / 6,
     -3617.0 / 510,
+    43867.0 / 798,
+    -174611.0 / 330,
+    854513.0 / 138,
+    -236364091.0 / 2730,
+    8553103.0 / 6,
+    -23749461029.0 / 870,
+    8615841276005.0 / 14322,
+    -7709321041217.0 / 510,
 )
+_BERNOULLI_NEXT = 2577687858367.0 / 6  # B_34, in the remainder bound only
+_EM_K = len(_BERNOULLI)
+_EM_TOL = 1e-13  # bound on the Euler-Maclaurin remainder, absolute
 
 # Lanczos approximation, g = 7, 9 coefficients (right half-plane).
 _LANCZOS_G = 7.0
@@ -85,7 +101,7 @@ class EvalDomain:
     """Strip on which zeta may be evaluated.
 
     The default strip is the one the error table of the module docstring
-    covers: relative to max(1, |zeta|), below 3e-9 everywhere on it and
+    covers: relative to max(1, |zeta|), below 8e-10 everywhere on it and
     below 2e-10 for Re s >= 1/2; the error grows with |t| and towards the
     left edge.
     """
@@ -131,25 +147,47 @@ def _require_finite(z: complex, what: str) -> complex:
     return z
 
 
-def _em_term_count(t: float) -> int:
-    return max(20, int(math.ceil(2.0 * abs(t))))
+def _em_term_count(sigma: float, t: float) -> int:
+    """Smallest N >= 20 at which the Euler-Maclaurin remainder after _EM_K
+    corrections is provably below _EM_TOL at s = sigma + i t.
+
+    Backlund's bound |R| <= |s + 2K + 1| / (sigma + 2K + 1) |T_{K+1}(N)|
+    with |s + j| <= |s| + 2K + 1 gives |R| <= C N^{-(sigma + 2K + 1)},
+    C = (|s| + 2K + 1)^{2K+2} / (sigma + 2K + 1) |B_{2K+2}| / (2K + 2)!.
+    The count grows with |t| and falls as sigma grows, so the count at a
+    block's smallest sigma and largest |t| covers every point of it.
+    """
+    k2 = 2 * _EM_K
+    a = sigma + k2 + 1
+    log_c = (
+        (k2 + 2) * math.log(math.hypot(sigma, t) + k2 + 1)
+        - math.log(a)
+        + math.log(_BERNOULLI_NEXT)
+        - math.lgamma(k2 + 3)
+    )
+    return max(20, math.ceil(math.exp((log_c - math.log(_EM_TOL)) / a)))
+
+
+def _em_tail(s, power, n: int):
+    """N^{1-s} / (s - 1) - N^{-s} / 2 plus the _EM_K Bernoulli corrections
+    at N = n, from power = N^{-s}; s is a complex or an array of them.
+    T_1 = c_1 s N^{-s-1} with c_k = B_{2k} / (2k)!, and each later term is
+    T_{k+1} = T_k (s + 2k - 1)(s + 2k) c_{k+1} / (c_k N^2), so no power
+    beyond N^{-s} is taken."""
+    term = power * s * (_BERNOULLI[0] / (2 * n))
+    tail = power * (n / (s - 1) - 0.5) + term
+    for k in range(1, _EM_K):
+        ratio = _BERNOULLI[k] / (_BERNOULLI[k - 1] * (2 * k + 1) * (2 * k + 2) * n * n)
+        term = term * ((s + (2 * k - 1)) * (s + 2 * k)) * ratio
+        tail = tail + term
+    return tail
 
 
 def _zeta_em(s: complex, n_terms: int) -> complex:
     """Euler-Maclaurin partial sum + boundary + Bernoulli corrections."""
     logs = _logs(n_terms)
     total = complex(np.exp(-s * logs).sum())
-    log_n = logs[-1]
-    total += cmath.exp((1 - s) * log_n) / (s - 1)
-    total -= 0.5 * cmath.exp(-s * log_n)
-    rising = 1.0 + 0.0j
-    j = 0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        while j < 2 * k - 1:
-            rising *= s + j
-            j += 1
-        total += b2k / factorial(2 * k) * rising * cmath.exp((-s - 2 * k + 1) * log_n)
-    return total
+    return total + _em_tail(s, cmath.exp(-s * logs[-1]), n_terms)
 
 
 def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN, terms: int | None = None) -> complex:
@@ -166,7 +204,7 @@ def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN, terms: int | None = No
         raise OutOfDomain(f"s = {s} outside {domain}")
     if s.imag < 0.0:
         return zeta(s.conjugate(), domain, terms).conjugate()
-    n_terms = terms if terms is not None else _em_term_count(s.imag)
+    n_terms = terms if terms is not None else _em_term_count(s.real, s.imag)
     return _require_finite(_zeta_em(s, n_terms), "zeta")
 
 
@@ -235,11 +273,11 @@ def zeta_grid(
 ) -> np.ndarray:
     """Vectorised zeta over an array of points sharing one term count.
 
-    The term count is taken from the largest |Im s| in the array, so this
-    is intended for blocks of points with comparable height.  The partial
-    sum runs along the flattened array with a multiplicative recurrence
-    (see _partial_sums); it is cheapest when consecutive points differ by
-    one of a few steps.  Raises PoleAt1 or OutOfDomain for the first point
+    The term count is taken at the smallest Re s and the largest |Im s| in
+    the array, so this is intended for blocks of points with comparable
+    height.  The partial sum runs along the flattened array with a
+    multiplicative recurrence (see _partial_sums); it is cheapest when
+    consecutive points differ by one of a few steps.  Raises PoleAt1 or OutOfDomain for the first point
     near s = 1 or outside the domain.
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
@@ -254,19 +292,16 @@ def zeta_grid(
         raise OutOfDomain(f"grid point {z} outside {domain}")
     neg = flat.imag < 0.0
     work = np.where(neg, flat.conj(), flat)
-    n_terms = terms if terms is not None else _em_term_count(float(np.max(np.abs(work.imag), initial=0.0)))
+    if terms is not None:
+        n_terms = terms
+    else:
+        n_terms = _em_term_count(
+            float(np.min(work.real, initial=domain.sigma_max)),
+            float(np.max(work.imag, initial=0.0)),
+        )
     logs = _logs(n_terms)
     out = _partial_sums(work, logs, max_block_elems)
-    log_n = logs[-1]
-    out += np.exp((1 - work) * log_n) / (work - 1)
-    out -= 0.5 * np.exp(-work * log_n)
-    rising = np.ones_like(work)
-    j = 0
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        while j < 2 * k - 1:
-            rising = rising * (work + j)
-            j += 1
-        out += b2k / factorial(2 * k) * rising * np.exp((-work - 2 * k + 1) * log_n)
+    out += _em_tail(work, np.exp(-work * logs[-1]), n_terms)
     out = np.where(neg, out.conj(), out)
     if not np.all(np.isfinite(out)):
         raise OutOfDomain("zeta_grid produced non-finite values")
@@ -291,6 +326,16 @@ def zeta_on_line(
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         values = list(pool.map(zeta_grid, blocks, [domain] * len(blocks)))
     return np.concatenate(values) if values else points
+
+
+def line_terms(sigma: float, heights: np.ndarray) -> int:
+    """Partial-sum terms that zeta_on_line(sigma, heights) adds up: each
+    block's points times the term count of its top height."""
+    top = np.abs(np.asarray(heights, dtype=np.float64))
+    return sum(
+        min(_LINE_BLOCK, top.size - i) * _em_term_count(sigma, float(top[i : i + _LINE_BLOCK].max()))
+        for i in range(0, top.size, _LINE_BLOCK)
+    )
 
 
 def _log_sin(z: complex) -> complex:

@@ -143,6 +143,52 @@ class TestDryRunAndReports:
         assert payload["estimated_evaluations"] == 0  # products only, no zeta
         assert payload["estimated_euler_factors"] == 200 * (10_000 + 3000)
 
+    @pytest.mark.parametrize("argv", [
+        ["hits", "--sigma", "0.6", "--im0", "100.3", "--h", "0.7", "--l", "2",
+         "--a-re", "1", "--eps", "0.5", "--N", "3000"],
+        ["joint-hits", "--alpha", "golden", "--t1", "40", "--s-re", "0.75",
+         "--a1-re", "1", "--a2-re", "1", "--eps", "0.7", "--N", "700"],
+        ["sis", "--alpha", "sqrt2", "--t1", "10", "--t2", "10", "--s-re", "0.75",
+         "--a1-re", "1", "--a2-re", "1.2", "--eps", "0.8", "--N", "600"],
+        ["meansquare", "--sigma", "0.8", "--m", "50", "--N", "900", "--shift-step", "1.5"],
+    ])
+    def test_dry_run_terms_match_the_run(self, capsys, monkeypatch, argv):
+        code, out, _ = run_cli(capsys, *argv, "--dry-run")
+        assert code == 0
+        estimate = json.loads(out.strip())["estimated_terms"]
+        counted = []
+        kernel = zc._partial_sums
+
+        def counting(s, logs, max_block_elems):
+            counted.append(s.size * logs.size)
+            return kernel(s, logs, max_block_elems)
+
+        monkeypatch.setattr(zc, "_partial_sums", counting)
+        assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
+        assert estimate == sum(counted)
+
+    def test_dry_run_bounds_flip_and_sizes_bergman(self, capsys, monkeypatch):
+        argv = ["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2",
+                "--r", "1", "--N", "1500"]
+        code, out, _ = run_cli(capsys, *argv, "--dry-run")
+        payload = json.loads(out.strip())
+        assert payload["estimated_evaluations"] == 2 * 1501
+        counted = []
+        kernel = zc._partial_sums
+
+        def counting(s, logs, max_block_elems):
+            counted.append((s.size, s.size * logs.size))
+            return kernel(s, logs, max_block_elems)
+
+        monkeypatch.setattr(zc, "_partial_sums", counting)
+        assert run_cli(capsys, *argv)[0] == 0
+        points, terms = (sum(c) for c in zip(*counted))
+        assert 1501 < points <= payload["estimated_evaluations"]
+        assert terms <= payload["estimated_terms"]
+        code, out, _ = run_cli(capsys, "bergman", "--f", "zeta", "--z-re", "0.75",
+                               "--z-im", "0.5", "--dry-run")
+        assert json.loads(out.strip())["estimated_evaluations"] == 40 * 100 + 1
+
     def test_json_report_is_deterministic_modulo_timestamp(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):

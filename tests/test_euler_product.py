@@ -342,6 +342,25 @@ class TestLimitTheorem:
             rep.ks_re, rep.ks_im, rep.ks_log_abs]
         assert "truncated" in payload["note"]
 
+    @pytest.mark.parametrize("block", [1, 12, 35])
+    def test_random_sample_independent_of_block(self, monkeypatch, block):
+        args = (ep.TruncationLevel.of(6), math.sqrt(2.0), 0.7, 300, 301, 9)
+        whole = ep.empirical_limit_theorem(*args)
+        monkeypatch.setattr(ep, "_SAMPLE_BLOCK", block)
+        assert ep.empirical_limit_theorem(*args) == whole
+
+    def test_random_sample_memory_bounded(self):
+        # 2e4 trials x 200 primes: 150 MB of traced allocations when drawn at once
+        level = ep.TruncationLevel.of(200)
+        ep.empirical_limit_theorem(level, math.sqrt(2.0), 0.75, 100, 10, seed=3)
+        tracemalloc.start()
+        try:
+            ep.empirical_limit_theorem(level, math.sqrt(2.0), 0.75, 100, 20_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * ep._SAMPLE_BLOCK + 2**22  # 20 MB
+
     def test_validation(self):
         lvl = ep.TruncationLevel.of(5)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,9 +50,25 @@ class TestZeta:
             zc.zeta(0.5 + 1e6j)
 
     def test_term_count_doubling_converges(self):
-        for s in (0.5 + 100j, 0.25 + 1000j, 2.0 + 17.3j):
-            n = zc._em_term_count(s.imag)
+        for s in (0.5 + 100j, 0.25 + 1000j, 2.0 + 17.3j, -0.9 + 100j, 40.0 + 3e4j):
+            n = zc._em_term_count(s.real, s.imag)
             assert abs(zc.zeta(s, terms=n) - zc.zeta(s, terms=2 * n)) < 1e-10
+
+    def test_term_count_falls_with_re_s(self):
+        # zeta_grid takes a block's count at its smallest Re s and largest |Im s|
+        sigmas = np.linspace(-0.99, 40.0, 200)
+        for t in (0.0, 3.0, 50.0, 1e3, 1e4, 3e4):
+            counts = [zc._em_term_count(float(x), t) for x in sigmas]
+            assert all(a >= b for a, b in zip(counts, counts[1:])), t
+            assert zc._em_term_count(0.5, t) <= zc._em_term_count(0.5, 1.01 * t + 1.0)
+
+    def test_bernoulli_literals_exact(self):
+        # B_0 .. B_34 from sum_{j<=m} C(m+1, j) B_j = 0, in exact rationals
+        b = [Fraction(1)]
+        for m in range(1, 35):
+            b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+        assert zc._BERNOULLI == tuple(float(b[2 * k]) for k in range(1, 17))
+        assert zc._BERNOULLI_NEXT == float(b[34])
 
     @given(
         sigma=st.floats(-0.5, 3.0),

@@ -2,6 +2,7 @@
 accuracy against mpmath, determinism across thread counts, and equivalence
 of the scans with a direct exp-per-term summation."""
 
+import math
 import tracemalloc
 
 import mpmath
@@ -22,12 +23,12 @@ def _contract(sigma: float, t: float) -> float:
     (zeta_core module docstring)."""
     low = abs(t) <= 1e4
     if sigma >= 1.0:
-        return 5e-12
+        return 5e-12 if low else 2e-11
     if sigma >= 0.5:
         return 5e-11 if low else 2e-10
     if sigma >= 0.0:
-        return 2e-10 if low else 6e-10
-    return 1e-9 if low else 3e-9
+        return 1e-10 if low else 5e-10
+    return 1.5e-10 if low else 8e-10
 
 
 def _swap_heights() -> np.ndarray:
@@ -39,6 +40,8 @@ def _line_cases():
     rng = np.random.default_rng(11)
     return {
         "progression-2.85e4": (0.6, 28_500.0 + 0.5 * np.arange(512)),
+        "right-edge-2.9e4": (1.0, 29_000.0 + 0.5 * np.arange(512)),
+        "left-edge-2.9e4": (-0.99, 29_000.0 + 0.5 * np.arange(512)),
         "golden-beatty": (0.75, 10.0 + np.floor(GOLDEN * np.arange(1489, 2001))),
         "sorted-swap": (0.75, _swap_heights()[-512:]),
         "scattered": (0.5, np.sort(rng.uniform(9_000.0, 10_000.0, 512))),
@@ -63,6 +66,47 @@ def test_line_blocks_against_mpmath(case):
         bound = _contract(sigma, heights[i])
         assert abs(values[i] - exact) / scale < bound, (case, i)
         assert abs(zc.zeta(s) - exact) / scale < bound, (case, i)
+
+
+def _em_in_mpmath(s: complex, n: int, k: int):
+    """Euler-Maclaurin for zeta(s) with n terms and k corrections in mpmath,
+    and Backlund's bound |s + 2k + 1| / (Re s + 2k + 1) |T_{k+1}(n)| on its
+    remainder.  n^{-s} = (n/p)^{-s} p^{-s} over the least prime p of n."""
+    s = mpmath.mpc(s.real, s.imag)
+    least = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if least[p] == p:
+            for q in range(p * p, n + 1, p):
+                if least[q] == q:
+                    least[q] = p
+    powers = [mpmath.mpf(0), mpmath.mpf(1)]
+    for j in range(2, n + 1):
+        p = least[j]
+        powers.append(mpmath.power(j, -s) if p == j else powers[j // p] * powers[p])
+    big_n = mpmath.mpf(n)
+
+    def correction(j):  # B_2j / (2j)! s (s+1) ... (s+2j-2) n^{-s-2j+1}
+        return mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * mpmath.rf(s, 2 * j - 1) * big_n ** (-s - 2 * j + 1)
+
+    value = mpmath.fsum(powers) - powers[n] / 2 + big_n ** (1 - s) / (s - 1)
+    value += mpmath.fsum(correction(j) for j in range(1, k + 1))
+    bound = abs(s + 2 * k + 1) / (s.real + 2 * k + 1) * abs(correction(k + 1))
+    return value, bound
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 50.0, 1e3, 1e4, 3e4])
+def test_term_count_meets_remainder_bound(t):
+    for sigma in (-0.99, -0.5, 0.0, 0.5, 0.75, 1.5, 40.0):
+        n, k = zc._em_term_count(sigma, t), zc._EM_K
+        with mpmath.workdps(40):
+            value, bound = _em_in_mpmath(complex(sigma, t), n, k)
+            error = abs(value - mpmath.zeta(mpmath.mpc(sigma, t)))
+            # the closed form behind the count: C n^{-(Re s + 2k + 1)}
+            a = sigma + 2 * k + 1
+            closed = (abs(mpmath.mpc(sigma, t)) + 2 * k + 1) ** (2 * k + 2) / a
+            closed *= abs(mpmath.bernoulli(2 * k + 2)) / mpmath.factorial(2 * k + 2) * mpmath.mpf(n) ** -a
+        roundoff = 1e-38 * n ** max(1.0, 1.0 - sigma)  # 40 digits over n terms of size <= n^-sigma
+        assert error <= bound + roundoff and bound <= closed <= zc._EM_TOL, (sigma, t, n)
 
 
 def test_midpoint_grid_against_mpmath():
