@@ -213,7 +213,7 @@ def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, np.ndarray]]
     lines = [(sigma, im + (t1 + d1 * beatty_mod.beatty_terms(pair.alpha, k))),
              (sigma, im + (t2 + d2 * beatty_mod.beatty_terms(pair.alpha_prime, k)))]
     if command == "sis":  # plus the progression and the sorted swapped line
-        swapped = np.array([beatty_mod.sigma_alpha(pair, j) for j in range(1, n + 1)], dtype=np.float64)
+        swapped = beatty_mod.sigma_alpha(pair, np.arange(1, n + 1)).astype(np.float64)
         lines += [(sigma, im + (t1 + d1 * k)), (sigma, im + np.sort(t2 + d2 * swapped))]
     return lines
 
@@ -222,15 +222,14 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     n = int(p.get("N", p.get("check", p.get("n_max", 1))))
     lines = _scan_lines(cfg.command, p, n)
-    evals = {
-        "hits": n + int(p.get("l", 1)),
+    evals = {  # zeta evaluations; beatty, weyl and limit-theorem make none
+        "zeta": 1,
+        "ztheta": 1,
+        "hits": n + int(p.get("l", 1)) - 1,
         "joint-hits": 2 * n,
         "sis": 4 * n,
         "meansquare": n,
-        "beatty": 2 * n,
-        "weyl": n,
-        "limit-theorem": 0,  # Euler products only
-    }.get(cfg.command, 1)
+    }.get(cfg.command, 0)
     if cfg.command == "flip":
         evals = sum(h.size for _, h in lines)
     elif cfg.command == "bergman":  # the midpoint grid, then zeta(z)
@@ -412,7 +411,7 @@ def _bergman(p: dict, seed, threads: int) -> tuple[dict, list | None]:
                "zeta": zeta_core.zeta_grid}[kind](grid)
     z = complex(p["z_re"], p["z_im"])
     bound = euler_product.bergman_sup_bound(samples, rect, z)
-    f_z = {"one": 1.0 + 0j, "s": z, "s2": z * z, "zeta": zeta_core.zeta(z)}[kind]
+    f_z = zeta_core.zeta(z) if kind == "zeta" else {"one": 1.0 + 0j, "s": z, "s2": z * z}[kind]
     return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
 
 

@@ -23,6 +23,9 @@ class BoundedCoeffFn:
 
     `support_hint` may mark indices where f is certainly zero, letting
     scans skip them; it is advisory and checked against eval lazily.
+    Both are numpy-style: given an int64 array of indices they answer
+    elementwise (eval may answer with one scalar for every index), which is
+    how the scans call them.
     """
 
     eval: Callable[[int], complex]
@@ -37,8 +40,25 @@ class BoundedCoeffFn:
             )
         return value
 
+    def values(self, m: np.ndarray) -> np.ndarray:
+        """f over an int64 index array, every value checked against the bound."""
+        v = np.broadcast_to(np.asarray(self.eval(m), dtype=np.complex128), m.shape)
+        over = np.abs(v) > self.bound_B * (1.0 + 1e-12)
+        if over.any():
+            i = int(np.argmax(over))
+            raise ValueError(
+                f"|f({m[i]})| = {abs(v[i])} exceeds declared bound {self.bound_B}"
+            )
+        return v
+
     def maybe_nonzero(self, m: int) -> bool:
         return self.support_hint is None or self.support_hint(m)
+
+    def nonzero_mask(self, m: np.ndarray) -> np.ndarray:
+        """maybe_nonzero over an int64 index array."""
+        if self.support_hint is None:
+            return np.ones(m.shape, dtype=bool)
+        return np.asarray(self.support_hint(m), dtype=bool)
 
 
 def constant_one(bound: float = 1.0) -> BoundedCoeffFn:
@@ -48,11 +68,10 @@ def constant_one(bound: float = 1.0) -> BoundedCoeffFn:
 
 def power_of_two_indicator() -> BoundedCoeffFn:
     """f(m) = 1 iff m is a power of two: the counterexample coefficient."""
-    def is_pow2(m: int) -> bool:
+    def is_pow2(m):
         return m & (m - 1) == 0
 
-    return BoundedCoeffFn(eval=lambda m: 1.0 if is_pow2(m) else 0.0,
-                          bound_B=1.0, support_hint=is_pow2)
+    return BoundedCoeffFn(eval=lambda m: 1.0 * is_pow2(m), bound_B=1.0, support_hint=is_pow2)
 
 
 @dataclass(frozen=True)
@@ -116,16 +135,12 @@ def dirichlet_eval(f: BoundedCoeffFn, s: complex, n_terms: int) -> tuple[complex
     s = complex(s)
     if s.real <= 1.0:
         raise DivergentRegion(f"Re s = {s.real} <= 1: no absolute convergence")
-    total = 0.0 + 0.0j
-    logs = np.log(np.arange(1, n_terms + 1, dtype=np.float64))
+    m = np.arange(1, n_terms + 1)
+    logs = np.log(m.astype(np.float64))
     if f.support_hint is not None:
-        idx = [m for m in range(1, n_terms + 1) if f.maybe_nonzero(m)]
-        if idx:
-            coeffs = np.array([f(m) for m in idx], dtype=np.complex128)
-            total = complex((coeffs * np.exp(-s * logs[np.array(idx) - 1])).sum())
-    else:
-        coeffs = np.array([f(m) for m in range(1, n_terms + 1)], dtype=np.complex128)
-        total = complex((coeffs * np.exp(-s * logs)).sum())
+        m = m[f.nonzero_mask(m)]
+        logs = logs[m - 1]
+    total = complex((f.values(m) * np.exp(-s * logs)).sum()) if m.size else 0.0 + 0.0j
     tail = f.bound_B * n_terms ** (1.0 - s.real) / (s.real - 1.0)
     return total, tail
 
@@ -133,6 +148,12 @@ def dirichlet_eval(f: BoundedCoeffFn, s: complex, n_terms: int) -> tuple[complex
 def _unit_power(m: int, theta: float) -> complex:
     """m^{-i theta} = exp(-i theta log m), branch-unambiguous for m >= 1."""
     return cmath.exp(-1j * theta * math.log(m))
+
+
+def _phi(f1: BoundedCoeffFn, f2: BoundedCoeffFn, theta1: float, theta2: float, m: int) -> complex:
+    a = f1(m) * _unit_power(m, theta1) if f1.maybe_nonzero(m) else 0.0
+    b = f2(m) * _unit_power(m, theta2) if f2.maybe_nonzero(m) else 0.0
+    return a - b
 
 
 def phi_n(
@@ -147,9 +168,15 @@ def phi_n(
     """phi_n(m) = f1(m) m^{-i(t1 + d1 n)} - f2(m) m^{-i(t2 + d2 sigma(n))}."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    a = f1(m) * _unit_power(m, p1.shift(n)) if f1.maybe_nonzero(m) else 0.0
-    b = f2(m) * _unit_power(m, p2.shift(sigma(n))) if f2.maybe_nonzero(m) else 0.0
-    return a - b
+    return _phi(f1, f2, p1.shift(n), p2.shift(sigma(n)), m)
+
+
+def _unit_powers(f: BoundedCoeffFn, m: np.ndarray, live: np.ndarray, logs: np.ndarray,
+                 theta: float) -> np.ndarray:
+    """f(m) m^{-i theta} over an index array, 0 where `live` marks f as 0."""
+    out = np.zeros(m.size, dtype=np.complex128)
+    out[live] = f.values(m[live]) * np.exp(-1j * theta * logs[live])
+    return out
 
 
 def find_mu(
@@ -166,17 +193,38 @@ def find_mu(
 
     The zero test widens with the phase magnitude: exp(-i theta log m) is
     computed with absolute error ~ |theta log m| eps, so a fixed tol would
-    misread roundoff as a nonzero coefficient on long progressions."""
+    misread roundoff as a nonzero coefficient on long progressions.
+
+    m is searched in numpy blocks of growing size.  numpy's log and exp may
+    differ from math's and cmath's by a few ulps, which moves a term
+    f(m) m^{-i theta} by at most B eps (|theta| log m + 2), well inside
+    `slack`.  So every m whose block value clears guard - slack is settled
+    by the scalar phi_n, in order, and no other m can pass the scalar test:
+    mu and phi_n(mu) are those of the one-m-at-a-time scan."""
     if m_max < 1 or tol <= 0:
         raise ValueError("m_max >= 1 and tol > 0 required")
     eps = math.ulp(1.0)
-    for m in range(1, m_max + 1):
-        if not (f1.maybe_nonzero(m) or f2.maybe_nonzero(m)):
-            continue
-        phases = abs(p1.shift(n)) + abs(p2.shift(sigma(n)))
-        guard = tol + 16.0 * eps * phases * math.log(m + 1)
-        if abs(phi_n(f1, f2, p1, p2, sigma, n, m)) > guard:
-            return m
+    theta1, theta2 = p1.shift(n), p2.shift(sigma(n))
+    phases = abs(theta1) + abs(theta2)
+    bound = max(f1.bound_B, f2.bound_B)
+    start, block = 1, 256
+    while start <= m_max:
+        m = np.arange(start, min(start + block, m_max + 1))
+        live1, live2 = f1.nonzero_mask(m), f2.nonzero_mask(m)
+        live = live1 | live2
+        m, live1, live2 = m[live], live1[live], live2[live]
+        logs = np.log(m.astype(np.float64))
+        phi = np.abs(
+            _unit_powers(f1, m, live1, logs, theta1) - _unit_powers(f2, m, live2, logs, theta2)
+        )
+        log_next = np.log((m + 1).astype(np.float64))
+        guard = tol + 16.0 * eps * phases * log_next
+        slack = 4.0 * bound * eps * (phases * log_next + 1.0)
+        for k in m[phi > guard - slack].tolist():
+            if abs(_phi(f1, f2, theta1, theta2, k)) > tol + 16.0 * eps * phases * math.log(k + 1):
+                return k
+        start += block
+        block = min(8 * block, 1 << 16)
     return None
 
 
@@ -250,13 +298,14 @@ def verify_distinct_beyond_b(
     at least |phi(mu)| mu^{-Re s} - 2 B mu^{1 - Re s} / (Re s - 1) - slack."""
     bound = max(f1.bound_B, f2.bound_B)
     n = cert.n
+    shift2 = p2.shift(sigma(n))
     diffs, lbs, bad = [], [], []
     for s in s_samples:
         s = complex(s)
         if s.real <= cert.b:
             raise SampleBelowBound(f"Re {s} <= certified bound {cert.b}")
         v1, tail1 = dirichlet_eval(f1, s + 1j * p1.shift(n), n_terms)
-        v2, tail2 = dirichlet_eval(f2, s + 1j * p2.shift(sigma(n)), n_terms)
+        v2, tail2 = dirichlet_eval(f2, s + 1j * shift2, n_terms)
         diff = abs(v1 - v2)
         lb = (
             abs(cert.phi_mu) * cert.mu ** (-s.real)

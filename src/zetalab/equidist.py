@@ -3,7 +3,10 @@ triple-integral reference value and one-dimensional star discrepancy.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
 Neumaier compensation across chunks, so runs up to 1e8 terms keep full
-double accuracy."""
+double accuracy.  Each sum allocates its chunk buffers once and works in
+them in place.  The joint Beatty sum takes its floors from
+beatty.beatty_terms: exact for the named pairs at any N, and for a literal
+alpha only while N max(alpha, alpha') stays below 2^23."""
 
 from __future__ import annotations
 
@@ -94,15 +97,23 @@ class WeylReport:
 
 
 def _accumulate_phases(phase_fn: Callable[[np.ndarray], np.ndarray], N: int) -> WeylReport:
-    """Sum exp(2 pi i phase(n)) for n = 1..N with power-of-two checkpoints."""
+    """Sum exp(2 pi i phase(n)) for n = 1..N with power-of-two checkpoints.
+
+    The index and exponential arrays are allocated once and reused by every
+    chunk, so the sum does not depend on what the heap holds."""
     acc = CompensatedSum()
     trajectory = []
     next_checkpoint = 1
     done = 0
+    size = min(_CHUNK, N)
+    offsets = np.arange(1, size + 1, dtype=np.float64)
+    n_buf = np.empty(size)
+    z_buf = np.empty(size, dtype=np.complex128)
     while done < N:
         count = min(_CHUNK, next_checkpoint - done, N - done)
-        n = np.arange(done + 1, done + count + 1, dtype=np.float64)
-        chunk_sum = complex(np.exp(2j * math.pi * phase_fn(n)).sum())
+        n = np.add(offsets[:count], done, out=n_buf[:count])
+        z = np.multiply(2j * math.pi, phase_fn(n), out=z_buf[:count])
+        chunk_sum = complex(np.exp(z, out=z).sum())
         acc.add(chunk_sum)
         done += count
         if done == next_checkpoint:
@@ -139,10 +150,21 @@ def joint_beatty_weyl(
     u1, u2 = freq.u1, freq.u2
     d1, d2 = freq.delta1, freq.delta2
 
+    size = min(_CHUNK, N)
+    fa, fb, scratch = np.empty(size), np.empty(size), np.empty(size)
+
     def phase(n: np.ndarray) -> np.ndarray:
-        fa = beatty_terms(pair.alpha, n)
-        fb = beatty_terms(pair.alpha_prime, n)
-        return (t1 + d1 * fa) * u1 + (t2 + d2 * fb) * u2
+        # (t1 + d1 floor(n a)) u1 + (t2 + d2 floor(n a')) u2, in place
+        a = beatty_terms(pair.alpha, n, out=fa[: n.size], scratch=scratch[: n.size])
+        b = beatty_terms(pair.alpha_prime, n, out=fb[: n.size], scratch=scratch[: n.size])
+        a *= d1
+        a += t1
+        a *= u1
+        b *= d2
+        b += t2
+        b *= u2
+        a += b
+        return a
 
     return _accumulate_phases(phase, N)
 

@@ -197,7 +197,7 @@ def corollary_sis_density(
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1, dtype=np.float64)
-    swapped = np.array([sigma_alpha(pair, int(k)) for k in range(1, N + 1)], dtype=np.float64)
+    swapped = sigma_alpha(pair, np.arange(1, N + 1)).astype(np.float64)
     shifts1 = t1 + delta1 * n
     shifts2 = t2 + delta2 * swapped
     sup1 = _sup_dev_per_shift(grid_pts, shifts1, complex(a1), domain, threads)

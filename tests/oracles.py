@@ -1,43 +1,23 @@
 """Independent oracles used by the tests.
 
-These deliberately do not share code with the package: the zeta oracle is
-a separate Euler-Maclaurin evaluation with a doubled term count and a
-longer Bernoulli tail, the log-gamma oracle uses Binet's integral
+These deliberately do not share an algorithm with the package: zeta comes
+from mpmath at 30 digits, the log-gamma oracle uses Binet's integral
 representation, and the theta oracle is the classical asymptotic series.
 """
 
 import cmath
 import math
-from math import factorial, pi
+from math import pi
 
-import numpy as np
+import mpmath
 from scipy.integrate import quad
 
-# B_2 .. B_24
-_BERNOULLI_LONG = (
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-    -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730,
-)
 
-
-def zeta_oracle(s: complex, extra: float = 2.0) -> complex:
-    """Euler-Maclaurin with doubled term count and 12 correction terms."""
+def zeta_mpmath(s: complex) -> complex:
+    """zeta(s) from mpmath at 30 digits."""
     s = complex(s)
-    n_terms = max(40, int(extra * 2 * 2 * abs(s.imag)))
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    total = complex(np.exp(-s * np.log(n)).sum())
-    big_n = float(n_terms)
-    log_n = math.log(big_n)
-    total += cmath.exp((1 - s) * log_n) / (s - 1)
-    total -= 0.5 * cmath.exp(-s * log_n)
-    rising = 1.0 + 0.0j
-    j = 0
-    for k, b2k in enumerate(_BERNOULLI_LONG, start=1):
-        while j < 2 * k - 1:
-            rising *= s + j
-            j += 1
-        total += b2k / factorial(2 * k) * rising * cmath.exp((-s - 2 * k + 1) * log_n)
-    return total
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
 
 
 def log_gamma_oracle(z: complex) -> complex:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,7 +126,7 @@ class TestDryRunAndReports:
         payload = json.loads(out.strip())
         assert code == 0
         assert payload["dry_run"] is True
-        assert payload["estimated_evaluations"] == 100002
+        assert payload["estimated_evaluations"] == 100001  # heights 1 .. N + l - 1
         assert payload["config"]["command"] == "hits"
         assert "estimated_euler_factors" not in payload
 
@@ -166,6 +167,45 @@ class TestDryRunAndReports:
         monkeypatch.setattr(zc, "_partial_sums", counting)
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
         assert estimate == sum(counted)
+
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--re", "0.5", "--im", "14"],
+        ["chi", "--re", "0.25", "--im", "100"],
+        ["ztheta", "--t", "20"],
+        ["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "3", "--m-max", "50"],
+        ["beatty", "--alpha", "golden", "--check", "1000"],
+        ["weyl", "--beta", "1.4142135623730951", "--N", "1000"],
+        ["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "1000"],
+        ["hits", "--sigma", "0.6", "--im0", "100.3", "--h", "0.7", "--l", "3",
+         "--a-re", "1", "--eps", "0.5", "--N", "300"],
+        ["joint-hits", "--alpha", "golden", "--t1", "40", "--s-re", "0.75",
+         "--a1-re", "1", "--a2-re", "1", "--eps", "0.7", "--N", "300"],
+        ["sis", "--alpha", "sqrt3", "--t1", "10", "--t2", "10", "--s-re", "0.75",
+         "--a1-re", "1", "--a2-re", "1.2", "--eps", "0.8", "--N", "300"],
+        ["meansquare", "--sigma", "0.8", "--m", "50", "--N", "300"],
+        ["limit-theorem", "--m", "20", "--h", "1.5", "--N", "200", "--trials", "100"],
+        ["bergman", "--f", "zeta", "--step", "0.1", "--z-re", "0.75", "--z-im", "0.5"],
+        ["bergman", "--f", "s2", "--step", "0.1", "--z-re", "0.75", "--z-im", "0.5"],
+    ])
+    def test_dry_run_evaluations_match_the_run(self, capsys, monkeypatch, argv):
+        code, out, _ = run_cli(capsys, *argv, "--dry-run")
+        assert code == 0
+        estimate = json.loads(out.strip())["estimated_evaluations"]
+        counted = []
+        grid, scalar = zc.zeta_grid, zc.zeta
+
+        def counting_grid(s_values, *args, **kwargs):
+            counted.append(np.asarray(s_values).size)
+            return grid(s_values, *args, **kwargs)
+
+        def counting_scalar(s, *args, **kwargs):
+            counted.append(1)
+            return scalar(s, *args, **kwargs)
+
+        monkeypatch.setattr(zc, "zeta_grid", counting_grid)
+        monkeypatch.setattr(zc, "zeta", counting_scalar)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sum(counted) == estimate
 
     def test_dry_run_bounds_flip_and_sizes_bergman(self, capsys, monkeypatch):
         argv = ["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2",

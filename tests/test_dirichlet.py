@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,3 +188,97 @@ class TestDistinctness:
 def test_progression_delta_positive():
     with pytest.raises(ValueError):
         dl.Progression(0.0, 0.0)
+
+
+# The scalar code the vectorised dirichlet_eval and find_mu replaced, kept
+# as the reference: same coefficients, same guard, one m at a time.
+def _dirichlet_eval_loop(f, s, n_terms):
+    s = complex(s)
+    total = 0.0 + 0.0j
+    logs = np.log(np.arange(1, n_terms + 1, dtype=np.float64))
+    if f.support_hint is not None:
+        idx = [m for m in range(1, n_terms + 1) if f.maybe_nonzero(m)]
+        if idx:
+            coeffs = np.array([f(m) for m in idx], dtype=np.complex128)
+            total = complex((coeffs * np.exp(-s * logs[np.array(idx) - 1])).sum())
+    else:
+        coeffs = np.array([f(m) for m in range(1, n_terms + 1)], dtype=np.complex128)
+        total = complex((coeffs * np.exp(-s * logs)).sum())
+    return total
+
+
+def _find_mu_loop(f1, f2, p1, p2, sigma, n, m_max, tol=dl.DEFAULT_TOL):
+    eps = math.ulp(1.0)
+    for m in range(1, m_max + 1):
+        if not (f1.maybe_nonzero(m) or f2.maybe_nonzero(m)):
+            continue
+        phases = abs(p1.shift(n)) + abs(p2.shift(sigma(n)))
+        guard = tol + 16.0 * eps * phases * math.log(m + 1)
+        if abs(dl.phi_n(f1, f2, p1, p2, sigma, n, m)) > guard:
+            return m
+    return None
+
+
+def _thirds():
+    return dl.BoundedCoeffFn(eval=lambda m: np.where(m % 3 == 0, 0.5, 0.25j),
+                             bound_B=0.5, support_hint=lambda m: m % 5 != 0)
+
+
+class TestVectorisedAgainstLoops:
+    def test_criterion_6_configs(self):
+        # the benchmark's uniqueness experiment, value for value
+        f = dl.constant_one()
+        p1, p2 = dl.Progression(0.0, 1.0), dl.Progression(0.0, 2.0)
+        ident = dl.identity_permutation()
+        assert dl.find_mu(f, f, p1, p2, ident, 1, 1000) == 2
+        assert _find_mu_loop(f, f, p1, p2, ident, 1, 1000) == 2
+        cert = dl.uniqueness_bound(f, f, p1, p2, ident, n_max=1, m_max=1000)
+        for k in range(1, 21):
+            s = cert.b + 0.5 * k
+            for p, n in ((p1, cert.n), (p2, ident(cert.n))):
+                z = s + 1j * p.shift(n)
+                assert dl.dirichlet_eval(f, z, 20000)[0] == _dirichlet_eval_loop(f, z, 20000)
+        g = dl.power_of_two_indicator()
+        step = TWO_PI_OVER_LOG2
+        q1, q2 = dl.Progression(step, step), dl.Progression(0.0, step)
+        for n in range(1, 101):
+            assert dl.find_mu(g, g, q1, q2, ident, n, 10 ** 4) is None
+            assert _find_mu_loop(g, g, q1, q2, ident, n, 10 ** 4) is None
+        assert dl.dirichlet_eval(g, 2.5 + 3j, 5000)[0] == _dirichlet_eval_loop(g, 2.5 + 3j, 5000)
+
+    @given(t1=st.floats(-50.0, 50.0), d1=st.floats(0.1, 5.0), d2=st.floats(0.1, 5.0),
+           n=st.integers(1, 40), m_max=st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_find_mu_matches_the_loop(self, t1, d1, d2, n, m_max):
+        for f1, f2 in ((dl.constant_one(), dl.constant_one()),
+                       (dl.power_of_two_indicator(), dl.constant_one()),
+                       (_thirds(), dl.constant_one(2.0))):
+            p1, p2 = dl.Progression(t1, d1), dl.Progression(0.0, d2)
+            sigma = dl.transposition(2, 7)
+            assert dl.find_mu(f1, f2, p1, p2, sigma, n, m_max) == \
+                _find_mu_loop(f1, f2, p1, p2, sigma, n, m_max)
+
+    def test_resonant_scans_match_the_loop(self):
+        # near-cancelling phases: the roundoff guard decides every m
+        f = dl.constant_one()
+        for n in (1, 5, 40):
+            for d in (1.0, 1.0 + 1e-13, 1.0 + 1e-9):
+                p1, p2 = dl.Progression(3.0, 1.0), dl.Progression(3.0, d)
+                ident = dl.identity_permutation()
+                assert dl.find_mu(f, f, p1, p2, ident, n, 4000) == \
+                    _find_mu_loop(f, f, p1, p2, ident, n, 4000)
+
+    def test_array_calls_match_scalar_calls(self):
+        f = _thirds()
+        m = np.arange(1, 200)
+        assert f.values(m).tolist() == [f(int(k)) for k in m]
+        assert f.nonzero_mask(m).tolist() == [f.maybe_nonzero(int(k)) for k in m]
+        assert dl.dirichlet_eval(f, 2.0 + 1j, 3000)[0] == _dirichlet_eval_loop(f, 2.0 + 1j, 3000)
+
+    def test_array_call_checks_the_bound(self):
+        f = dl.BoundedCoeffFn(eval=lambda m: m / 100.0, bound_B=1.0)
+        assert f.values(np.arange(1, 101)).real.max() == 1.0
+        with pytest.raises(ValueError, match=r"\|f\(101\)\|"):
+            f.values(np.arange(1, 200))
+        with pytest.raises(ValueError):
+            dl.dirichlet_eval(f, 2.0, 150)

@@ -178,3 +178,39 @@ class TestValidateShiftSequence:
 
     def test_override(self):
         eq.validate_shift_sequence(np.array([2.0, 1.0]), allow_irregular=True)
+
+
+def _weyl_reference(phase_fn, N, chunk=1 << 17):
+    """The allocating chunk loop the buffered one replaced."""
+    acc = eq.CompensatedSum()
+    trajectory, next_checkpoint, done = [], 1, 0
+    while done < N:
+        count = min(chunk, next_checkpoint - done, N - done)
+        n = np.arange(done + 1, done + count + 1, dtype=np.float64)
+        acc.add(complex(np.exp(2j * math.pi * phase_fn(n)).sum()))
+        done += count
+        if done == next_checkpoint:
+            trajectory.append((done, abs(acc.value) / done))
+            next_checkpoint *= 2
+    if not trajectory or trajectory[-1][0] != N:
+        trajectory.append((N, abs(acc.value) / N))
+    return min(abs(acc.value) / N, 1.0), trajectory
+
+
+@pytest.mark.parametrize("N", [1, 1000, 300_001])
+def test_weyl_sums_match_the_allocating_loop(N):
+    # buffers and in-place phase arithmetic against the expressions they
+    # replaced, across chunk boundaries and checkpoints, bit for bit
+    pair = BeattyPair.from_alpha(GOLDEN)
+    fv = eq.FrequencyVector(primes1={2: 1, 3: -2}, primes2={5: 2, 7: 1}, delta1=0.8, delta2=1.3)
+    t1, t2 = 0.31, 0.77
+
+    def phase(n):
+        fa = np.floor(n * pair.alpha)
+        fb = np.floor(n * pair.alpha_prime)
+        return (t1 + fv.delta1 * fa) * fv.u1 + (t2 + fv.delta2 * fb) * fv.u2
+
+    rep = eq.joint_beatty_weyl(pair, t1, t2, fv, N)
+    assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(phase, N)
+    rep = eq.weyl_sum(lambda n: n * SQRT2, 0.37, N)
+    assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(lambda n: 0.37 * (n * SQRT2), N)
