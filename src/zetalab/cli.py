@@ -190,56 +190,48 @@ def _parse_weights(text: str) -> dict[int, int]:
     return out
 
 
-def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, np.ndarray]]:
-    """The (Re s, heights) lines that a scan hands to zeta_core.zeta_on_line,
-    with the heights computed as the scan computes them."""
-    k = np.arange(1, n + 1, dtype=np.float64)
-    if command == "hits":
-        return [(float(p["sigma"]), p.get("im0", 0.0) + float(p["h"]) * np.arange(1, n + int(p["l"])))]
-    if command == "flip":
-        sigma, m = float(p["sigma"]), n + int(p["l"]) - 1
-        heights = float(p["t_start"]) + float(p["h"]) * np.arange(1, m + 1)
-        # the mirrored scan, then at most every height again on the line
-        # itself, each at no more than the top height's term count
-        return [(1.0 - sigma, heights), (sigma, np.full(m, heights[-1]))]
-    if command == "meansquare":
-        return [(float(p["sigma"]), float(p.get("shift_step", 1.0)) * k)]
+def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, float, float, np.ndarray]]:
+    """The (Re s, t0, delta, m) progressions that a scan hands to
+    zeta_core._zeta_progression, with t0 and m computed as the scan
+    computes them."""
+    if command in ("hits", "flip"):
+        m = np.arange(1, n + int(p["l"]))
+        if command == "hits":
+            return [(float(p["sigma"]), float(p.get("im0", 0.0)), float(p["h"]), m)]
+        sigma, t0, h = float(p["sigma"]), float(p["t_start"]), float(p["h"])
+        return [(1.0 - sigma, t0, h, m), (sigma, t0, h, m)]  # mirrored, then direct
     if command not in ("joint-hits", "sis"):
         return []
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
     sigma, im = float(p["s_re"]), float(p.get("s_im", 0.0))
     t1, t2 = float(p.get("t1", 0.0)), float(p.get("t2", 0.0))
     d1, d2 = float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0))
-    lines = [(sigma, im + (t1 + d1 * beatty_mod.beatty_terms(pair.alpha, k))),
-             (sigma, im + (t2 + d2 * beatty_mod.beatty_terms(pair.alpha_prime, k)))]
-    if command == "sis":  # plus the progression and the sorted swapped line
-        swapped = beatty_mod.sigma_alpha(pair, np.arange(1, n + 1)).astype(np.float64)
-        lines += [(sigma, im + (t1 + d1 * k)), (sigma, im + np.sort(t2 + d2 * swapped))]
+    k = np.arange(1, n + 1)
+    lines = [(sigma, im + t, d, beatty_mod.beatty_terms(a, k.astype(np.float64)).astype(np.int64))
+             for t, d, a in ((t1, d1, pair.alpha), (t2, d2, pair.alpha_prime))]
+    if command == "sis":  # plus the progression and the swapped line
+        lines += [(sigma, im + t1, d1, k), (sigma, im + t2, d2, beatty_mod.sigma_alpha(pair, k))]
     return lines
 
 
 def _cost_estimate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     n = int(p.get("N", p.get("check", p.get("n_max", 1))))
-    lines = _scan_lines(cfg.command, p, n)
-    evals = {  # zeta evaluations; beatty, weyl and limit-theorem make none
-        "zeta": 1,
-        "ztheta": 1,
-        "hits": n + int(p.get("l", 1)) - 1,
-        "joint-hits": 2 * n,
-        "sis": 4 * n,
-        "meansquare": n,
-    }.get(cfg.command, 0)
-    if cfg.command == "flip":
-        evals = sum(h.size for _, h in lines)
-    elif cfg.command == "bergman":  # the midpoint grid, then zeta(z)
+    # zeta evaluations; beatty, weyl and limit-theorem make none
+    evals = {"zeta": 1, "ztheta": 1, "meansquare": n}.get(cfg.command, 0)
+    if cfg.command == "bergman":  # the midpoint grid, then zeta(z)
         rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
         evals = rect.midpoint_grid(float(p["step"])).size + 1 if p["f"] == "zeta" else 0
     estimate = {"dry_run": True, "estimated_evaluations": evals}
+    lines = _scan_lines(cfg.command, p, n)
     if lines:
-        estimate["estimated_terms"] = sum(zeta_core.line_terms(sigma, h) for sigma, h in lines)
+        costs = [zeta_core.progression_cost(*line) for line in lines]
+        estimate["estimated_evaluations"] = sum(c[0] for c in costs)
+        estimate["estimated_terms"] = sum(c[1] for c in costs)
     m = int(p.get("m", 0))
     if cfg.command == "meansquare":  # one anchor: the CLI takes no grid
+        heights = float(p.get("shift_step", 1.0)) * np.arange(1, n + 1, dtype=np.float64)
+        estimate["estimated_terms"] = zeta_core.line_terms(float(p["sigma"]), heights)
         estimate["estimated_euler_factors"] = n * m
     elif cfg.command == "limit-theorem":
         estimate["estimated_euler_factors"] = m * (n + int(p.get("trials", 0)))

@@ -96,8 +96,19 @@ class WeylReport:
             raise ValueError("normalised Weyl sum must lie in [0, 1]")
 
 
+def _unit_terms(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(2 pi i phase) into the complex array out, from the fraction
+    phase - floor(phase), which floats give exactly; phase is reduced in
+    place.  What remains is the float phase's own rounding, about
+    eps |phase| in the argument, which no reduction can undo."""
+    phase -= np.floor(phase, out=out.real)
+    np.multiply(2j * math.pi, phase, out=out)
+    return np.exp(out, out=out)
+
+
 def _accumulate_phases(phase_fn: Callable[[np.ndarray], np.ndarray], N: int) -> WeylReport:
-    """Sum exp(2 pi i phase(n)) for n = 1..N with power-of-two checkpoints.
+    """Sum exp(2 pi i phase(n)) for n = 1..N with power-of-two checkpoints;
+    phase_fn returns a fresh or scratch array, which _unit_terms reduces.
 
     The index and exponential arrays are allocated once and reused by every
     chunk, so the sum does not depend on what the heap holds."""
@@ -112,8 +123,7 @@ def _accumulate_phases(phase_fn: Callable[[np.ndarray], np.ndarray], N: int) -> 
     while done < N:
         count = min(_CHUNK, next_checkpoint - done, N - done)
         n = np.add(offsets[:count], done, out=n_buf[:count])
-        z = np.multiply(2j * math.pi, phase_fn(n), out=z_buf[:count])
-        chunk_sum = complex(np.exp(z, out=z).sum())
+        chunk_sum = complex(_unit_terms(phase_fn(n), z_buf[:count]).sum())
         acc.add(chunk_sum)
         done += count
         if done == next_checkpoint:

@@ -64,6 +64,14 @@ class HitDensityReport:
             raise ValueError("density must lie in [0, 1]")
 
 
+def _all_of_window(flags: np.ndarray, N: int, l: int) -> np.ndarray:
+    """For n = 1..N, whether flags[n - 1 .. n + l - 2] all hold."""
+    window = np.ones(N, dtype=bool)
+    for k in range(l):
+        window &= flags[k : k + N]
+    return window
+
+
 def scan_disk_hits(
     grid: VerticalGrid,
     disk: TargetDisk,
@@ -81,15 +89,10 @@ def scan_disk_hits(
         )
     # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
     # every needed height once.
-    heights = grid.s.imag + grid.h * np.arange(1, N + grid.l)
-    values = zeta_core.zeta_on_line(grid.s.real, heights, domain, threads)
+    m = np.arange(1, N + grid.l)
+    values = zeta_core._zeta_progression(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     dev = np.abs(values - disk.a)
-    inside = dev < disk.epsilon
-    # hit(n) = all of inside[n - 1 .. n + l - 2]
-    window = np.ones(N, dtype=bool)
-    for k in range(grid.l):
-        window &= inside[k : k + N]
-    hit_indices = np.nonzero(window)[0] + 1
+    hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
     hits = [
         ShiftHit(
             n=int(n),
@@ -116,16 +119,18 @@ def scan_disk_hits(
 
 def _sup_dev_per_shift(
     grid_pts: np.ndarray,
-    shifts: np.ndarray,
+    t0: float,
+    delta: float,
+    m: np.ndarray,
     target: complex,
     domain: zeta_core.EvalDomain,
     threads: int = 1,
 ) -> np.ndarray:
-    """max over grid points of |zeta(point + i shift) - target| per shift."""
-    sup = np.zeros(shifts.size)
+    """max over grid points of |zeta(point + i (t0 + delta m)) - target| per
+    integer multiplier m."""
+    sup = np.zeros(m.size)
     for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
-        heights = pt.imag + shifts
-        vals = zeta_core.zeta_on_line(pt.real, heights, domain, threads)
+        vals = zeta_core._zeta_progression(pt.real, pt.imag + t0, delta, m, domain, threads)
         sup = np.maximum(sup, np.abs(vals - target))
     return sup
 
@@ -149,12 +154,10 @@ def joint_beatty_hits(
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1, dtype=np.float64)
-    fa = beatty_terms(pair.alpha, n)
-    fb = beatty_terms(pair.alpha_prime, n)
-    shifts1 = t1 + delta1 * fa
-    shifts2 = t2 + delta2 * fb
-    sup1 = _sup_dev_per_shift(grid_pts, shifts1, complex(a1), domain, threads)
-    sup2 = _sup_dev_per_shift(grid_pts, shifts2, complex(a2), domain, threads)
+    fa = beatty_terms(pair.alpha, n).astype(np.int64)
+    fb = beatty_terms(pair.alpha_prime, n).astype(np.int64)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1), domain, threads)
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2), domain, threads)
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     return HitDensityReport(
@@ -196,15 +199,9 @@ def corollary_sis_density(
     a1, a2 = targets
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    swapped = sigma_alpha(pair, np.arange(1, N + 1)).astype(np.float64)
-    shifts1 = t1 + delta1 * n
-    shifts2 = t2 + delta2 * swapped
-    sup1 = _sup_dev_per_shift(grid_pts, shifts1, complex(a1), domain, threads)
-    # shifts2 is not monotone; evaluate in sorted order, undo afterwards
-    order = np.argsort(shifts2, kind="stable")
-    sup2 = np.empty(N)
-    sup2[order] = _sup_dev_per_shift(grid_pts, shifts2[order], complex(a2), domain, threads)
+    n = np.arange(1, N + 1)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1), domain, threads)
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2), domain, threads)
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     beatty_report = joint_beatty_hits(
@@ -261,20 +258,15 @@ def left_half_flip(
     t_top = grid.s.imag + grid.h * (N + grid.l - 1)
     if t_top > domain.t_max:
         raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {domain.t_max}")
-    heights = grid.s.imag + grid.h * np.arange(1, N + grid.l)
+    # grid point k of shift n sits at height Im s + h (n + k)
+    m = np.arange(1, N + grid.l)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = np.abs(zeta_core.zeta_on_line(1.0 - grid.s.real, heights, domain, threads))
-    big = mirrored >= 2.0 * r / c
-    window = np.ones(N, dtype=bool)
-    for k in range(grid.l):
-        window &= big[k : k + N]
-    predicted = np.nonzero(window)[0] + 1
-    # grid point k of shift n sits at height Im s + h (n + k): confirm every
-    # prediction from one line scan over the distinct heights they need
-    needed = predicted[:, None] + np.arange(grid.l)
-    idx = np.unique(needed)
-    direct = np.abs(zeta_core.zeta_on_line(grid.s.real, grid.s.imag + grid.h * idx, domain, threads))
-    ok = np.all(direct[np.searchsorted(idx, needed)] > r, axis=1)
+    mirrored = zeta_core._zeta_progression(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
+    # the confirmations run over the whole line too: a NUFFT segment costs
+    # about the same for every height as for the predicted ones it spans
+    direct = zeta_core._zeta_progression(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(
         N=N,
         predicted_hits=tuple(int(n) for n in predicted),

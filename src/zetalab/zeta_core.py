@@ -27,6 +27,42 @@ for both kernels; the largest values measured are 1.9e-12 / 6.0e-12,
 absolute error is this times |zeta|, which grows like |t|^(1/2 - Re s)
 left of the line: at Re s = -0.99, t = 1e4 it is about 3e-6.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
+
+The scans evaluate zeta on progressions s_m = sigma + i (t0 + delta m), m
+an integer, through _zeta_progression, which has two branches.  Heights
+with |t| < 512 go to zeta_grid in blocks of 512, as in zeta_on_line.  The
+rest are cut at every |t| = 2^b and at t = 0 into segments of at most 2^15
+consecutive m, from the first to the last requested m of the band; each
+segment takes the term count N of its largest |t|.  About the segment's
+centre m_c, t_c = t0 + delta m_c, its partial sums are
+
+    sum_{n <= N} n^{-s_m} = sum_n a_n exp(-i k x_n),
+    a_n = n^{-sigma - i t_c},  x_n = delta log n mod 2 pi,  k = m - m_c,
+
+a type-1 nonuniform DFT over the K modes k (K the power of two at or above
+the segment's length), as in Odlyzko-Schönhage (Trans. AMS 309, 1988).
+It is computed with the Gaussian gridding of Greengard-Lee (SIAM Review
+46, 2004): each a_n is spread by a periodic Gaussian over the 2 msp = 32
+nearest points of an R K = 2 K point grid, tau = pi msp / (K^2 R (R - 1/2)),
+then one FFT, then deconvolution by sqrt(pi / tau) exp(k^2 tau); _em_tail
+adds the rest per point.  A segment costs O(N msp + K log K) instead of
+O(N K), so a scan to height H costs O(H log H).  The gridding adds an
+absolute error of kappa sum_{n <= N} n^{-sigma}, with kappa <= 3.2e-14
+measured against the exact transform of the same a_n and x_n in extended
+precision, over 62 segments of the shapes the cuts form (Re s from -0.99 to
+40, delta from 0.02 to 1.5).  That is at most 7e-12 for Re s >= 1/2 on
+the strip (sum n^{-1/2} <= 2 sqrt(N), N <= 1.3e4), 4e-10 at Re s = 0 and
+5e-6 at Re s = -0.99 near t = 3e4; left of 1/2 |zeta| grows with the sum,
+about like (t / 2 pi)^{1/2 - Re s}.  This is what fixes the segment rule:
+a doubling band takes at most about twice the terms its lowest height
+needs, so its sum exceeds that height's own by at most 2^{1 - Re s} < 4,
+and below |t| = 512 |zeta| is not yet large enough to absorb the sum at
+Re s < 0 (one segment over t = 1..513 at Re s = -0.9 errs by 1e-9 at
+t = 1, 3e-10 at t = 6).  The phase of a_n exp(-i k x_n) loses about
+eps (|t_c| + |t - t_c|) log n, as the recurrence does.  Against mpmath at
+30 digits the NUFFT branch stays inside the table above; the largest
+values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
+1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10.
 """
 
 from __future__ import annotations
@@ -57,6 +93,12 @@ POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
 _LINE_BLOCK = 512  # heights per zeta_grid call in zeta_on_line
 _BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
+
+_NUFFT_FROM = 512.0  # |t| from which _zeta_progression sums by NUFFT
+_SEGMENT_POINTS = 1 << 15  # most consecutive heights in one NUFFT segment
+_OVERSAMPLE = 2  # R: FFT points per output mode
+_SPREAD = 16  # msp: FFT points on each side of a node that its Gaussian reaches
+_SPREAD_CHUNK = 2048  # sources gridded per pass
 
 # B_2, B_4, ..., B_32: the _EM_K Euler-Maclaurin corrections
 _BERNOULLI = (
@@ -133,12 +175,16 @@ _LOG_CACHE = np.log(np.arange(1, 1025, dtype=np.float64))
 
 
 def _logs(n: int) -> np.ndarray:
-    """log(1..n), grown lazily and cached."""
+    """log(1..n), grown lazily and cached.  Threads may grow the cache at
+    once: each slices the array it checked or built, and a larger cache is
+    never replaced by a smaller one."""
     global _LOG_CACHE
-    if n > _LOG_CACHE.size:
-        size = max(n, 2 * _LOG_CACHE.size)
-        _LOG_CACHE = np.log(np.arange(1, size + 1, dtype=np.float64))
-    return _LOG_CACHE[:n]
+    cache = _LOG_CACHE
+    if n > cache.size:
+        cache = np.log(np.arange(1, max(n, 2 * cache.size) + 1, dtype=np.float64))
+        if cache.size > _LOG_CACHE.size:
+            _LOG_CACHE = cache
+    return cache[:n]
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -265,6 +311,19 @@ def _partial_sums(s: np.ndarray, logs: np.ndarray, max_block_elems: int) -> np.n
     return out
 
 
+def _check_points(flat: np.ndarray, domain: EvalDomain) -> None:
+    """Raise PoleAt1 or OutOfDomain for the first point of the 1-D array
+    flat that lies near s = 1 or outside the domain."""
+    pole = np.abs(flat - 1.0) < POLE_GUARD
+    bad = pole | ~domain.contains(flat)
+    if bad.any():
+        i = np.argmax(bad)
+        z = flat[i]
+        if pole[i]:
+            raise PoleAt1(f"grid point {z} is within {POLE_GUARD} of the pole at 1")
+        raise OutOfDomain(f"grid point {z} outside {domain}")
+
+
 def zeta_grid(
     s_values: np.ndarray,
     domain: EvalDomain = DEFAULT_DOMAIN,
@@ -282,14 +341,7 @@ def zeta_grid(
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
     flat = s_values.ravel()
-    pole = np.abs(flat - 1.0) < POLE_GUARD
-    bad = pole | ~domain.contains(flat)
-    if bad.any():
-        i = np.argmax(bad)
-        z = flat[i]
-        if pole[i]:
-            raise PoleAt1(f"grid point {z} is within {POLE_GUARD} of the pole at 1")
-        raise OutOfDomain(f"grid point {z} outside {domain}")
+    _check_points(flat, domain)
     neg = flat.imag < 0.0
     work = np.where(neg, flat.conj(), flat)
     if terms is not None:
@@ -336,6 +388,130 @@ def line_terms(sigma: float, heights: np.ndarray) -> int:
         min(_LINE_BLOCK, top.size - i) * _em_term_count(sigma, float(top[i : i + _LINE_BLOCK].max()))
         for i in range(0, top.size, _LINE_BLOCK)
     )
+
+
+def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float) -> np.ndarray:
+    """The sources n^{-s_c}, n = 1..logs.size, each placed at its node
+    delta log n mod 2 pi and smeared by the periodic Gaussian
+    exp(-x^2 / (4 tau)) over the 2 _SPREAD nearest of `size` equispaced
+    points of [0, 2 pi) (size a power of two).  Sources go in chunks of
+    _SPREAD_CHUNK that share one set of buffers."""
+    offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
+    step = 2.0 * pi / size
+    rows = min(_SPREAD_CHUNK, logs.size)
+    weight = np.empty((rows, offsets.size))
+    part = np.empty_like(weight)
+    index = np.empty((rows, offsets.size), dtype=np.int64)
+    re, im = np.zeros(size), np.zeros(size)
+    for c in range(0, logs.size, rows):
+        chunk = logs[c : c + rows]
+        k = chunk.size
+        source = np.exp(-s_c * chunk)
+        pos = np.mod(delta * chunk, 2.0 * pi) / step
+        near = np.floor(pos)
+        # distance in grid steps from each node to its 2 _SPREAD grid points
+        w = np.subtract.outer(pos - near, offsets, out=weight[:k])
+        w *= w
+        w *= -step * step / (4.0 * tau)
+        np.exp(w, out=w)
+        at = np.add.outer(near.astype(np.int64), offsets, out=index[:k])
+        at &= size - 1
+        at = at.ravel()
+        re += np.bincount(at, np.multiply(w, source.real[:, None], out=part[:k]).ravel(), size)
+        im += np.bincount(at, np.multiply(w, source.imag[:, None], out=part[:k]).ravel(), size)
+    return re + 1j * im
+
+
+def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n_terms: int) -> np.ndarray:
+    """zeta(sigma + i (t0 + delta m)) for m = lo .. lo + count - 1 with
+    n_terms Euler-Maclaurin terms, the partial sums by one type-1 NUFFT
+    about the centre height t_c (module docstring)."""
+    modes = 1 << (count - 1).bit_length()
+    size = _OVERSAMPLE * modes
+    tau = pi * _SPREAD / (modes * modes * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
+    centre = lo + count // 2
+    logs = _logs(n_terms)
+    grid = np.fft.fft(_spread(sigma + 1j * (t0 + delta * centre), delta, logs, size, tau))
+    k = np.arange(lo - centre, lo - centre + count)
+    partial = grid[k % size] * (math.sqrt(pi / tau) / size * np.exp(tau * k * k))
+    s = sigma + 1j * (t0 + delta * (lo + np.arange(count)))
+    return partial + _em_tail(s, np.exp(-s * logs[-1]), n_terms)
+
+
+def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
+    """How _zeta_progression evaluates zeta(sigma + i (t0 + delta m)).
+
+    Returns (u, inverse, pieces): u holds the distinct m in ascending
+    order, m = u[inverse], and each piece (i, j, n_terms, dense) covers
+    u[i:j].  Heights with |t| < _NUFFT_FROM go to zeta_grid in blocks of
+    at most _LINE_BLOCK (dense None).  The others are cut at |t| = 2^b and
+    at t = 0; each run of consecutive m from u[i] to u[j - 1], at most
+    _SEGMENT_POINTS of them, is one NUFFT segment, dense = (u[i], count).
+    Every piece takes the term count of its largest |t|."""
+    u, inverse = np.unique(np.asarray(m, dtype=np.int64), return_inverse=True)
+    t = t0 + delta * u
+    top = np.abs(t)
+    band = np.where(top >= _NUFFT_FROM, np.frexp(top)[1], 0) * np.sign(t)
+    cuts = np.flatnonzero(np.diff(band)) + 1
+    pieces = []
+    for i, end in zip([0, *cuts], [*cuts, u.size]):
+        while i < end:
+            if band[i] == 0:
+                j = min(i + _LINE_BLOCK, end)
+            else:
+                j = i + int(np.searchsorted(u[i:end], u[i] + _SEGMENT_POINTS))
+            n_terms = _em_term_count(sigma, float(top[i:j].max()))
+            dense = None if band[i] == 0 else (int(u[i]), int(u[j - 1] - u[i]) + 1)
+            pieces.append((int(i), int(j), n_terms, dense))
+            i = j
+    return u, inverse, pieces
+
+
+def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tuple[int, int]:
+    """(zeta values computed, terms summed) by _zeta_progression on the
+    same arguments: a zeta_grid block computes its points and sums points
+    times its term count; a NUFFT segment computes its consecutive heights
+    and spreads one source per term."""
+    evaluations = terms = 0
+    for i, j, n_terms, dense in _progression_plan(sigma, t0, delta, m)[2]:
+        evaluations += j - i if dense is None else dense[1]
+        terms += (j - i) * n_terms if dense is None else n_terms
+    return evaluations, terms
+
+
+def _zeta_progression(
+    sigma: float,
+    t0: float,
+    delta: float,
+    m: np.ndarray,
+    domain: EvalDomain = DEFAULT_DOMAIN,
+    threads: int = 1,
+) -> np.ndarray:
+    """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any order.
+
+    The pieces of _progression_plan run on a pool of `threads` threads and
+    are merged in order, so the result does not depend on the thread
+    count.  A NUFFT segment computes every height between its first and
+    last requested m, each once.  Raises PoleAt1 or OutOfDomain for the
+    first requested point near s = 1 or outside the domain."""
+    m = np.asarray(m, dtype=np.int64)
+    _check_points(sigma + 1j * (t0 + delta * m), domain)
+    u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
+    t = t0 + delta * u
+
+    def evaluate(piece):
+        i, j, n_terms, dense = piece
+        if dense is None:
+            return zeta_grid(sigma + 1j * t[i:j], domain, n_terms)
+        lo, count = dense
+        return _nufft_segment(sigma, t0, delta, lo, count, n_terms)[u[i:j] - lo]
+
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        values = list(pool.map(evaluate, pieces))
+    out = np.concatenate(values)[inverse] if values else np.empty(0, dtype=np.complex128)
+    if not np.all(np.isfinite(out)):
+        raise OutOfDomain("_zeta_progression produced non-finite values")
+    return out
 
 
 def _log_sin(z: complex) -> complex:

@@ -22,6 +22,32 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
+    """Patch zeta_core so that each kernel call appends (zeta values
+    computed, terms summed): a recurrence block sums points times its term
+    count, a NUFFT segment spreads one source per term, a scalar call is one
+    value."""
+    work = []
+    recurrence, nufft, scalar = zc._partial_sums, zc._nufft_segment, zc.zeta
+
+    def counting_recurrence(s, logs, max_block_elems):
+        work.append((s.size, s.size * logs.size))
+        return recurrence(s, logs, max_block_elems)
+
+    def counting_nufft(sigma, t0, delta, lo, count, n_terms):
+        work.append((count, n_terms))
+        return nufft(sigma, t0, delta, lo, count, n_terms)
+
+    def counting_scalar(s, *args, **kwargs):
+        work.append((1, 0))
+        return scalar(s, *args, **kwargs)
+
+    monkeypatch.setattr(zc, "_partial_sums", counting_recurrence)
+    monkeypatch.setattr(zc, "_nufft_segment", counting_nufft)
+    monkeypatch.setattr(zc, "zeta", counting_scalar)
+    return work
+
+
 def _no_zeta(s):
     raise AssertionError("evaluated before the report format was checked")
 
@@ -157,16 +183,9 @@ class TestDryRunAndReports:
         code, out, _ = run_cli(capsys, *argv, "--dry-run")
         assert code == 0
         estimate = json.loads(out.strip())["estimated_terms"]
-        counted = []
-        kernel = zc._partial_sums
-
-        def counting(s, logs, max_block_elems):
-            counted.append(s.size * logs.size)
-            return kernel(s, logs, max_block_elems)
-
-        monkeypatch.setattr(zc, "_partial_sums", counting)
+        work = _count_kernel_work(monkeypatch)
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
-        assert estimate == sum(counted)
+        assert estimate == sum(terms for _, terms in work)
 
     @pytest.mark.parametrize("argv", [
         ["zeta", "--re", "0.5", "--im", "14"],
@@ -191,40 +210,21 @@ class TestDryRunAndReports:
         code, out, _ = run_cli(capsys, *argv, "--dry-run")
         assert code == 0
         estimate = json.loads(out.strip())["estimated_evaluations"]
-        counted = []
-        grid, scalar = zc.zeta_grid, zc.zeta
-
-        def counting_grid(s_values, *args, **kwargs):
-            counted.append(np.asarray(s_values).size)
-            return grid(s_values, *args, **kwargs)
-
-        def counting_scalar(s, *args, **kwargs):
-            counted.append(1)
-            return scalar(s, *args, **kwargs)
-
-        monkeypatch.setattr(zc, "zeta_grid", counting_grid)
-        monkeypatch.setattr(zc, "zeta", counting_scalar)
+        work = _count_kernel_work(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
-        assert sum(counted) == estimate
+        assert sum(points for points, _ in work) == estimate
 
     def test_dry_run_bounds_flip_and_sizes_bergman(self, capsys, monkeypatch):
         argv = ["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2",
                 "--r", "1", "--N", "1500"]
         code, out, _ = run_cli(capsys, *argv, "--dry-run")
         payload = json.loads(out.strip())
-        assert payload["estimated_evaluations"] == 2 * 1501
-        counted = []
-        kernel = zc._partial_sums
-
-        def counting(s, logs, max_block_elems):
-            counted.append((s.size, s.size * logs.size))
-            return kernel(s, logs, max_block_elems)
-
-        monkeypatch.setattr(zc, "_partial_sums", counting)
+        assert payload["estimated_evaluations"] == 2 * 1501  # both lines, every height
+        work = _count_kernel_work(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
-        points, terms = (sum(c) for c in zip(*counted))
-        assert 1501 < points <= payload["estimated_evaluations"]
-        assert terms <= payload["estimated_terms"]
+        points, terms = (sum(c) for c in zip(*work))
+        assert points == payload["estimated_evaluations"]
+        assert terms == payload["estimated_terms"]
         code, out, _ = run_cli(capsys, "bergman", "--f", "zeta", "--z-re", "0.75",
                                "--z-im", "0.5", "--dry-run")
         assert json.loads(out.strip())["estimated_evaluations"] == 40 * 100 + 1

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import equidist as eq
-from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
+from zetalab.beatty import GOLDEN, SQRT2, BeattyPair, beatty_terms
 from zetalab.cli import run
 from zetalab.errors import AmbiguousFloor, HypothesisViolation
 
@@ -181,13 +182,15 @@ class TestValidateShiftSequence:
 
 
 def _weyl_reference(phase_fn, N, chunk=1 << 17):
-    """The allocating chunk loop the buffered one replaced."""
+    """The allocating chunk loop the buffered one replaced, with the phase
+    reduced mod 1 before the exponential as _unit_terms reduces it."""
     acc = eq.CompensatedSum()
     trajectory, next_checkpoint, done = [], 1, 0
     while done < N:
         count = min(chunk, next_checkpoint - done, N - done)
         n = np.arange(done + 1, done + count + 1, dtype=np.float64)
-        acc.add(complex(np.exp(2j * math.pi * phase_fn(n)).sum()))
+        phase = phase_fn(n)
+        acc.add(complex(np.exp(2j * math.pi * (phase - np.floor(phase))).sum()))
         done += count
         if done == next_checkpoint:
             trajectory.append((done, abs(acc.value) / done))
@@ -214,3 +217,19 @@ def test_weyl_sums_match_the_allocating_loop(N):
     assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(phase, N)
     rep = eq.weyl_sum(lambda n: n * SQRT2, 0.37, N)
     assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(lambda n: 0.37 * (n * SQRT2), N)
+
+
+def test_unit_terms_take_the_exact_fraction_of_the_phase():
+    # a chunk of the benchmark's joint Weyl sums near n = 1.4e6, where the
+    # phase reaches 2.5e6 and exp(2 pi i phase) unreduced is off by 1.5e-9
+    pair = BeattyPair.from_alpha(GOLDEN)
+    fv = eq.FrequencyVector(primes1={2: 1, 3: -2}, primes2={5: 2, 7: 1}, delta1=1.0, delta2=1.0)
+    n = np.arange(1_400_000, 1_400_256, dtype=np.float64)
+    phase = (0.3 + beatty_terms(pair.alpha, n)) * fv.u1 + (0.6 + beatty_terms(pair.alpha_prime, n)) * fv.u2
+    assert np.abs(phase).max() > 2e6
+    terms = eq._unit_terms(phase.copy(), np.empty(n.size, dtype=np.complex128))
+    with mpmath.workdps(30):
+        for p, z in zip(phase, terms):
+            frac = mpmath.mpf(float(p)) - mpmath.floor(float(p))  # of the float phase, exactly
+            # 2 pi frac rounds by < 7e-16, exp by about one ulp
+            assert abs(z - complex(mpmath.expjpi(2 * frac))) < 1e-15, p

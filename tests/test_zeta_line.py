@@ -1,8 +1,10 @@
-"""The partial-sum recurrence in zeta_grid and the zeta_on_line driver:
-accuracy against mpmath, determinism across thread counts, and equivalence
-of the scans with a direct exp-per-term summation."""
+"""The partial-sum recurrence in zeta_grid, the zeta_on_line driver and the
+NUFFT progression kernel: accuracy against mpmath, determinism across
+thread counts, working memory, and equivalence of the scans with a direct
+exp-per-term summation."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -12,7 +14,7 @@ import pytest
 from zetalab import euler_product as ep
 from zetalab import shift_search as ss
 from zetalab import zeta_core as zc
-from zetalab.beatty import GOLDEN, BeattyPair, sigma_alpha
+from zetalab.beatty import GOLDEN, BeattyPair, beatty_terms, sigma_alpha
 from zetalab.errors import OutOfDomain, PoleAt1
 
 mpmath.mp.dps = 30
@@ -169,9 +171,19 @@ def _criterion_10_and_11():
     return {h.n: h.max_dev for h in hits}, flip
 
 
+def _direct_progression(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN, threads=1):
+    """zeta on the progression through zeta_on_line over the sorted heights,
+    which with _direct_partial_sums patched in sums exp per term."""
+    order = np.argsort(m, kind="stable")
+    out = np.empty(m.size, dtype=np.complex128)
+    out[order] = zc.zeta_on_line(sigma, t0 + delta * m[order], domain, threads)
+    return out
+
+
 def test_scans_match_direct_summation(monkeypatch):
     hits, flip = _criterion_10_and_11()
     monkeypatch.setattr(zc, "_partial_sums", _direct_partial_sums)
+    monkeypatch.setattr(zc, "_zeta_progression", _direct_progression)
     ref_hits, ref_flip = _criterion_10_and_11()
     assert sorted(hits) == sorted(ref_hits)
     assert max(abs(hits[n] - ref_hits[n]) for n in hits) < 1e-10
@@ -226,3 +238,84 @@ def test_grid_bit_identical_to_tile_sweep(monkeypatch, case, budget):
     monkeypatch.setattr(zc, "_partial_sums", _tile_sweep_partial_sums)
     reference = zc.zeta_grid(points, max_block_elems=budget)
     assert values.tobytes() == reference.tobytes()
+
+
+def _assert_contract(sigma, heights, values):
+    for t, value in zip(heights, values):
+        exact = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+        assert abs(value - exact) / max(1.0, abs(exact)) < _contract(sigma, t), (sigma, t)
+
+
+# the fallback boundary |t| = 512, then the cuts at doubling heights
+_EDGES = [512.0 * 2**b for b in range(6)]
+
+
+@pytest.mark.parametrize("sigma", [-0.9, 0.3, 0.5, 0.75, 1.0])
+def test_progression_segment_edges_against_mpmath(sigma):
+    # just below and at every edge: the first and last height of each NUFFT
+    # segment, the extreme modes of its transform, a one-point top segment
+    delta = 0.25
+    m = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)])
+    _assert_contract(sigma, delta * m, zc._zeta_progression(sigma, 0.0, delta, m))
+
+
+def test_progression_gathers_beatty_and_swap_subsets():
+    pair = BeattyPair.from_alpha(GOLDEN)
+    k = np.arange(1, 4001)
+    rng = np.random.default_rng(17)
+    for m in (beatty_terms(GOLDEN, k.astype(np.float64)).astype(np.int64), sigma_alpha(pair, k)):
+        values = zc._zeta_progression(0.75, 10.5, 1.0, m)
+        pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1, rng.integers(0, m.size, 8)])
+        _assert_contract(0.75, 10.5 + m[pick], values[pick])
+
+
+def test_progression_independent_of_threads():
+    # heights 400.35 + 0.7 m: the fallback blocks, then three NUFFT bands
+    m = np.arange(-3, 4000)
+    first = zc._zeta_progression(0.75, 400.35, 0.7, m, threads=1)
+    assert first.shape == m.shape
+    for threads in (2, 3):
+        assert zc._zeta_progression(0.75, 400.35, 0.7, m, threads=threads).tobytes() == first.tobytes()
+    assert zc._zeta_progression(0.75, 400.35, 0.7, np.empty(0, dtype=np.int64)).size == 0
+
+
+def test_progression_threads_grow_the_log_cache_safely(monkeypatch):
+    # six workers on two cores, switching often, each growing the shared
+    # log cache from a small start to its own segment's term count
+    m = np.arange(1, 12_000)
+    reference = zc._zeta_progression(0.75, 0.5, 1.0, m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(zc, "_LOG_CACHE", np.log(np.arange(1.0, 33.0)))
+            assert zc._zeta_progression(0.75, 0.5, 1.0, m, threads=6).tobytes() == reference.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_progression_checks_points_and_crosses_zero():
+    with pytest.raises(OutOfDomain, match=r"\(0\.5\+30010j\)"):
+        zc._zeta_progression(0.5, 29_990.0, 1.0, np.array([1, 5, 20, 30, 40]))
+    with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
+        zc._zeta_progression(1.0, -2.0, 1.0, np.array([0, 2, 5]))
+    # only requested heights below 512 are evaluated: t = 0 is skipped here
+    m = np.array([0, 2])
+    _assert_contract(1.0, -1.0 + m, zc._zeta_progression(1.0, -1.0, 1.0, m))
+    # a line through t = 0 is cut there: NUFFT below -512 and above 512
+    m = np.array([0, 1, 488, 489, 1511, 1512, 1999, 2000])
+    _assert_contract(0.5, -1_000.0 + m, zc._zeta_progression(0.5, -1_000.0, 1.0, m))
+
+
+def test_progression_working_memory_bounded():
+    m = np.arange(1, 2002)
+    zc._zeta_progression(0.6, 28_000.5, 0.5, m[-2:])  # grow the log cache
+    tracemalloc.start()
+    try:
+        zc._zeta_progression(0.6, 28_000.5, 0.5, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three (chunk, 2 msp) spreading buffers and change; spreading all
+    # ~1.2e4 sources at once would take 3 MB for each of them
+    assert peak < 4 * zc._SPREAD_CHUNK * 2 * zc._SPREAD * 8 + 2**20
