@@ -264,7 +264,10 @@ def left_half_flip(
     mirrored = zeta_core._zeta_progression(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
     # the confirmations run over the whole line too: a NUFFT segment costs
-    # about the same for every height as for the predicted ones it spans
+    # about the same for every height as for the predicted ones it spans.
+    # Below |t| = 512 this sums the recurrence at unpredicted heights as
+    # well, a few ms at most on the strip, and it keeps the dry-run's
+    # count of this line exact without knowing the predictions.
     direct = zeta_core._zeta_progression(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(

@@ -46,7 +46,11 @@ It is computed with the Gaussian gridding of Greengard-Lee (SIAM Review
 nearest points of an R K = 2 K point grid, tau = pi msp / (K^2 R (R - 1/2)),
 then one FFT, then deconvolution by sqrt(pi / tau) exp(k^2 tau); _em_tail
 adds the rest per point.  A segment costs O(N msp + K log K) instead of
-O(N K), so a scan to height H costs O(H log H).  The gridding adds an
+O(N K), so a scan to height H costs O(H log H).  Spreading costs about
+as much as the recurrence over 200 heights whatever the segment's length
+(break-even measured at 190-220 heights for t = 2e4-2.9e4 and fewer
+below, one thread of a 2-vCPU Xeon), so a segment with fewer than 200
+requested heights goes to zeta_grid as one block.  The gridding adds an
 absolute error of kappa sum_{n <= N} n^{-sigma}, with kappa <= 3.2e-14
 measured against the exact transform of the same a_n and x_n in extended
 precision, over 62 segments of the shapes the cuts form (Re s from -0.99 to
@@ -96,6 +100,7 @@ _BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
 
 _NUFFT_FROM = 512.0  # |t| from which _zeta_progression sums by NUFFT
 _SEGMENT_POINTS = 1 << 15  # most consecutive heights in one NUFFT segment
+_NUFFT_MIN_POINTS = 200  # fewest requested heights a NUFFT segment takes; fewer go to zeta_grid
 _OVERSAMPLE = 2  # R: FFT points per output mode
 _SPREAD = 16  # msp: FFT points on each side of a node that its Gaussian reaches
 _SPREAD_CHUNK = 2048  # sources gridded per pass
@@ -446,8 +451,10 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     u[i:j].  Heights with |t| < _NUFFT_FROM go to zeta_grid in blocks of
     at most _LINE_BLOCK (dense None).  The others are cut at |t| = 2^b and
     at t = 0; each run of consecutive m from u[i] to u[j - 1], at most
-    _SEGMENT_POINTS of them, is one NUFFT segment, dense = (u[i], count).
-    Every piece takes the term count of its largest |t|."""
+    _SEGMENT_POINTS of them, is one NUFFT segment, dense = (u[i], count),
+    unless fewer than _NUFFT_MIN_POINTS of its m are requested: then those
+    heights form one zeta_grid block.  Every piece takes the term count of
+    its largest |t|."""
     u, inverse = np.unique(np.asarray(m, dtype=np.int64), return_inverse=True)
     t = t0 + delta * u
     top = np.abs(t)
@@ -456,12 +463,14 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     pieces = []
     for i, end in zip([0, *cuts], [*cuts, u.size]):
         while i < end:
+            dense = None
             if band[i] == 0:
                 j = min(i + _LINE_BLOCK, end)
             else:
                 j = i + int(np.searchsorted(u[i:end], u[i] + _SEGMENT_POINTS))
+                if j - i >= _NUFFT_MIN_POINTS:
+                    dense = (int(u[i]), int(u[j - 1] - u[i]) + 1)
             n_terms = _em_term_count(sigma, float(top[i:j].max()))
-            dense = None if band[i] == 0 else (int(u[i]), int(u[j - 1] - u[i]) + 1)
             pieces.append((int(i), int(j), n_terms, dense))
             i = j
     return u, inverse, pieces

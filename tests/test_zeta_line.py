@@ -250,13 +250,52 @@ def _assert_contract(sigma, heights, values):
 _EDGES = [512.0 * 2**b for b in range(6)]
 
 
+def _plan(sigma, t0, delta, m):
+    """(first m, last m, NUFFT or not) for each piece of the progression plan."""
+    u, _, pieces = zc._progression_plan(sigma, t0, delta, np.asarray(m))
+    return [(int(u[i]), int(u[j - 1]), dense is not None) for i, j, _, dense in pieces]
+
+
 @pytest.mark.parametrize("sigma", [-0.9, 0.3, 0.5, 0.75, 1.0])
 def test_progression_segment_edges_against_mpmath(sigma):
-    # just below and at every edge: the first and last height of each NUFFT
-    # segment, the extreme modes of its transform, a one-point top segment
+    # a line from t = 508 to 16 384 + 74.75: just below and at every edge,
+    # the first and last height of each NUFFT segment and the extreme modes
+    # of its transform, up to the last height of a 300-point top segment
     delta = 0.25
-    m = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)])
-    _assert_contract(sigma, delta * m, zc._zeta_progression(sigma, 0.0, delta, m))
+    m = np.arange(round(508.0 / delta), round(_EDGES[-1] / delta) + 300)
+    check = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)] + [m[-1]])
+    values = zc._zeta_progression(sigma, 0.0, delta, m)
+    _assert_contract(sigma, delta * check, values[check - m[0]])
+
+
+def test_progression_plan_cuts_at_512_and_doubling_heights():
+    # heights 500 .. 2249.5: a recurrence block below 512, then one NUFFT
+    # segment per band [512, 1024), [1024, 2048), [2048, 2249.5]
+    m = np.arange(1000, 4500)
+    assert _plan(0.75, 0.0, 0.5, m) == [
+        (1000, 1023, False), (1024, 2047, True), (2048, 4095, True), (4096, 4499, True)
+    ]
+    terms = [n for _, _, n, _ in zc._progression_plan(0.75, 0.0, 0.5, m)[2]]
+    assert terms == [zc._em_term_count(0.75, 0.5 * top) for top in (1023, 2047, 4095, 4499)]
+
+
+def test_progression_short_segments_go_to_the_recurrence():
+    # the break-even: a band's segment with fewer requested heights than
+    # _NUFFT_MIN_POINTS is one zeta_grid block, counted by requested heights
+    # and not by the span of m they cover
+    k = zc._NUFFT_MIN_POINTS
+    assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4096 + k))[1:] == [(4096, 4095 + k, True)]
+    assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4095 + k))[1:] == [(4096, 4094 + k, False)]
+    assert _plan(0.6, 20_000.0, 0.01, 100 * np.arange(k - 1)) == [(0, 100 * (k - 2), False)]
+    assert _plan(0.6, 20_000.0, 0.01, 100 * np.arange(k)) == [(0, 100 * (k - 1), True)]
+    for count in (k - 1, k):
+        m = 100 * np.arange(count)
+        values = zc._zeta_progression(0.6, 20_000.0, 0.01, m)
+        pick = [0, count // 2, count - 1]
+        _assert_contract(0.6, 20_000.0 + 0.01 * m[pick], values[pick])
+    # one height at t = 2.9e4 sums its own terms once
+    assert _plan(0.6, 29_000.0, 1.0, [0]) == [(0, 0, False)]
+    assert zc.progression_cost(0.6, 29_000.0, 1.0, np.array([0])) == (1, zc._em_term_count(0.6, 29_000.0))
 
 
 def test_progression_gathers_beatty_and_swap_subsets():
@@ -303,8 +342,11 @@ def test_progression_checks_points_and_crosses_zero():
     m = np.array([0, 2])
     _assert_contract(1.0, -1.0 + m, zc._zeta_progression(1.0, -1.0, 1.0, m))
     # a line through t = 0 is cut there: NUFFT below -512 and above 512
-    m = np.array([0, 1, 488, 489, 1511, 1512, 1999, 2000])
-    _assert_contract(0.5, -1_000.0 + m, zc._zeta_progression(0.5, -1_000.0, 1.0, m))
+    m = np.arange(2001)
+    assert [nufft for _, _, nufft in _plan(0.5, -1_000.0, 1.0, m)] == [True, False, False, True]
+    check = np.array([0, 1, 488, 489, 1000, 1511, 1512, 1999, 2000])
+    values = zc._zeta_progression(0.5, -1_000.0, 1.0, m)
+    _assert_contract(0.5, -1_000.0 + check, values[check])
 
 
 def test_progression_working_memory_bounded():
