@@ -37,7 +37,6 @@ from .equidist import (
     WeylReport,
     joint_beatty_weyl,
     star_discrepancy_estimate,
-    triple_integral_reference,
     weyl_sum,
 )
 from .euler_product import (

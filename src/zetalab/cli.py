@@ -191,9 +191,11 @@ def _parse_weights(text: str) -> dict[int, int]:
 
 
 def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, float, float, np.ndarray]]:
-    """The (Re s, t0, delta, m) progressions that a scan hands to
-    zeta_core._zeta_progression, with t0 and m computed as the scan
+    """The (Re s, t0, delta, m) progressions that a command hands to
+    zeta_core.zeta_on_line, with t0 and m computed as the command
     computes them."""
+    if command == "meansquare":  # one anchor: the CLI takes no grid
+        return [(float(p["sigma"]), 0.0, float(p.get("shift_step", 1.0)), np.arange(1, n + 1))]
     if command in ("hits", "flip"):
         m = np.arange(1, n + int(p["l"]))
         if command == "hits":
@@ -218,7 +220,7 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
     n = int(p.get("N", p.get("check", p.get("n_max", 1))))
     # zeta evaluations; beatty, weyl and limit-theorem make none
-    evals = {"zeta": 1, "ztheta": 1, "meansquare": n}.get(cfg.command, 0)
+    evals = {"zeta": 1, "ztheta": 1}.get(cfg.command, 0)
     if cfg.command == "bergman":  # the midpoint grid, then zeta(z)
         rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
         evals = rect.midpoint_grid(float(p["step"])).size + 1 if p["f"] == "zeta" else 0
@@ -229,9 +231,7 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
         estimate["estimated_evaluations"] = sum(c[0] for c in costs)
         estimate["estimated_terms"] = sum(c[1] for c in costs)
     m = int(p.get("m", 0))
-    if cfg.command == "meansquare":  # one anchor: the CLI takes no grid
-        heights = float(p.get("shift_step", 1.0)) * np.arange(1, n + 1, dtype=np.float64)
-        estimate["estimated_terms"] = zeta_core.line_terms(float(p["sigma"]), heights)
+    if cfg.command == "meansquare":
         estimate["estimated_euler_factors"] = n * m
     elif cfg.command == "limit-theorem":
         estimate["estimated_euler_factors"] = m * (n + int(p.get("trials", 0)))

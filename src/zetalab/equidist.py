@@ -1,5 +1,5 @@
-"""Weyl sums, the joint Beatty-progression exponential sum, the exact
-triple-integral reference value and one-dimensional star discrepancy.
+"""Weyl sums, the joint Beatty-progression exponential sum and
+one-dimensional star discrepancy.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
 Neumaier compensation across chunks, so runs up to 1e8 terms keep full
@@ -177,17 +177,6 @@ def joint_beatty_weyl(
         return a
 
     return _accumulate_phases(phase, N)
-
-
-def triple_integral_reference(nodes: int = 10_000) -> complex:
-    """The reference value 0 of the factored triple integral; the first
-    factor integrates exp(2 pi i x) over a full period.  A midpoint
-    quadrature self-check keeps the constant honest."""
-    x = (np.arange(nodes) + 0.5) / nodes
-    quad = complex(np.exp(2j * math.pi * x).sum()) / nodes
-    if abs(quad) >= 1e-12:
-        raise ArithmeticError(f"full-period quadrature self-check failed: {abs(quad)}")
-    return 0.0 + 0.0j
 
 
 def star_discrepancy_estimate(points: Sequence[float]) -> float:

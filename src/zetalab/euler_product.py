@@ -153,19 +153,30 @@ def mean_square_discrete(
     allow_irregular: bool = False,
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - zeta_m(sigma + i x_n)|^2, or with the
-    sup over a compact grid of anchor points when `grid` is given."""
+    sup over a compact grid of anchor points when `grid` is given.
+
+    Shifts x_n = h n with h = x_1 > 0 go to the line kernel
+    zeta_core.zeta_on_line; any others to one zeta_grid call, which takes
+    the term count of the top height."""
     if not (0.5 < sigma < 1.0):
         raise ValueError("sigma must lie in (1/2, 1)")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     shifts = np.asarray(shifts, dtype=np.float64)[:N]
     if shifts.size != N:
         raise ValueError("fewer shifts than N")
     validate_shift_sequence(shifts, allow_irregular=allow_irregular)
     anchors = np.asarray(grid, dtype=np.complex128) if grid is not None else np.array([sigma + 0j])
     mode = "sup-on-K" if grid is not None else "pointwise"
+    h, m = shifts[0], np.arange(1, N + 1)
+    on_line = h > 0.0 and np.array_equal(shifts, h * m)
     dev_sq = np.zeros(N)
     for anchor in anchors:
         s0 = complex(anchor)
-        exact = zeta_core.zeta_on_line(s0.real, s0.imag + shifts, domain)
+        if on_line:
+            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain)
+        else:
+            exact = zeta_core.zeta_grid(s0 + 1j * shifts, domain)
         truncated = _zeta_m_on_shifts(level, s0, shifts)
         dev_sq = np.maximum(dev_sq, np.abs(exact - truncated) ** 2)
     return MeanSquareStat(m=level.m, N=N, sigma=sigma, value=float(dev_sq.mean()), mode=mode)
@@ -254,6 +265,10 @@ def empirical_limit_theorem(
         raise ValueError("Re s0 must lie in (1/2, 1)")
     if h <= 0.0:
         raise ValueError("h must be positive")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     shifts = h * np.arange(1, N + 1, dtype=np.float64)
     shifted = _zeta_m_on_shifts(level, s0, shifts)
     rng = np.random.default_rng(seed)

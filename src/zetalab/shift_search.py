@@ -81,6 +81,8 @@ def scan_disk_hits(
 ) -> tuple[list[ShiftHit], HitDensityReport]:
     """All n <= N with |zeta(grid point + i h n) - a| < epsilon for every
     grid point, plus a density report."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.5, 1.0)
     t_top = abs(grid.s.imag) + grid.h * (N + grid.l - 1)
     if t_top > domain.t_max:
@@ -90,7 +92,7 @@ def scan_disk_hits(
     # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
     # every needed height once.
     m = np.arange(1, N + grid.l)
-    values = zeta_core._zeta_progression(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     dev = np.abs(values - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
     hits = [
@@ -130,7 +132,7 @@ def _sup_dev_per_shift(
     integer multiplier m."""
     sup = np.zeros(m.size)
     for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
-        vals = zeta_core._zeta_progression(pt.real, pt.imag + t0, delta, m, domain, threads)
+        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m, domain, threads)
         sup = np.maximum(sup, np.abs(vals - target))
     return sup
 
@@ -150,6 +152,8 @@ def joint_beatty_hits(
 ) -> HitDensityReport:
     """Density of n <= N whose Beatty shifts on both lines approximate the
     constant targets within epsilon over the finite grid."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     a1, a2 = targets
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
@@ -196,6 +200,8 @@ def corollary_sis_density(
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
     (1/alpha) * (Beatty-line density) for comparison."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     a1, a2 = targets
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
@@ -261,14 +267,14 @@ def left_half_flip(
     # grid point k of shift n sits at height Im s + h (n + k)
     m = np.arange(1, N + grid.l)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = zeta_core._zeta_progression(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
     # the confirmations run over the whole line too: a NUFFT segment costs
     # about the same for every height as for the predicted ones it spans.
     # Below |t| = 512 this sums the recurrence at unpredicted heights as
     # well, a few ms at most on the strip, and it keeps the dry-run's
     # count of this line exact without knowing the predictions.
-    direct = zeta_core._zeta_progression(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(
         N=N,

@@ -8,12 +8,11 @@ Backlund's bound on the remainder,
 (_em_term_count): about 0.4|t| on and right of the critical line and
 0.6|t| at Re s = -0.9.  The corrections follow from N^{-s} by the ratio of
 consecutive terms, one exp per point.  The scalar `zeta` sums the N powers
-n^{-s} directly; `zeta_grid`, and `zeta_on_line` which feeds it blocks of
-512 heights, reaches them by a recurrence along the points that restarts
-exactly every 64 points; the same power rows give the Euler products of
-euler_product.  Both kernels lose about eps |t| log n of phase in the
-term n^{-s}, so the error grows with |t|, and left of the critical line
-with the size of the terms.  Measured against mpmath at 30 digits, the
+n^{-s} directly; `zeta_grid` reaches them by a recurrence along the points
+that restarts exactly every 64 points; the same power rows give the Euler
+products of euler_product.  Both kernels lose about eps |t| log n of phase
+in the term n^{-s}, so the error grows with |t|, and left of the critical
+line with the size of the terms.  Measured against mpmath at 30 digits, the
 error relative to max(1, |zeta|) stays below
 
     Re s          |t| <= 1e4   |t| <= 3e4
@@ -28,13 +27,14 @@ absolute error is this times |zeta|, which grows like |t|^(1/2 - Re s)
 left of the line: at Re s = -0.99, t = 1e4 it is about 3e-6.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
 
-The scans evaluate zeta on progressions s_m = sigma + i (t0 + delta m), m
-an integer, through _zeta_progression, which has two branches.  Heights
-with |t| < 512 go to zeta_grid in blocks of 512, as in zeta_on_line.  The
-rest are cut at every |t| = 2^b and at t = 0 into segments of at most 2^15
-consecutive m, from the first to the last requested m of the band; each
-segment takes the term count N of its largest |t|.  About the segment's
-centre m_c, t_c = t0 + delta m_c, its partial sums are
+The scans of shift_search and the mean square of euler_product evaluate
+zeta on progressions s_m = sigma + i (t0 + delta m), m an integer, through
+zeta_on_line, which has two branches.  Heights with |t| < 512 go to zeta_grid in ascending
+blocks of at most 512 distinct requested heights.  The rest are cut at
+every |t| = 2^b and at t = 0 into segments of at most 2^15 consecutive m,
+from the first to the last requested m of the band; each segment takes
+the term count N of its largest |t|.  About the segment's centre m_c,
+t_c = t0 + delta m_c, its partial sums are
 
     sum_{n <= N} n^{-s_m} = sum_n a_n exp(-i k x_n),
     a_n = n^{-sigma - i t_c},  x_n = delta log n mod 2 pi,  k = m - m_c,
@@ -95,10 +95,10 @@ LN2PI = math.log(2.0 * pi)
 POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
 
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
-_LINE_BLOCK = 512  # heights per zeta_grid call in zeta_on_line
+_LINE_BLOCK = 512  # most heights per zeta_grid block of zeta_on_line below _NUFFT_FROM
 _BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
 
-_NUFFT_FROM = 512.0  # |t| from which _zeta_progression sums by NUFFT
+_NUFFT_FROM = 512.0  # |t| from which zeta_on_line sums by NUFFT
 _SEGMENT_POINTS = 1 << 15  # most consecutive heights in one NUFFT segment
 _NUFFT_MIN_POINTS = 200  # fewest requested heights a NUFFT segment takes; fewer go to zeta_grid
 _OVERSAMPLE = 2  # R: FFT points per output mode
@@ -241,12 +241,11 @@ def _zeta_em(s: complex, n_terms: int) -> complex:
     return total + _em_tail(s, cmath.exp(-s * logs[-1]), n_terms)
 
 
-def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN, terms: int | None = None) -> complex:
+def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN) -> complex:
     """zeta(s) by Euler-Maclaurin summation.
 
     Raises PoleAt1 inside the guard disk around s = 1 and OutOfDomain
-    outside the certified strip.  `terms` overrides the adaptive term
-    count (used by the internal convergence check).
+    outside the certified strip.
     """
     s = complex(s)
     if abs(s - 1.0) < POLE_GUARD:
@@ -254,9 +253,8 @@ def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN, terms: int | None = No
     if not domain.contains(s):
         raise OutOfDomain(f"s = {s} outside {domain}")
     if s.imag < 0.0:
-        return zeta(s.conjugate(), domain, terms).conjugate()
-    n_terms = terms if terms is not None else _em_term_count(s.real, s.imag)
-    return _require_finite(_zeta_em(s, n_terms), "zeta")
+        return zeta(s.conjugate(), domain).conjugate()
+    return _require_finite(_zeta_em(s, _em_term_count(s.real, s.imag)), "zeta")
 
 
 def _powers(s: np.ndarray, logs: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -365,36 +363,6 @@ def zeta_grid(
     return out.reshape(s_values.shape)
 
 
-def zeta_on_line(
-    sigma: float,
-    heights: np.ndarray,
-    domain: EvalDomain = DEFAULT_DOMAIN,
-    threads: int = 1,
-) -> np.ndarray:
-    """zeta(sigma + i t) for an ascending array of heights t.
-
-    Consecutive runs of _LINE_BLOCK heights go to zeta_grid on a pool of
-    `threads` threads, each run with the term count of its own top height.
-    The runs are merged in order, so the result does not depend on the
-    thread count.
-    """
-    points = sigma + 1j * np.asarray(heights, dtype=np.float64)
-    blocks = [points[i : i + _LINE_BLOCK] for i in range(0, points.size, _LINE_BLOCK)]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        values = list(pool.map(zeta_grid, blocks, [domain] * len(blocks)))
-    return np.concatenate(values) if values else points
-
-
-def line_terms(sigma: float, heights: np.ndarray) -> int:
-    """Partial-sum terms that zeta_on_line(sigma, heights) adds up: each
-    block's points times the term count of its top height."""
-    top = np.abs(np.asarray(heights, dtype=np.float64))
-    return sum(
-        min(_LINE_BLOCK, top.size - i) * _em_term_count(sigma, float(top[i : i + _LINE_BLOCK].max()))
-        for i in range(0, top.size, _LINE_BLOCK)
-    )
-
-
 def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float) -> np.ndarray:
     """The sources n^{-s_c}, n = 1..logs.size, each placed at its node
     delta log n mod 2 pi and smeared by the periodic Gaussian
@@ -444,7 +412,7 @@ def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n
 
 
 def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
-    """How _zeta_progression evaluates zeta(sigma + i (t0 + delta m)).
+    """How zeta_on_line evaluates zeta(sigma + i (t0 + delta m)).
 
     Returns (u, inverse, pieces): u holds the distinct m in ascending
     order, m = u[inverse], and each piece (i, j, n_terms, dense) covers
@@ -477,10 +445,10 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
 
 
 def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tuple[int, int]:
-    """(zeta values computed, terms summed) by _zeta_progression on the
-    same arguments: a zeta_grid block computes its points and sums points
-    times its term count; a NUFFT segment computes its consecutive heights
-    and spreads one source per term."""
+    """(zeta values computed, terms summed) by zeta_on_line on the same
+    arguments: a zeta_grid block computes its points and sums points times
+    its term count; a NUFFT segment computes its consecutive heights and
+    spreads one source per term."""
     evaluations = terms = 0
     for i, j, n_terms, dense in _progression_plan(sigma, t0, delta, m)[2]:
         evaluations += j - i if dense is None else dense[1]
@@ -488,7 +456,7 @@ def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tu
     return evaluations, terms
 
 
-def _zeta_progression(
+def zeta_on_line(
     sigma: float,
     t0: float,
     delta: float,
@@ -496,7 +464,8 @@ def _zeta_progression(
     domain: EvalDomain = DEFAULT_DOMAIN,
     threads: int = 1,
 ) -> np.ndarray:
-    """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any order.
+    """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any
+    order: the line kernel of every scan and of the mean square.
 
     The pieces of _progression_plan run on a pool of `threads` threads and
     are merged in order, so the result does not depend on the thread
@@ -519,7 +488,7 @@ def _zeta_progression(
         values = list(pool.map(evaluate, pieces))
     out = np.concatenate(values)[inverse] if values else np.empty(0, dtype=np.complex128)
     if not np.all(np.isfinite(out)):
-        raise OutOfDomain("_zeta_progression produced non-finite values")
+        raise OutOfDomain("zeta_on_line produced non-finite values")
     return out
 
 

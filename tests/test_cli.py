@@ -72,6 +72,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "zeta", "--re", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["hits", "--sigma", "0.75", "--h", "1", "--l", "1", "--a-re", "1", "--eps", "0.5",
+          "--N", "0"], "N"),
+        (["joint-hits", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+          "--eps", "0.5", "--N", "0"], "N"),
+        (["sis", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+          "--eps", "0.5", "--N", "0"], "N"),
+        (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "0"], "N"),
+        (["limit-theorem", "--m", "5", "--h", "1", "--N", "0", "--trials", "10"], "N"),
+        (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "0"], "trials"),
+    ])
+    def test_zero_size_run_is_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {name} must be at least 1" in err
+        assert out == ""
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--re", "2")
         assert code == 0

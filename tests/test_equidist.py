@@ -122,14 +122,6 @@ class TestJointBeattyWeyl:
         assert rep.sum_magnitude > 0.99
 
 
-class TestTripleIntegral:
-    def test_reference_is_zero(self):
-        assert eq.triple_integral_reference() == 0.0
-
-    def test_self_check_guards_nodes(self):
-        assert eq.triple_integral_reference(nodes=97) == 0.0
-
-
 class TestStarDiscrepancy:
     def test_uniform_grid_is_tight(self):
         n = 1000

@@ -1,7 +1,7 @@
-"""The partial-sum recurrence in zeta_grid, the zeta_on_line driver and the
-NUFFT progression kernel: accuracy against mpmath, determinism across
-thread counts, working memory, and equivalence of the scans with a direct
-exp-per-term summation."""
+"""The partial-sum recurrence in zeta_grid and the line kernel
+zeta_on_line with its NUFFT segments: accuracy against mpmath, determinism
+across thread counts, working memory, and equivalence of the scans with a
+direct exp-per-term summation."""
 
 import math
 import sys
@@ -60,7 +60,7 @@ _SAMPLE = (0, 1, 63, 64, 127, 300, 511)
 @pytest.mark.parametrize("case", sorted(_line_cases()))
 def test_line_blocks_against_mpmath(case):
     sigma, heights = _line_cases()[case]
-    values = zc.zeta_on_line(sigma, heights)
+    values = zc.zeta_grid(sigma + 1j * heights)
     for i in _SAMPLE:
         s = complex(sigma, heights[i])
         exact = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
@@ -122,15 +122,6 @@ def test_midpoint_grid_against_mpmath():
         assert abs(values[i, j] - exact) / max(1.0, abs(exact)) < _contract(s.real, s.imag)
 
 
-def test_zeta_on_line_independent_of_threads():
-    heights = 5_000.25 + 0.7 * np.arange(1_300)
-    first = zc.zeta_on_line(0.75, heights, threads=1)
-    assert first.shape == heights.shape
-    for threads in (2, 3):
-        assert zc.zeta_on_line(0.75, heights, threads=threads).tobytes() == first.tobytes()
-    assert zc.zeta_on_line(0.75, np.empty(0)).size == 0
-
-
 def test_grid_names_first_offending_point():
     with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
         zc.zeta_grid(np.array([[0.5 + 3j, 1.0 + 0j], [-2.0 + 0j, 0.5 + 4j]]))
@@ -172,18 +163,20 @@ def _criterion_10_and_11():
 
 
 def _direct_progression(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN, threads=1):
-    """zeta on the progression through zeta_on_line over the sorted heights,
-    which with _direct_partial_sums patched in sums exp per term."""
+    """zeta on the progression by zeta_grid over blocks of 512 sorted
+    heights, which with _direct_partial_sums patched in sums exp per term."""
     order = np.argsort(m, kind="stable")
+    points = sigma + 1j * (t0 + delta * m[order])
     out = np.empty(m.size, dtype=np.complex128)
-    out[order] = zc.zeta_on_line(sigma, t0 + delta * m[order], domain, threads)
+    blocks = [points[i : i + 512] for i in range(0, m.size, 512)]
+    out[order] = np.concatenate([zc.zeta_grid(block, domain) for block in blocks])
     return out
 
 
 def test_scans_match_direct_summation(monkeypatch):
     hits, flip = _criterion_10_and_11()
     monkeypatch.setattr(zc, "_partial_sums", _direct_partial_sums)
-    monkeypatch.setattr(zc, "_zeta_progression", _direct_progression)
+    monkeypatch.setattr(zc, "zeta_on_line", _direct_progression)
     ref_hits, ref_flip = _criterion_10_and_11()
     assert sorted(hits) == sorted(ref_hits)
     assert max(abs(hits[n] - ref_hits[n]) for n in hits) < 1e-10
@@ -264,7 +257,7 @@ def test_progression_segment_edges_against_mpmath(sigma):
     delta = 0.25
     m = np.arange(round(508.0 / delta), round(_EDGES[-1] / delta) + 300)
     check = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)] + [m[-1]])
-    values = zc._zeta_progression(sigma, 0.0, delta, m)
+    values = zc.zeta_on_line(sigma, 0.0, delta, m)
     _assert_contract(sigma, delta * check, values[check - m[0]])
 
 
@@ -290,7 +283,7 @@ def test_progression_short_segments_go_to_the_recurrence():
     assert _plan(0.6, 20_000.0, 0.01, 100 * np.arange(k)) == [(0, 100 * (k - 1), True)]
     for count in (k - 1, k):
         m = 100 * np.arange(count)
-        values = zc._zeta_progression(0.6, 20_000.0, 0.01, m)
+        values = zc.zeta_on_line(0.6, 20_000.0, 0.01, m)
         pick = [0, count // 2, count - 1]
         _assert_contract(0.6, 20_000.0 + 0.01 * m[pick], values[pick])
     # one height at t = 2.9e4 sums its own terms once
@@ -303,7 +296,7 @@ def test_progression_gathers_beatty_and_swap_subsets():
     k = np.arange(1, 4001)
     rng = np.random.default_rng(17)
     for m in (beatty_terms(GOLDEN, k.astype(np.float64)).astype(np.int64), sigma_alpha(pair, k)):
-        values = zc._zeta_progression(0.75, 10.5, 1.0, m)
+        values = zc.zeta_on_line(0.75, 10.5, 1.0, m)
         pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1, rng.integers(0, m.size, 8)])
         _assert_contract(0.75, 10.5 + m[pick], values[pick])
 
@@ -311,50 +304,50 @@ def test_progression_gathers_beatty_and_swap_subsets():
 def test_progression_independent_of_threads():
     # heights 400.35 + 0.7 m: the fallback blocks, then three NUFFT bands
     m = np.arange(-3, 4000)
-    first = zc._zeta_progression(0.75, 400.35, 0.7, m, threads=1)
+    first = zc.zeta_on_line(0.75, 400.35, 0.7, m, threads=1)
     assert first.shape == m.shape
     for threads in (2, 3):
-        assert zc._zeta_progression(0.75, 400.35, 0.7, m, threads=threads).tobytes() == first.tobytes()
-    assert zc._zeta_progression(0.75, 400.35, 0.7, np.empty(0, dtype=np.int64)).size == 0
+        assert zc.zeta_on_line(0.75, 400.35, 0.7, m, threads=threads).tobytes() == first.tobytes()
+    assert zc.zeta_on_line(0.75, 400.35, 0.7, np.empty(0, dtype=np.int64)).size == 0
 
 
 def test_progression_threads_grow_the_log_cache_safely(monkeypatch):
     # six workers on two cores, switching often, each growing the shared
     # log cache from a small start to its own segment's term count
     m = np.arange(1, 12_000)
-    reference = zc._zeta_progression(0.75, 0.5, 1.0, m)
+    reference = zc.zeta_on_line(0.75, 0.5, 1.0, m)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             monkeypatch.setattr(zc, "_LOG_CACHE", np.log(np.arange(1.0, 33.0)))
-            assert zc._zeta_progression(0.75, 0.5, 1.0, m, threads=6).tobytes() == reference.tobytes()
+            assert zc.zeta_on_line(0.75, 0.5, 1.0, m, threads=6).tobytes() == reference.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_progression_checks_points_and_crosses_zero():
     with pytest.raises(OutOfDomain, match=r"\(0\.5\+30010j\)"):
-        zc._zeta_progression(0.5, 29_990.0, 1.0, np.array([1, 5, 20, 30, 40]))
+        zc.zeta_on_line(0.5, 29_990.0, 1.0, np.array([1, 5, 20, 30, 40]))
     with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
-        zc._zeta_progression(1.0, -2.0, 1.0, np.array([0, 2, 5]))
+        zc.zeta_on_line(1.0, -2.0, 1.0, np.array([0, 2, 5]))
     # only requested heights below 512 are evaluated: t = 0 is skipped here
     m = np.array([0, 2])
-    _assert_contract(1.0, -1.0 + m, zc._zeta_progression(1.0, -1.0, 1.0, m))
+    _assert_contract(1.0, -1.0 + m, zc.zeta_on_line(1.0, -1.0, 1.0, m))
     # a line through t = 0 is cut there: NUFFT below -512 and above 512
     m = np.arange(2001)
     assert [nufft for _, _, nufft in _plan(0.5, -1_000.0, 1.0, m)] == [True, False, False, True]
     check = np.array([0, 1, 488, 489, 1000, 1511, 1512, 1999, 2000])
-    values = zc._zeta_progression(0.5, -1_000.0, 1.0, m)
+    values = zc.zeta_on_line(0.5, -1_000.0, 1.0, m)
     _assert_contract(0.5, -1_000.0 + check, values[check])
 
 
 def test_progression_working_memory_bounded():
     m = np.arange(1, 2002)
-    zc._zeta_progression(0.6, 28_000.5, 0.5, m[-2:])  # grow the log cache
+    zc.zeta_on_line(0.6, 28_000.5, 0.5, m[-2:])  # grow the log cache
     tracemalloc.start()
     try:
-        zc._zeta_progression(0.6, 28_000.5, 0.5, m)
+        zc.zeta_on_line(0.6, 28_000.5, 0.5, m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
