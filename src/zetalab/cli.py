@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -52,8 +53,8 @@ def _write_report(cfg: ExperimentConfig, results: dict, csv_rows: list | None) -
     if cfg.output:
         if cfg.format == "csv":
             with open(cfg.output, "w", newline="") as fh:
-                for row in csv_rows:
-                    fh.write(",".join(_csv_cell(c) for c in row) + "\n")
+                lines = [",".join([_csv_cell(c) for c in row]) + "\n" for row in csv_rows]
+                fh.write("".join(lines))
         else:
             with open(cfg.output, "w") as fh:
                 json.dump(report, fh, sort_keys=True, indent=2, default=str)
@@ -342,7 +343,9 @@ def _meansquare(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     n_total = int(p["N"])
     shifts = float(p.get("shift_step", 1.0)) * np.arange(1, n_total + 1)
-    stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
+    stat = euler_product.mean_square_discrete(
+        level, float(p["sigma"]), shifts, n_total, threads=threads
+    )
     return asdict(stat), None
 
 
@@ -417,8 +420,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser run uses, built once per process: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args, argv)

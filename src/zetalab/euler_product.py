@@ -151,13 +151,14 @@ def mean_square_discrete(
     grid: Optional[np.ndarray] = None,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
     allow_irregular: bool = False,
+    threads: int = 1,
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - zeta_m(sigma + i x_n)|^2, or with the
     sup over a compact grid of anchor points when `grid` is given.
 
     Shifts x_n = h n with h = x_1 > 0 go to the line kernel
-    zeta_core.zeta_on_line; any others to one zeta_grid call, which takes
-    the term count of the top height."""
+    zeta_core.zeta_on_line, on `threads` threads; any others to one
+    zeta_grid call, which takes the term count of the top height."""
     if not (0.5 < sigma < 1.0):
         raise ValueError("sigma must lie in (1/2, 1)")
     if N < 1:
@@ -174,7 +175,7 @@ def mean_square_discrete(
     for anchor in anchors:
         s0 = complex(anchor)
         if on_line:
-            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain)
+            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain, threads)
         else:
             exact = zeta_core.zeta_grid(s0 + 1j * shifts, domain)
         truncated = _zeta_m_on_shifts(level, s0, shifts)

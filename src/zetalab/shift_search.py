@@ -95,13 +95,12 @@ def scan_disk_hits(
     values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
     dev = np.abs(values - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
+    # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
+    # one reduction for all hits, then plain Python floats
+    rows = np.lib.stride_tricks.sliding_window_view(dev, grid.l)[hit_indices - 1]
     hits = [
-        ShiftHit(
-            n=int(n),
-            deviations=tuple(float(dev[n - 1 + k]) for k in range(grid.l)),
-            max_dev=float(dev[n - 1 : n - 1 + grid.l].max()),
-        )
-        for n in hit_indices
+        ShiftHit(n, tuple(devs), max_dev)
+        for n, devs, max_dev in zip(hit_indices.tolist(), rows.tolist(), rows.max(axis=1).tolist())
     ]
     report = HitDensityReport(
         N=N,
@@ -256,6 +255,8 @@ def left_half_flip(
     whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
     evaluation; c and its onset t0 must come from a chi lower-bound scan
     for Re s and the scanned t-range."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.0, 0.5)
     if grid.s.imag < t0:
         raise ChiBoundUnavailable(

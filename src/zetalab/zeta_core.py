@@ -50,22 +50,27 @@ O(N K), so a scan to height H costs O(H log H).  Spreading costs about
 as much as the recurrence over 200 heights whatever the segment's length
 (break-even measured at 190-220 heights for t = 2e4-2.9e4 and fewer
 below, one thread of a 2-vCPU Xeon), so a segment with fewer than 200
-requested heights goes to zeta_grid as one block.  The gridding adds an
-absolute error of kappa sum_{n <= N} n^{-sigma}, with kappa <= 3.2e-14
-measured against the exact transform of the same a_n and x_n in extended
-precision, over 62 segments of the shapes the cuts form (Re s from -0.99 to
-40, delta from 0.02 to 1.5).  That is at most 7e-12 for Re s >= 1/2 on
-the strip (sum n^{-1/2} <= 2 sqrt(N), N <= 1.3e4), 4e-10 at Re s = 0 and
-5e-6 at Re s = -0.99 near t = 3e4; left of 1/2 |zeta| grows with the sum,
-about like (t / 2 pi)^{1/2 - Re s}.  This is what fixes the segment rule:
-a doubling band takes at most about twice the terms its lowest height
-needs, so its sum exceeds that height's own by at most 2^{1 - Re s} < 4,
-and below |t| = 512 |zeta| is not yet large enough to absorb the sum at
-Re s < 0 (one segment over t = 1..513 at Re s = -0.9 errs by 1e-9 at
-t = 1, 3e-10 at t = 6).  The phase of a_n exp(-i k x_n) loses about
-eps (|t_c| + |t - t_c|) log n, as the recurrence does.  Against mpmath at
-30 digits the NUFFT branch stays inside the table above; the largest
-values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
+requested heights goes to zeta_grid as one block.  A zeta_grid call pays
+about 64 row steps of numpy overhead whatever its size, so adjacent
+zeta_grid blocks on one side of t = 0 are joined while the joined block
+holds at most 512 requested heights; it takes the term count of its
+largest |t| (heights 3, 6, .. 1500 at Re s 0.9: three blocks of
+170/171/159 heights took 5.7 ms, one of 500 heights 2.2-3.3 ms).  The
+gridding adds an absolute error of kappa sum_{n <= N} n^{-sigma}, with
+kappa <= 3.2e-14 measured against the exact transform of the same a_n and
+x_n in extended precision, over 62 segments of the shapes the cuts form
+(Re s from -0.99 to 40, delta from 0.02 to 1.5).  That is at most 7e-12
+for Re s >= 1/2 on the strip (sum n^{-1/2} <= 2 sqrt(N), N <= 1.3e4),
+4e-10 at Re s = 0 and 5e-6 at Re s = -0.99 near t = 3e4; left of 1/2
+|zeta| grows with the sum, about like (t / 2 pi)^{1/2 - Re s}.  This is
+what fixes the segment rule: a doubling band takes at most about twice the
+terms its lowest height needs, so its sum exceeds that height's own by at
+most 2^{1 - Re s} < 4, and below |t| = 512 |zeta| is not yet large enough
+to absorb the sum at Re s < 0 (one segment over t = 1..513 at Re s = -0.9
+errs by 1e-9 at t = 1, 3e-10 at t = 6).  The phase of a_n exp(-i k x_n)
+loses about eps (|t_c| + |t - t_c|) log n, as the recurrence does.
+Against mpmath at 30 digits the NUFFT branch stays inside the table above;
+the largest values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
 1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10.
 """
 
@@ -95,7 +100,7 @@ LN2PI = math.log(2.0 * pi)
 POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
 
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
-_LINE_BLOCK = 512  # most heights per zeta_grid block of zeta_on_line below _NUFFT_FROM
+_LINE_BLOCK = 512  # most requested heights per zeta_grid block of zeta_on_line
 _BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
 
 _NUFFT_FROM = 512.0  # |t| from which zeta_on_line sums by NUFFT
@@ -421,8 +426,10 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     at t = 0; each run of consecutive m from u[i] to u[j - 1], at most
     _SEGMENT_POINTS of them, is one NUFFT segment, dense = (u[i], count),
     unless fewer than _NUFFT_MIN_POINTS of its m are requested: then those
-    heights form one zeta_grid block.  Every piece takes the term count of
-    its largest |t|."""
+    heights form one zeta_grid block.  A zeta_grid block joins the one
+    before it when the joined block holds at most _LINE_BLOCK heights and
+    does not cross t = 0.  Every piece takes the term count of its largest
+    |t|."""
     u, inverse = np.unique(np.asarray(m, dtype=np.int64), return_inverse=True)
     t = t0 + delta * u
     top = np.abs(t)
@@ -439,6 +446,13 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
                 if j - i >= _NUFFT_MIN_POINTS:
                     dense = (int(u[i]), int(u[j - 1] - u[i]) + 1)
             n_terms = _em_term_count(sigma, float(top[i:j].max()))
+            if dense is None and pieces:
+                # one zeta_grid call with the block before, if the two stay
+                # within _LINE_BLOCK heights on one side of t = 0
+                k, _, prev_terms, prev_dense = pieces[-1]
+                if prev_dense is None and j - k <= _LINE_BLOCK and t[k] * t[j - 1] >= 0:
+                    i, n_terms = k, max(prev_terms, n_terms)
+                    pieces.pop()
             pieces.append((int(i), int(j), n_terms, dense))
             i = j
     return u, inverse, pieces

@@ -82,6 +82,8 @@ class TestExitCodes:
         (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "0"], "N"),
         (["limit-theorem", "--m", "5", "--h", "1", "--N", "0", "--trials", "10"], "N"),
         (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "0"], "trials"),
+        (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "1",
+          "--N", "0"], "N"),
     ])
     def test_zero_size_run_is_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -150,6 +152,28 @@ class TestCommands:
         assert code == 0
         assert payload["hits"] >= 1
         assert 0.0 < payload["density"] <= 1.0
+
+    def test_meansquare_threads_reach_the_line_kernel(self, tmp_path, capsys, monkeypatch):
+        argv = ["meansquare", "--sigma", "0.8", "--m", "50", "--N", "900", "--shift-step", "1.5"]
+        reports = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"ms{threads}.json"
+            assert run_cli(capsys, *argv, "--threads", threads, "--output", str(path))[0] == 0
+            report = json.loads(path.read_text())
+            report.pop("timestamp")
+            report["config"].pop("output")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        seen = []
+        line = zc.zeta_on_line
+
+        def spy(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN, threads=1):
+            seen.append(threads)
+            return line(sigma, t0, delta, m, domain, threads)
+
+        monkeypatch.setattr(zc, "zeta_on_line", spy)
+        assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
+        assert seen == [2]
 
     def test_bergman(self, capsys):
         code, out, _ = run_cli(
@@ -267,6 +291,22 @@ class TestDryRunAndReports:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,max_dev"
         assert len(lines) >= 2
+
+    def test_parser_reused_across_runs(self, tmp_path, capsys):
+        # one process, one parser: no format, output or error leaks into the
+        # next run
+        csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
+        assert run_cli(capsys, *HITS, "--format", "csv", "--output", str(csv_path))[0] == 0
+        assert csv_path.read_text().startswith("n,max_dev\n")
+        assert run_cli(capsys, *HITS, "--output", str(json_path))[0] == 0
+        assert json.loads(json_path.read_text())["config"]["format"] == "json"
+        with pytest.raises(SystemExit) as exc:
+            run(["hits", "--sigma", "0.75", "--N", "ten"])
+        assert exc.value.code == 64
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *HITS)
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["N"] == 200
 
     def test_csv_flag_rejected_for_json_only_command(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(zc, "zeta", _no_zeta)

@@ -46,6 +46,32 @@ class TestScanDiskHits:
                 assert abs(abs(zc.zeta(s) - disk.a) - h.deviations[k]) < 1e-10
             assert h.max_dev == max(h.deviations)
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_hits_match_per_hit_reference(self, l):
+        # the record of each hit, built one shift at a time from the same
+        # kernel values
+        grid = ss.VerticalGrid(s=0.75 + 10.3j, h=0.7, l=l)
+        disk = ss.TargetDisk(a=1.0 + 0.1j, epsilon=0.6)
+        N = 1500
+        values = zc.zeta_on_line(0.75, 10.3, 0.7, np.arange(1, N + l))
+        dev = np.abs(values - disk.a)
+        reference = [
+            ss.ShiftHit(
+                n=n,
+                deviations=tuple(float(dev[n - 1 + k]) for k in range(l)),
+                max_dev=float(dev[n - 1 : n - 1 + l].max()),
+            )
+            for n in range(1, N + 1)
+            if all(dev[n - 1 + k] < disk.epsilon for k in range(l))
+        ]
+        hits, rep = ss.scan_disk_hits(grid, disk, N)
+        assert len(reference) > 10
+        assert hits == reference
+        assert all(type(h.n) is int and type(h.max_dev) is float for h in hits)
+        assert all(type(d) is float for h in hits for d in h.deviations)
+        assert rep.hits == len(reference)
+        assert rep.first_hits == tuple(h.n for h in reference[:10])
+
     def test_sliding_window_consistency(self):
         # an l = 2 hit at n requires l = 1 hits at n and n + 1
         grid1 = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1)
@@ -80,10 +106,10 @@ class TestScanDiskHits:
                 "--a-re", "1", "--eps", "0.5", "--N", "500"]
         path = tmp_path / "hits.csv"
         assert run(argv + ["--output", str(path), "--format", "csv"]) == 0
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,max_dev"
-        rows = [(int(n), float(dev)) for n, dev in (ln.split(",") for ln in lines[1:])]
-        assert rows == [(h.n, h.max_dev) for h in hits]
+        assert len(hits) > 1
+        assert path.read_text() == "".join(
+            ["n,max_dev\n"] + [f"{h.n},{h.max_dev:.17g}\n" for h in hits]
+        )
         path = tmp_path / "hits.json"
         assert run(argv + ["--output", str(path)]) == 0
         payload = json.loads(path.read_text())["results"]

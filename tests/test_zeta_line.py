@@ -291,6 +291,28 @@ def test_progression_short_segments_go_to_the_recurrence():
     assert zc.progression_cost(0.6, 29_000.0, 1.0, np.array([0])) == (1, zc._em_term_count(0.6, 29_000.0))
 
 
+def test_progression_merges_short_recurrence_pieces():
+    # meansquare's deep line at step 3: the block below 512 and the two short
+    # bands above it make one block with the term count of t = 1500
+    m = np.arange(1, 501)
+    assert _plan(0.9, 0.0, 3.0, m) == [(1, 500, False)]
+    assert zc.progression_cost(0.9, 0.0, 3.0, m) == (500, 500 * zc._em_term_count(0.9, 1500.0))
+    pick = np.array([0, 169, 170, 340, 341, 499])
+    _assert_contract(0.9, 3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, m)[pick])
+    # below t = 0 the largest |t| is in the first block joined, not the last
+    assert zc.progression_cost(0.9, 0.0, 3.0, -m) == (500, 500 * zc._em_term_count(0.9, 1500.0))
+    _assert_contract(0.9, -3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, -m)[pick])
+    # at step 4 the third band is a NUFFT segment, which is never merged
+    assert _plan(0.9, 0.0, 4.0, m) == [(1, 255, False), (256, 500, True)]
+    # 400 heights below 512 and 150 in [600, 900) exceed one block; 300 and
+    # 150 do not
+    sparse = 600 + 2 * np.arange(150)
+    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(400), sparse]) == [(0, 399, False), (600, 898, False)]
+    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(300), sparse]) == [(0, 898, False)]
+    # never across t = 0: heights -1200, -600, 600, 1200 make two blocks
+    assert _plan(0.75, 0.0, 600.0, [-2, -1, 1, 2]) == [(-2, -1, False), (1, 2, False)]
+
+
 def test_progression_gathers_beatty_and_swap_subsets():
     pair = BeattyPair.from_alpha(GOLDEN)
     k = np.arange(1, 4001)
