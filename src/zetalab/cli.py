@@ -11,7 +11,6 @@ import argparse
 import datetime
 import functools
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -72,7 +71,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="report path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: every command runs on one thread")
     p.add_argument("--dry-run", action="store_true",
                    help="print resolved config and cost estimate, do not evaluate")
     p.add_argument("--config", help="key = value config file; flags override")
@@ -224,7 +224,8 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
     evals = {"zeta": 1, "ztheta": 1}.get(cfg.command, 0)
     if cfg.command == "bergman":  # the midpoint grid, then zeta(z)
         rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
-        evals = rect.midpoint_grid(float(p["step"])).size + 1 if p["f"] == "zeta" else 0
+        nx, ny = rect.grid_shape(float(p["step"]))
+        evals = nx * ny + 1 if p["f"] == "zeta" else 0
     estimate = {"dry_run": True, "estimated_evaluations": evals}
     lines = _scan_lines(cfg.command, p, n)
     if lines:
@@ -266,23 +267,23 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig
     return cfg
 
 
-def _zeta(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _zeta(p: dict, seed) -> tuple[dict, list | None]:
     value = zeta_core.zeta(complex(p["re"], p.get("im", 0.0)))
     print(_fmt_complex(value))
     return {"value": _fmt_complex(value)}, None
 
 
-def _chi(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _chi(p: dict, seed) -> tuple[dict, list | None]:
     value = zeta_core.chi(complex(p["re"], p.get("im", 0.0)))
     return {"value": _fmt_complex(value), "abs": abs(value)}, None
 
 
-def _ztheta(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _ztheta(p: dict, seed) -> tuple[dict, list | None]:
     t = float(p["t"])
     return {"theta": zeta_core.theta(t), "Z": zeta_core.hardy_z(t)}, None
 
 
-def _uniqueness(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
     f = dirichlet.power_of_two_indicator() if p.get("coeffs") == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
     if p.get("swap"):
@@ -304,7 +305,7 @@ def _uniqueness(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     }}, None
 
 
-def _beatty(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _beatty(p: dict, seed) -> tuple[dict, list | None]:
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
     rep = beatty_mod.rayleigh_partition_check(pair, int(p["check"]))
     return {
@@ -319,9 +320,11 @@ def _beatty(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     ]
 
 
-def _weyl(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _weyl(p: dict, seed) -> tuple[dict, list | None]:
     n_total = int(p["N"])
     if p.get("mode", "linear") == "linear":
+        if "beta" not in p:
+            raise ValueError("weyl --mode linear requires --beta")
         beta = float(p["beta"])
         rep = equidist.weyl_sum(lambda n: n * beta, float(p.get("freq", 1.0)), n_total)
     else:
@@ -339,17 +342,15 @@ def _weyl(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
 
 
-def _meansquare(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     n_total = int(p["N"])
     shifts = float(p.get("shift_step", 1.0)) * np.arange(1, n_total + 1)
-    stat = euler_product.mean_square_discrete(
-        level, float(p["sigma"]), shifts, n_total, threads=threads
-    )
+    stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
     return asdict(stat), None
 
 
-def _limit_theorem(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _limit_theorem(p: dict, seed) -> tuple[dict, list | None]:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     rep = euler_product.empirical_limit_theorem(
         level, float(p["h"]), complex(float(p.get("sigma", 0.75)), 0.0),
@@ -359,18 +360,18 @@ def _limit_theorem(p: dict, seed, threads: int) -> tuple[dict, list | None]:
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None
 
 
-def _hits(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _hits(p: dict, seed) -> tuple[dict, list | None]:
     grid = shift_search.VerticalGrid(
         s=complex(p["sigma"], p.get("im0", 0.0)), h=float(p["h"]), l=int(p["l"])
     )
     disk = shift_search.TargetDisk(
         a=complex(p["a_re"], p.get("a_im", 0.0)), epsilon=float(p["eps"])
     )
-    hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]), threads=threads)
+    hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]))
     return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
 
 
-def _pair_hits(scan, p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
     rep = scan(
         pair,
@@ -378,12 +379,12 @@ def _pair_hits(scan, p: dict, seed, threads: int) -> tuple[dict, list | None]:
         float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0)),
         np.array([complex(p["s_re"], p.get("s_im", 0.0))]),
         (complex(p["a1_re"], p.get("a1_im", 0.0)), complex(p["a2_re"], p.get("a2_im", 0.0))),
-        float(p["eps"]), int(p["N"]), threads=threads,
+        float(p["eps"]), int(p["N"]),
     )
     return asdict(rep), None
 
 
-def _flip(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _flip(p: dict, seed) -> tuple[dict, list | None]:
     sigma = float(p["sigma"])
     c = float(p.get("c", 1.0))
     t_start = float(p["t_start"])
@@ -391,14 +392,12 @@ def _flip(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     if chi_rep.t0 is None:
         raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
     grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
-    rep = shift_search.left_half_flip(
-        grid, float(p["r"]), c, int(p["N"]), chi_rep.t0, threads=threads
-    )
+    rep = shift_search.left_half_flip(grid, float(p["r"]), c, int(p["N"]), chi_rep.t0)
     return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
             "disagreements": rep.disagreements, "params": rep.params}, None
 
 
-def _bergman(p: dict, seed, threads: int) -> tuple[dict, list | None]:
+def _bergman(p: dict, seed) -> tuple[dict, list | None]:
     rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
     grid = rect.midpoint_grid(float(p["step"]))
     kind = str(p["f"])
@@ -410,7 +409,7 @@ def _bergman(p: dict, seed, threads: int) -> tuple[dict, list | None]:
     return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
 
 
-# command -> function(params, seed, threads) returning (results, CSV rows or None)
+# command -> function(params, seed) returning (results, CSV rows or None)
 _COMMANDS = {
     "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
     "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
@@ -441,7 +440,7 @@ def run(argv: list[str]) -> int:
         if args.dry_run:
             print(json.dumps({"config": cfg.as_dict(), **_cost_estimate(cfg)}, sort_keys=True))
             return 0
-        _write_report(cfg, *_COMMANDS[cfg.command](cfg.params, cfg.seed, max(1, args.threads)))
+        _write_report(cfg, *_COMMANDS[cfg.command](cfg.params, cfg.seed))
         return 0
     except (ZetaLabError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

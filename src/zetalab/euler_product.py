@@ -151,14 +151,13 @@ def mean_square_discrete(
     grid: Optional[np.ndarray] = None,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
     allow_irregular: bool = False,
-    threads: int = 1,
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - zeta_m(sigma + i x_n)|^2, or with the
     sup over a compact grid of anchor points when `grid` is given.
 
     Shifts x_n = h n with h = x_1 > 0 go to the line kernel
-    zeta_core.zeta_on_line, on `threads` threads; any others to one
-    zeta_grid call, which takes the term count of the top height."""
+    zeta_core.zeta_on_line; any others to one zeta_grid call, which takes
+    the term count of the top height."""
     if not (0.5 < sigma < 1.0):
         raise ValueError("sigma must lie in (1/2, 1)")
     if N < 1:
@@ -175,7 +174,7 @@ def mean_square_discrete(
     for anchor in anchors:
         s0 = complex(anchor)
         if on_line:
-            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain, threads)
+            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain)
         else:
             exact = zeta_core.zeta_grid(s0 + 1j * shifts, domain)
         truncated = _zeta_m_on_shifts(level, s0, shifts)
@@ -203,9 +202,16 @@ class Rectangle:
     def boundary_distance(self, z: complex) -> float:
         return min(z.real - self.x0, self.x1 - z.real, z.imag - self.y0, self.y1 - z.imag)
 
-    def midpoint_grid(self, step: float) -> np.ndarray:
+    def grid_shape(self, step: float) -> tuple[int, int]:
+        """(nx, ny): the cells of midpoint_grid(step) along x and along y."""
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"step must be finite and positive, got {step}")
         nx = max(1, int(round((self.x1 - self.x0) / step)))
         ny = max(1, int(round((self.y1 - self.y0) / step)))
+        return nx, ny
+
+    def midpoint_grid(self, step: float) -> np.ndarray:
+        nx, ny = self.grid_shape(step)
         xs = self.x0 + (np.arange(nx) + 0.5) * (self.x1 - self.x0) / nx
         ys = self.y0 + (np.arange(ny) + 0.5) * (self.y1 - self.y0) / ny
         return xs[:, None] + 1j * ys[None, :]

@@ -77,7 +77,6 @@ def scan_disk_hits(
     disk: TargetDisk,
     N: int,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
-    threads: int = 1,
 ) -> tuple[list[ShiftHit], HitDensityReport]:
     """All n <= N with |zeta(grid point + i h n) - a| < epsilon for every
     grid point, plus a density report."""
@@ -92,7 +91,7 @@ def scan_disk_hits(
     # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
     # every needed height once.
     m = np.arange(1, N + grid.l)
-    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain)
     dev = np.abs(values - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
     # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
@@ -125,13 +124,12 @@ def _sup_dev_per_shift(
     m: np.ndarray,
     target: complex,
     domain: zeta_core.EvalDomain,
-    threads: int = 1,
 ) -> np.ndarray:
     """max over grid points of |zeta(point + i (t0 + delta m)) - target| per
     integer multiplier m."""
     sup = np.zeros(m.size)
     for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
-        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m, domain, threads)
+        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m, domain)
         sup = np.maximum(sup, np.abs(vals - target))
     return sup
 
@@ -147,7 +145,6 @@ def joint_beatty_hits(
     epsilon: float,
     N: int,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
-    threads: int = 1,
 ) -> HitDensityReport:
     """Density of n <= N whose Beatty shifts on both lines approximate the
     constant targets within epsilon over the finite grid."""
@@ -159,8 +156,8 @@ def joint_beatty_hits(
     n = np.arange(1, N + 1, dtype=np.float64)
     fa = beatty_terms(pair.alpha, n).astype(np.int64)
     fb = beatty_terms(pair.alpha_prime, n).astype(np.int64)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1), domain, threads)
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2), domain, threads)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1), domain)
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2), domain)
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     return HitDensityReport(
@@ -194,7 +191,6 @@ def corollary_sis_density(
     epsilon: float,
     N: int,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
-    threads: int = 1,
 ) -> HitDensityReport:
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
@@ -205,12 +201,12 @@ def corollary_sis_density(
     if a1 == 0 or a2 == 0:
         raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1), domain, threads)
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2), domain, threads)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1), domain)
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2), domain)
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     beatty_report = joint_beatty_hits(
-        pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N, domain, threads
+        pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N, domain
     )
     return HitDensityReport(
         N=N,
@@ -249,7 +245,6 @@ def left_half_flip(
     N: int,
     t0: float,
     domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
-    threads: int = 1,
 ) -> FlipReport:
     """Find n <= N with |zeta(1 - s - i h (n + k - 1))| >= 2 r / c on the
     whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
@@ -268,14 +263,14 @@ def left_half_flip(
     # grid point k of shift n sits at height Im s + h (n + k)
     m = np.arange(1, N + grid.l)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
     # the confirmations run over the whole line too: a NUFFT segment costs
     # about the same for every height as for the predicted ones it spans.
     # Below |t| = 512 this sums the recurrence at unpredicted heights as
     # well, a few ms at most on the strip, and it keeps the dry-run's
     # count of this line exact without knowing the predictions.
-    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain, threads)
+    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain)
     ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(
         N=N,

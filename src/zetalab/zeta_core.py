@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi
 
@@ -185,16 +184,11 @@ _LOG_CACHE = np.log(np.arange(1, 1025, dtype=np.float64))
 
 
 def _logs(n: int) -> np.ndarray:
-    """log(1..n), grown lazily and cached.  Threads may grow the cache at
-    once: each slices the array it checked or built, and a larger cache is
-    never replaced by a smaller one."""
+    """log(1..n), grown lazily (at least doubling) and cached."""
     global _LOG_CACHE
-    cache = _LOG_CACHE
-    if n > cache.size:
-        cache = np.log(np.arange(1, max(n, 2 * cache.size) + 1, dtype=np.float64))
-        if cache.size > _LOG_CACHE.size:
-            _LOG_CACHE = cache
-    return cache[:n]
+    if n > _LOG_CACHE.size:
+        _LOG_CACHE = np.log(np.arange(1, max(n, 2 * _LOG_CACHE.size) + 1, dtype=np.float64))
+    return _LOG_CACHE[:n]
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -476,30 +470,23 @@ def zeta_on_line(
     delta: float,
     m: np.ndarray,
     domain: EvalDomain = DEFAULT_DOMAIN,
-    threads: int = 1,
 ) -> np.ndarray:
     """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any
     order: the line kernel of every scan and of the mean square.
 
-    The pieces of _progression_plan run on a pool of `threads` threads and
-    are merged in order, so the result does not depend on the thread
-    count.  A NUFFT segment computes every height between its first and
-    last requested m, each once.  Raises PoleAt1 or OutOfDomain for the
-    first requested point near s = 1 or outside the domain."""
+    The pieces of _progression_plan are evaluated in order on the calling
+    thread and merged.  A NUFFT segment computes every height between its
+    first and last requested m, each once.  Raises PoleAt1 or OutOfDomain
+    for the first requested point near s = 1 or outside the domain."""
     m = np.asarray(m, dtype=np.int64)
     _check_points(sigma + 1j * (t0 + delta * m), domain)
     u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
     t = t0 + delta * u
-
-    def evaluate(piece):
-        i, j, n_terms, dense = piece
-        if dense is None:
-            return zeta_grid(sigma + 1j * t[i:j], domain, n_terms)
-        lo, count = dense
-        return _nufft_segment(sigma, t0, delta, lo, count, n_terms)[u[i:j] - lo]
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        values = list(pool.map(evaluate, pieces))
+    values = [
+        zeta_grid(sigma + 1j * t[i:j], domain, n_terms) if dense is None
+        else _nufft_segment(sigma, t0, delta, dense[0], dense[1], n_terms)[u[i:j] - dense[0]]
+        for i, j, n_terms, dense in pieces
+    ]
     out = np.concatenate(values)[inverse] if values else np.empty(0, dtype=np.complex128)
     if not np.all(np.isfinite(out)):
         raise OutOfDomain("zeta_on_line produced non-finite values")

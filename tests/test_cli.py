@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import config as cf
+from zetalab import euler_product as ep
 from zetalab import zeta_core as zc
 from zetalab.cli import build_parser, run
 from zetalab.errors import ParseError
@@ -91,6 +92,17 @@ class TestExitCodes:
         assert f"error: {name} must be at least 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        *[(["bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5", "--step", step],
+           "step must be finite and positive") for step in ("0", "-1", "inf", "nan")],
+        (["weyl", "--N", "100"], "weyl --mode linear requires --beta"),
+    ])
+    def test_bad_parameter_is_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out == ""
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--re", "2")
         assert code == 0
@@ -153,7 +165,7 @@ class TestCommands:
         assert payload["hits"] >= 1
         assert 0.0 < payload["density"] <= 1.0
 
-    def test_meansquare_threads_reach_the_line_kernel(self, tmp_path, capsys, monkeypatch):
+    def test_meansquare_ignores_threads(self, tmp_path, capsys, monkeypatch):
         argv = ["meansquare", "--sigma", "0.8", "--m", "50", "--N", "900", "--shift-step", "1.5"]
         reports = []
         for threads in ("1", "2"):
@@ -167,13 +179,13 @@ class TestCommands:
         seen = []
         line = zc.zeta_on_line
 
-        def spy(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN, threads=1):
-            seen.append(threads)
-            return line(sigma, t0, delta, m, domain, threads)
+        def spy(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN):  # takes no thread count
+            seen.append(m.size)
+            return line(sigma, t0, delta, m, domain)
 
         monkeypatch.setattr(zc, "zeta_on_line", spy)
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
-        assert seen == [2]
+        assert seen == [900]
 
     def test_bergman(self, capsys):
         code, out, _ = run_cli(
@@ -269,6 +281,21 @@ class TestDryRunAndReports:
         code, out, _ = run_cli(capsys, "bergman", "--f", "zeta", "--z-re", "0.75",
                                "--z-im", "0.5", "--dry-run")
         assert json.loads(out.strip())["estimated_evaluations"] == 40 * 100 + 1
+
+    def test_bergman_dry_run_builds_no_grid(self, capsys, monkeypatch):
+        argv = ["bergman", "--f", "zeta", "--z-re", "0.75", "--z-im", "0.5", "--dry-run"]
+        default = ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01).size + 1
+
+        def no_grid(self, step):
+            raise AssertionError("the dry-run built the grid")
+
+        monkeypatch.setattr(ep.Rectangle, "midpoint_grid", no_grid)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out.strip())["estimated_evaluations"] == default
+        code, out, _ = run_cli(capsys, *argv, "--step", "1e-9")
+        assert code == 0
+        assert json.loads(out.strip())["estimated_evaluations"] == 4 * 10**8 * 10**9 + 1
 
     def test_json_report_is_deterministic_modulo_timestamp(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
