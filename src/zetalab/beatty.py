@@ -115,6 +115,8 @@ class BeattyPair:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "BeattyPair":
+        if not 1.0 < alpha < math.inf:  # before alpha / (alpha - 1) divides by zero
+            raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
         named = _NAMED_PAIRS.get(alpha)
         if named is not None:
             return cls(alpha=alpha, alpha_prime=named[1].value)

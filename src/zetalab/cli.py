@@ -11,6 +11,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -326,6 +327,8 @@ def _weyl(p: dict, seed) -> tuple[dict, list | None]:
         if "beta" not in p:
             raise ValueError("weyl --mode linear requires --beta")
         beta = float(p["beta"])
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
         rep = equidist.weyl_sum(lambda n: n * beta, float(p.get("freq", 1.0)), n_total)
     else:
         pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))

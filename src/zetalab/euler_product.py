@@ -206,8 +206,10 @@ class Rectangle:
         """(nx, ny): the cells of midpoint_grid(step) along x and along y."""
         if not 0.0 < step < math.inf:
             raise ValueError(f"step must be finite and positive, got {step}")
-        nx = max(1, int(round((self.x1 - self.x0) / step)))
-        ny = max(1, int(round((self.y1 - self.y0) / step)))
+        cells = ((self.x1 - self.x0) / step, (self.y1 - self.y0) / step)
+        if not all(map(math.isfinite, cells)):  # a subnormal step overflows
+            raise ValueError(f"step {step} gives an infinite number of grid cells")
+        nx, ny = (max(1, int(round(c))) for c in cells)
         return nx, ny
 
     def midpoint_grid(self, step: float) -> np.ndarray:
@@ -284,9 +286,15 @@ def empirical_limit_theorem(
     # rows of _SAMPLE_BLOCK // m trials at a time, drawn in the order that
     # one trials x m draw would take them
     rows = max(1, _SAMPLE_BLOCK // level.m)
+    unit = np.empty((min(rows, trials), level.m), dtype=np.complex128)
     for i in range(0, trials, rows):
         angles = rng.uniform(0.0, 2.0 * math.pi, size=(min(rows, trials - i), level.m))
-        factors = 1.0 - np.exp(1j * angles) * powers[None, :]
+        # exp(i angles) as cos + i sin: the same bits in about 0.7 of the time
+        factors = unit[: angles.shape[0]]
+        np.cos(angles, out=factors.real)
+        np.sin(angles, out=factors.imag)
+        factors *= powers
+        np.subtract(1.0, factors, out=factors)
         if np.any(np.abs(factors) < 1e-14):
             raise VanishingFactor("a random Euler factor vanished")
         random_sample[i : i + rows] = np.exp(-_log_product(factors, s0.real))

@@ -96,6 +96,25 @@ class TestExitCodes:
         *[(["bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5", "--step", step],
            "step must be finite and positive") for step in ("0", "-1", "inf", "nan")],
         (["weyl", "--N", "100"], "weyl --mode linear requires --beta"),
+        *[(argv, "alpha must be finite and exceed 1") for argv in (
+            ["beatty", "--alpha", "1", "--check", "10"],
+            ["weyl", "--mode", "beatty", "--alpha", "1.0", "--m1", "2:1", "--N", "10"],
+            *[[cmd, "--alpha", "1.0", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+               "--eps", "0.5", "--N", "10"] for cmd in ("sis", "joint-hits")],
+        )],
+        *[(["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10",
+            flag, value], message) for flag, value, message in (
+            ("--delta1", "nan", "delta1 must be finite and positive"),
+            ("--delta2", "inf", "delta2 must be finite and positive"),
+            ("--t1", "inf", "t1 must be finite"),
+            ("--t2", "nan", "t2 must be finite"),
+        )],
+        (["weyl", "--mode", "linear", "--beta", "1.5", "--freq", "nan", "--N", "10"],
+         "freq must be finite and nonzero"),
+        (["weyl", "--mode", "linear", "--beta", "inf", "--N", "10"], "beta must be finite"),
+        *[(["bergman", "--f", f, "--z-re", "0.75", "--z-im", "0.5", "--step", "1e-320", *dry],
+           "step 1e-320 gives an infinite number of grid cells")
+          for f, dry in (("s", []), ("zeta", ["--dry-run"]))],
     ])
     def test_bad_parameter_is_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

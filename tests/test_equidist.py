@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import equidist as eq
-from zetalab.beatty import GOLDEN, SQRT2, BeattyPair, beatty_terms
+from zetalab.beatty import GOLDEN, SQRT2, SQRT3, BeattyPair, beatty_terms
 from zetalab.cli import run
 from zetalab.errors import AmbiguousFloor, HypothesisViolation
 
@@ -196,19 +196,98 @@ def _weyl_reference(phase_fn, N, chunk=1 << 17):
 def test_weyl_sums_match_the_allocating_loop(N):
     # buffers and in-place phase arithmetic against the expressions they
     # replaced, across chunk boundaries and checkpoints, bit for bit
-    pair = BeattyPair.from_alpha(GOLDEN)
-    fv = eq.FrequencyVector(primes1={2: 1, 3: -2}, primes2={5: 2, 7: 1}, delta1=0.8, delta2=1.3)
-    t1, t2 = 0.31, 0.77
-
-    def phase(n):
-        fa = np.floor(n * pair.alpha)
-        fb = np.floor(n * pair.alpha_prime)
-        return (t1 + fv.delta1 * fa) * fv.u1 + (t2 + fv.delta2 * fb) * fv.u2
-
-    rep = eq.joint_beatty_weyl(pair, t1, t2, fv, N)
-    assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(phase, N)
     rep = eq.weyl_sum(lambda n: n * SQRT2, 0.37, N)
     assert (rep.sum_magnitude, rep.trajectory) == _weyl_reference(lambda n: 0.37 * (n * SQRT2), N)
+
+
+# the joint sums below: weights with both signs and deltas off 1
+_FV = eq.FrequencyVector(primes1={2: 1, 3: -2}, primes2={5: 2, 7: 1}, delta1=0.8, delta2=1.3)
+_T1, _T2 = 0.31, 0.77
+EPS = 2.0 ** -52
+
+
+def _joint_bound(pair, n):
+    """joint_beatty_weyl's stated bound on |S_n| / n: 4 pi eps M(n) +
+    (24 + log2 n) eps, M(n) = |t1 u1| + |t2 u2| + |d1 u1| floor(n a) +
+    |d2 u2| floor(n a')."""
+    M = (abs(_T1 * _FV.u1) + abs(_T2 * _FV.u2)
+         + abs(_FV.delta1 * _FV.u1) * beatty_terms(pair.alpha, np.array([float(n)]))[0]
+         + abs(_FV.delta2 * _FV.u2) * beatty_terms(pair.alpha_prime, np.array([float(n)]))[0])
+    return 4 * math.pi * EPS * M + (24 + math.log2(n)) * EPS
+
+
+_TILE_37 = eq._TILE * 5 + 37  # a tile boundary plus 37
+
+
+@pytest.mark.parametrize("alpha, surds", [  # alpha, alpha' as (p + sqrt D) / r
+    (GOLDEN, ((1, 5, 2), (3, 5, 2))),
+    (SQRT2, ((0, 2, 1), (2, 2, 1))),
+    (SQRT3, ((0, 3, 1), (3, 3, 2))),
+    (math.e, None),  # a literal alpha, at its float value
+])
+def test_joint_sum_meets_its_bound_against_mpmath(alpha, surds):
+    # the exact sum at 30 digits, every float input taken as exact and the
+    # floors of the surds (or of the float) from mpmath, read at every n
+    pair = BeattyPair.from_alpha(alpha)
+    with mpmath.workdps(30):
+        if surds is None:
+            a, b = mpmath.mpf(pair.alpha), mpmath.mpf(pair.alpha_prime)
+        else:
+            a, b = ((p + mpmath.sqrt(D)) / r for p, D, r in surds)
+        t1, t2 = mpmath.mpf(_T1), mpmath.mpf(_T2)
+        d1u1, d2u2 = mpmath.mpf(_FV.delta1) * _FV.u1, mpmath.mpf(_FV.delta2) * _FV.u2
+        total, exact = mpmath.mpc(0), [None]
+        for n in range(1, _TILE_37 + 1):
+            fa, fb = mpmath.floor(n * a), mpmath.floor(n * b)
+            total += mpmath.expjpi(2 * (t1 * _FV.u1 + t2 * _FV.u2 + d1u1 * fa + d2u2 * fb))
+            exact.append(float(abs(total) / n))
+    # N = 1; below one tile; one partial tile after the checkpoint 2048;
+    # whole tiles and 37 terms after the checkpoint 4096
+    for N in (1, 700, 3000, _TILE_37):
+        rep = eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N)
+        ns = [n for n, _ in rep.trajectory]
+        assert ns == [1 << k for k in range(N.bit_length()) if 1 << k < N] + [N]
+        for n, mag in rep.trajectory:
+            assert abs(mag - exact[n]) <= _joint_bound(pair, n), (N, n)
+        assert rep.sum_magnitude == rep.trajectory[-1][1]
+
+
+def test_joint_sum_matches_the_float_phase_loop_across_a_chunk():
+    # 2^17 + 1 terms: the first term of a second chunk, against the
+    # exponential-per-term loop, within the same bound
+    N = (1 << 17) + 1
+    pair = BeattyPair.from_alpha(GOLDEN)
+
+    def phase(n):
+        fa = beatty_terms(pair.alpha, n)
+        fb = beatty_terms(pair.alpha_prime, n)
+        return (_T1 + _FV.delta1 * fa) * _FV.u1 + (_T2 + _FV.delta2 * fb) * _FV.u2
+
+    rep = eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N)
+    magnitude, trajectory = _weyl_reference(phase, N)
+    assert [n for n, _ in rep.trajectory] == [n for n, _ in trajectory]
+    for (n, mag), (_, ref) in zip(rep.trajectory, trajectory):
+        assert abs(mag - ref) <= _joint_bound(pair, n), n
+    assert abs(rep.sum_magnitude - magnitude) <= _joint_bound(pair, N)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("error", [1.0, -1.0, math.nan])
+def test_a_wrong_floor_raises_instead_of_summing(monkeypatch, which, error):
+    # floors of n in [3000, 3064), one tile's middle, off by one: some
+    # carry there leaves {0, 1}, which must raise before any key is used
+    pair = BeattyPair.from_alpha(GOLDEN)
+    bad_alpha = (pair.alpha, pair.alpha_prime)[which]
+
+    def wrong_terms(alpha, m, out=None, scratch=None):
+        out = beatty_terms(alpha, m, out=out, scratch=scratch)
+        if alpha == bad_alpha:
+            out[(m >= 3000) & (m < 3064)] += error
+        return out
+
+    monkeypatch.setattr(eq, "beatty_terms", wrong_terms)
+    with pytest.raises(AmbiguousFloor, match="tile carry"):
+        eq.joint_beatty_weyl(pair, _T1, _T2, _FV, 4096)
 
 
 def test_unit_terms_take_the_exact_fraction_of_the_phase():
