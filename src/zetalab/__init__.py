@@ -2,8 +2,6 @@
 Riemann zeta-function over discrete vertical sets."""
 
 from .zeta_core import (
-    DEFAULT_DOMAIN,
-    EvalDomain,
     chi,
     chi_lower_bound_check,
     functional_equation_residual,

@@ -40,6 +40,7 @@ from .errors import AmbiguousFloor, Unclassifiable
 FLOOR_GUARD = 1e-9
 LITERAL_RANGE = 2.0 ** 23  # ulp(x) > FLOOR_GUARD from here on
 _CHUNK = 1 << 17  # multipliers per pass of _beatty_values
+_ROOT_TOL = 1e-9  # largest |root - alpha| exclusion_scan counts as a witness
 
 # 30-digit surrogates for the named irrationals (floats carry ~17 digits;
 # the literals keep the source of truth explicit).
@@ -348,12 +349,11 @@ def exclusion_scan(
     k_bound: int,
     primes: list[int],
     exponent_bound: int,
-    distance_tol: float = 1e-9,
 ) -> list[ExclusionWitness]:
     """Enumerate integer vectors k in [-k_bound, k_bound]^4 \\ {0} and theta
     pairs built from the prime set, solve
     (k2 + k4 t1) x^2 + (k1 - k2 + k3 - k4 t1 + k4 t2) x - k1 = 0
-    and collect witnesses whose root lies within distance_tol of alpha.
+    and collect witnesses whose root lies within _ROOT_TOL of alpha.
 
     An empty list means alpha passes this finite necessary test; the true
     exclusion set quantifies over all k and all positive rationals.
@@ -386,7 +386,7 @@ def exclusion_scan(
         linear = (a == 0.0) & (b != 0.0)
         dist = np.where(quadratic, np.minimum(np.abs(plus - alpha), np.abs(minus - alpha)), np.inf)
         dist = np.where(linear, np.abs(line - alpha), dist)
-        for i in np.nonzero(dist < distance_tol)[0]:
+        for i in np.nonzero(dist < _ROOT_TOL)[0]:
             witnesses.append(
                 ExclusionWitness(
                     k=(int(k1[i]), int(k2[i]), int(k3[i]), int(k4[i])),

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DivergentRegion, SampleBelowBound
 
 DEFAULT_TOL = 1e-12  # decides "phi_n(m) != 0" in floating point
+_VERIFY_TERMS = 20000  # series terms per sample in verify_distinct_beyond_b
+_VERIFY_SLACK = 1e-9  # rounding allowance of verify_distinct_beyond_b's bound
 
 
 @dataclass(frozen=True)
@@ -291,11 +293,10 @@ def verify_distinct_beyond_b(
     p2: Progression,
     sigma: Permutation,
     s_samples: list[complex],
-    n_terms: int = 20000,
-    slack: float = 1e-9,
 ) -> DistinctnessReport:
-    """At each sample with Re s > b, confirm that the two series differ by
-    at least |phi(mu)| mu^{-Re s} - 2 B mu^{1 - Re s} / (Re s - 1) - slack."""
+    """At each sample with Re s > b, confirm that the two series, each
+    summed to _VERIFY_TERMS terms with its tail bound, differ by at least
+    |phi(mu)| mu^{-Re s} - 2 B mu^{1 - Re s} / (Re s - 1) - _VERIFY_SLACK."""
     bound = max(f1.bound_B, f2.bound_B)
     n = cert.n
     shift2 = p2.shift(sigma(n))
@@ -304,8 +305,8 @@ def verify_distinct_beyond_b(
         s = complex(s)
         if s.real <= cert.b:
             raise SampleBelowBound(f"Re {s} <= certified bound {cert.b}")
-        v1, tail1 = dirichlet_eval(f1, s + 1j * p1.shift(n), n_terms)
-        v2, tail2 = dirichlet_eval(f2, s + 1j * shift2, n_terms)
+        v1, tail1 = dirichlet_eval(f1, s + 1j * p1.shift(n), _VERIFY_TERMS)
+        v2, tail2 = dirichlet_eval(f2, s + 1j * shift2, _VERIFY_TERMS)
         diff = abs(v1 - v2)
         lb = (
             abs(cert.phi_mu) * cert.mu ** (-s.real)
@@ -313,7 +314,7 @@ def verify_distinct_beyond_b(
         )
         diffs.append(diff)
         lbs.append(lb)
-        if diff < lb - slack - tail1 - tail2:
+        if diff < lb - _VERIFY_SLACK - tail1 - tail2:
             bad.append(s)
     return DistinctnessReport(
         samples=list(s_samples), differences=diffs, lower_bounds=lbs, violations=bad

@@ -30,6 +30,8 @@ from .errors import AmbiguousFloor, HypothesisViolation
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
 _TILE = 1 << 10  # terms per tile of the joint Beatty sum
+_MIN_GAP = 0.05  # smallest gap x_{n+1} - x_n a shift sequence may have
+_LINEAR_BOUND = 100.0  # largest x_n / n a shift sequence may reach
 
 
 class CompensatedSum:
@@ -278,29 +280,21 @@ def star_discrepancy_estimate(points: Sequence[float]) -> float:
     return float(np.maximum(i / n - pts, pts - (i - 1) / n).max())
 
 
-def validate_shift_sequence(
-    x: np.ndarray,
-    min_gap: float = 0.05,
-    linear_bound: float = 100.0,
-    allow_irregular: bool = False,
-) -> None:
+def validate_shift_sequence(x: np.ndarray) -> None:
     """Check the side conditions x_n = O(n), gaps bounded below, required
-    by the mean-square approximation; refuse violating sequences unless
-    explicitly overridden."""
+    by the mean-square approximation; refuse violating sequences."""
     x = np.asarray(x, dtype=np.float64)
-    if allow_irregular:
-        return
     if x.size >= 2:
         gaps = np.diff(x)
         if gaps.min() <= 0:
             raise HypothesisViolation("shift sequence must be strictly increasing")
-        if gaps.min() < min_gap:
+        if gaps.min() < _MIN_GAP:
             raise HypothesisViolation(
-                f"minimal gap {gaps.min():.3g} below required {min_gap}"
+                f"minimal gap {gaps.min():.3g} below required {_MIN_GAP}"
             )
     n = np.arange(1, x.size + 1)
     growth = (x / n).max()
-    if growth > linear_bound:
+    if growth > _LINEAR_BOUND:
         raise HypothesisViolation(
-            f"x_n / n reaches {growth:.3g}, above the linear bound {linear_bound}"
+            f"x_n / n reaches {growth:.3g}, above the linear bound {_LINEAR_BOUND}"
         )

@@ -149,8 +149,6 @@ def mean_square_discrete(
     shifts: np.ndarray,
     N: int,
     grid: Optional[np.ndarray] = None,
-    domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
-    allow_irregular: bool = False,
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - zeta_m(sigma + i x_n)|^2, or with the
     sup over a compact grid of anchor points when `grid` is given.
@@ -165,7 +163,7 @@ def mean_square_discrete(
     shifts = np.asarray(shifts, dtype=np.float64)[:N]
     if shifts.size != N:
         raise ValueError("fewer shifts than N")
-    validate_shift_sequence(shifts, allow_irregular=allow_irregular)
+    validate_shift_sequence(shifts)
     anchors = np.asarray(grid, dtype=np.complex128) if grid is not None else np.array([sigma + 0j])
     mode = "sup-on-K" if grid is not None else "pointwise"
     h, m = shifts[0], np.arange(1, N + 1)
@@ -174,9 +172,9 @@ def mean_square_discrete(
     for anchor in anchors:
         s0 = complex(anchor)
         if on_line:
-            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m, domain)
+            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m)
         else:
-            exact = zeta_core.zeta_grid(s0 + 1j * shifts, domain)
+            exact = zeta_core.zeta_grid(s0 + 1j * shifts)
         truncated = _zeta_m_on_shifts(level, s0, shifts)
         dev_sq = np.maximum(dev_sq, np.abs(exact - truncated) ** 2)
     return MeanSquareStat(m=level.m, N=N, sigma=sigma, value=float(dev_sq.mean()), mode=mode)
@@ -272,8 +270,8 @@ def empirical_limit_theorem(
     s0 = complex(s0)
     if not (0.5 < s0.real < 1.0):
         raise ValueError("Re s0 must lie in (1/2, 1)")
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if trials < 1:

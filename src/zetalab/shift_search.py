@@ -14,6 +14,12 @@ from . import zeta_core
 from .beatty import BeattyPair, beatty_terms, sigma_alpha
 from .errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
 
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class VerticalGrid:
     """Anchor s with step h and l points s + i h (k - 1), k = 1..l."""
@@ -23,8 +29,9 @@ class VerticalGrid:
     l: int
 
     def __post_init__(self):
-        if self.h <= 0 or self.l < 1:
-            raise ValueError("h > 0 and l >= 1 required")
+        _require_positive("h", self.h)
+        if self.l < 1:
+            raise ValueError(f"l must be at least 1, got {self.l}")
 
     def require_strip(self, lo: float, hi: float) -> None:
         if not (lo < self.s.real < hi):
@@ -40,8 +47,7 @@ class TargetDisk:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _require_positive("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,6 @@ def scan_disk_hits(
     grid: VerticalGrid,
     disk: TargetDisk,
     N: int,
-    domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
 ) -> tuple[list[ShiftHit], HitDensityReport]:
     """All n <= N with |zeta(grid point + i h n) - a| < epsilon for every
     grid point, plus a density report."""
@@ -84,14 +89,14 @@ def scan_disk_hits(
         raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.5, 1.0)
     t_top = abs(grid.s.imag) + grid.h * (N + grid.l - 1)
-    if t_top > domain.t_max:
+    if t_top > zeta_core.T_MAX:
         raise DomainOverflow(
-            f"scan reaches t = {t_top}, beyond certified t_max = {domain.t_max}"
+            f"scan reaches t = {t_top}, beyond certified t_max = {zeta_core.T_MAX}"
         )
     # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
     # every needed height once.
     m = np.arange(1, N + grid.l)
-    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain)
+    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m)
     dev = np.abs(values - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
     # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
@@ -123,15 +128,26 @@ def _sup_dev_per_shift(
     delta: float,
     m: np.ndarray,
     target: complex,
-    domain: zeta_core.EvalDomain,
 ) -> np.ndarray:
     """max over grid points of |zeta(point + i (t0 + delta m)) - target| per
     integer multiplier m."""
     sup = np.zeros(m.size)
     for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
-        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m, domain)
+        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m)
         sup = np.maximum(sup, np.abs(vals - target))
     return sup
+
+
+def _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N) -> None:
+    """Refuse a pair scan's parameters before any zeta is evaluated."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    if 0 in targets:
+        raise VanishingTarget("constant targets must be nonzero")
+    for name, value in (("t1", t1), ("t2", t2), ("delta1", delta1), ("delta2", delta2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    _require_positive("epsilon", epsilon)
 
 
 def joint_beatty_hits(
@@ -144,20 +160,16 @@ def joint_beatty_hits(
     targets: tuple[complex, complex],
     epsilon: float,
     N: int,
-    domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
 ) -> HitDensityReport:
     """Density of n <= N whose Beatty shifts on both lines approximate the
     constant targets within epsilon over the finite grid."""
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N)
     a1, a2 = targets
-    if a1 == 0 or a2 == 0:
-        raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1, dtype=np.float64)
     fa = beatty_terms(pair.alpha, n).astype(np.int64)
     fb = beatty_terms(pair.alpha_prime, n).astype(np.int64)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1), domain)
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2), domain)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1))
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2))
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     return HitDensityReport(
@@ -190,23 +202,19 @@ def corollary_sis_density(
     targets: tuple[complex, complex],
     epsilon: float,
     N: int,
-    domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
 ) -> HitDensityReport:
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
     (1/alpha) * (Beatty-line density) for comparison."""
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N)
     a1, a2 = targets
-    if a1 == 0 or a2 == 0:
-        raise VanishingTarget("constant targets must be nonzero")
     n = np.arange(1, N + 1)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1), domain)
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2), domain)
+    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1))
+    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2))
     ok = (sup1 < epsilon) & (sup2 < epsilon)
     idx = np.nonzero(ok)[0] + 1
     beatty_report = joint_beatty_hits(
-        pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N, domain
+        pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
     )
     return HitDensityReport(
         N=N,
@@ -244,7 +252,6 @@ def left_half_flip(
     c: float,
     N: int,
     t0: float,
-    domain: zeta_core.EvalDomain = zeta_core.DEFAULT_DOMAIN,
 ) -> FlipReport:
     """Find n <= N with |zeta(1 - s - i h (n + k - 1))| >= 2 r / c on the
     whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
@@ -252,25 +259,27 @@ def left_half_flip(
     for Re s and the scanned t-range."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
+    _require_positive("r", r)
+    _require_positive("c", c)
     grid.require_strip(0.0, 0.5)
     if grid.s.imag < t0:
         raise ChiBoundUnavailable(
             f"scan starts at t = {grid.s.imag}, below certified t0 = {t0}"
         )
     t_top = grid.s.imag + grid.h * (N + grid.l - 1)
-    if t_top > domain.t_max:
-        raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {domain.t_max}")
+    if t_top > zeta_core.T_MAX:
+        raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {zeta_core.T_MAX}")
     # grid point k of shift n sits at height Im s + h (n + k)
     m = np.arange(1, N + grid.l)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m, domain)
+    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
     # the confirmations run over the whole line too: a NUFFT segment costs
     # about the same for every height as for the predicted ones it spans.
     # Below |t| = 512 this sums the recurrence at unpredicted heights as
     # well, a few ms at most on the strip, and it keeps the dry-run's
     # count of this line exact without knowing the predictions.
-    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m, domain)
+    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m)
     ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(
         N=N,

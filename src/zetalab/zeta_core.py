@@ -27,6 +27,12 @@ absolute error is this times |zeta|, which grows like |t|^(1/2 - Re s)
 left of the line: at Re s = -0.99, t = 1e4 it is about 3e-6.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
 
+The table certifies the strip SIGMA_MIN <= Re s <= SIGMA_MAX,
+|Im s| <= T_MAX, and nothing else: zeta, zeta_grid, zeta_on_line and chi
+raise OutOfDomain for any point outside it, and PoleAt1 (not chi) for a
+point within POLE_GUARD of s = 1.  Widening the strip means measuring the
+table's columns out to the new edge first.
+
 The scans of shift_search and the mean square of euler_product evaluate
 zeta on progressions s_m = sigma + i (t0 + delta m), m an integer, through
 zeta_on_line, which has two branches.  Heights with |t| < 512 go to zeta_grid in ascending
@@ -97,6 +103,9 @@ LNPI = math.log(pi)
 LN2PI = math.log(2.0 * pi)
 
 POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
+# the strip the error table of the module docstring certifies
+SIGMA_MIN, SIGMA_MAX, T_MAX = -0.99, 40.0, 30000.0
+_STRIP = f"the certified strip {SIGMA_MIN} <= Re s <= {SIGMA_MAX}, |Im s| <= {T_MAX}"
 
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
 _LINE_BLOCK = 512  # most requested heights per zeta_grid block of zeta_on_line
@@ -147,39 +156,6 @@ _LANCZOS = (
 )
 
 
-@dataclass(frozen=True)
-class EvalDomain:
-    """Strip on which zeta may be evaluated.
-
-    The default strip is the one the error table of the module docstring
-    covers: relative to max(1, |zeta|), below 8e-10 everywhere on it and
-    below 2e-10 for Re s >= 1/2; the error grows with |t| and towards the
-    left edge.
-    """
-
-    sigma_min: float = -0.99
-    sigma_max: float = 40.0
-    t_max: float = 30000.0
-
-    def __post_init__(self):
-        if not (self.sigma_min > -1.0):
-            raise ValueError("sigma_min must exceed -1")
-        if not (self.t_max >= 2.0):
-            raise ValueError("t_max must be at least 2")
-        if not (self.sigma_min < self.sigma_max):
-            raise ValueError("sigma_min must be below sigma_max")
-
-    def contains(self, s: complex | np.ndarray) -> bool | np.ndarray:
-        """Whether s lies in the strip; elementwise for an array of points."""
-        return (
-            (self.sigma_min <= s.real)
-            & (s.real <= self.sigma_max)
-            & (abs(s.imag) <= self.t_max)
-        )
-
-
-DEFAULT_DOMAIN = EvalDomain()
-
 _LOG_CACHE = np.log(np.arange(1, 1025, dtype=np.float64))
 
 
@@ -189,6 +165,12 @@ def _logs(n: int) -> np.ndarray:
     if n > _LOG_CACHE.size:
         _LOG_CACHE = np.log(np.arange(1, max(n, 2 * _LOG_CACHE.size) + 1, dtype=np.float64))
     return _LOG_CACHE[:n]
+
+
+def _in_strip(sigma, t):
+    """Whether sigma + i t lies in the certified strip; elementwise for
+    arrays, and false for NaN."""
+    return (SIGMA_MIN <= sigma) & (sigma <= SIGMA_MAX) & (abs(t) <= T_MAX)
 
 
 def _require_finite(z: complex, what: str) -> complex:
@@ -240,7 +222,7 @@ def _zeta_em(s: complex, n_terms: int) -> complex:
     return total + _em_tail(s, cmath.exp(-s * logs[-1]), n_terms)
 
 
-def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN) -> complex:
+def zeta(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation.
 
     Raises PoleAt1 inside the guard disk around s = 1 and OutOfDomain
@@ -249,10 +231,10 @@ def zeta(s: complex, domain: EvalDomain = DEFAULT_DOMAIN) -> complex:
     s = complex(s)
     if abs(s - 1.0) < POLE_GUARD:
         raise PoleAt1(f"s = {s} is within {POLE_GUARD} of the pole at 1")
-    if not domain.contains(s):
-        raise OutOfDomain(f"s = {s} outside {domain}")
+    if not _in_strip(s.real, s.imag):
+        raise OutOfDomain(f"s = {s} outside {_STRIP}")
     if s.imag < 0.0:
-        return zeta(s.conjugate(), domain).conjugate()
+        return zeta(s.conjugate()).conjugate()
     return _require_finite(_zeta_em(s, _em_term_count(s.real, s.imag)), "zeta")
 
 
@@ -262,7 +244,7 @@ def _powers(s: np.ndarray, logs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _power_rows(s: np.ndarray, logs: np.ndarray, max_block_elems: int = _BLOCK_ELEMS):
+def _power_rows(s: np.ndarray, logs: np.ndarray):
     """Yield (points, rows) with rows[i, j] = exp(-s[points[i]] logs[c + j]),
     one column slice c of logs after another, until every point of the 1-D
     array s has met every column.
@@ -273,7 +255,7 @@ def _power_rows(s: np.ndarray, logs: np.ndarray, max_block_elems: int = _BLOCK_E
     consecutive difference as stored, so a progression pays a complex
     multiply per entry instead of an exp.  All tiles advance together.  The
     slices are cut so that the rows, step rows and gather buffer of a slice
-    hold at most max_block_elems values; the three buffers are reused, so
+    hold at most _BLOCK_ELEMS values; the three buffers are reused, so
     each yielded rows array is overwritten by the next step.
     """
     if s.size == 0:
@@ -285,7 +267,7 @@ def _power_rows(s: np.ndarray, logs: np.ndarray, max_block_elems: int = _BLOCK_E
     diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
     step_of = step_of.reshape(at.shape)
     last = s.size - first[-1]  # points in the final tile
-    width = max(1, min(logs.size, max_block_elems // (2 * first.size + diffs.size)))
+    width = max(1, min(logs.size, _BLOCK_ELEMS // (2 * first.size + diffs.size)))
     n_rows = (first.size, diffs.size, first.size)  # rows, step rows, gather
     bufs = [np.empty(n * width, dtype=np.complex128) for n in n_rows]
     for c in range(0, logs.size, width):
@@ -304,57 +286,55 @@ def _power_rows(s: np.ndarray, logs: np.ndarray, max_block_elems: int = _BLOCK_E
             yield first[:k] + j, row[:k]
 
 
-def _partial_sums(s: np.ndarray, logs: np.ndarray, max_block_elems: int) -> np.ndarray:
+def _partial_sums(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
     """sum_{n <= N} n^{-s} for every point of the 1-D array s, N = logs.size,
     accumulated over the rows of _power_rows."""
     out = np.zeros(s.size, dtype=np.complex128)
-    for points, rows in _power_rows(s, logs, max_block_elems):
+    for points, rows in _power_rows(s, logs):
         out[points] += rows.sum(axis=1)
     return out
 
 
-def _check_points(flat: np.ndarray, domain: EvalDomain) -> None:
-    """Raise PoleAt1 or OutOfDomain for the first point of the 1-D array
-    flat that lies near s = 1 or outside the domain."""
-    pole = np.abs(flat - 1.0) < POLE_GUARD
-    bad = pole | ~domain.contains(flat)
+def _check_points(sigma, t) -> None:
+    """Raise PoleAt1 or OutOfDomain for the first point sigma + i t that
+    lies near s = 1 or outside the certified strip; sigma and t broadcast
+    to one 1-D array."""
+    sigma, t = np.broadcast_arrays(sigma, t)
+    pole = np.hypot(sigma - 1.0, t) < POLE_GUARD
+    bad = pole | ~_in_strip(sigma, t)
     if bad.any():
         i = np.argmax(bad)
-        z = flat[i]
+        z = complex(sigma[i], t[i])
         if pole[i]:
             raise PoleAt1(f"grid point {z} is within {POLE_GUARD} of the pole at 1")
-        raise OutOfDomain(f"grid point {z} outside {domain}")
+        raise OutOfDomain(f"grid point {z} outside {_STRIP}")
 
 
-def zeta_grid(
-    s_values: np.ndarray,
-    domain: EvalDomain = DEFAULT_DOMAIN,
-    terms: int | None = None,
-    max_block_elems: int = _BLOCK_ELEMS,
-) -> np.ndarray:
+def zeta_grid(s_values: np.ndarray, terms: int | None = None) -> np.ndarray:
     """Vectorised zeta over an array of points sharing one term count.
 
     The term count is taken at the smallest Re s and the largest |Im s| in
     the array, so this is intended for blocks of points with comparable
     height.  The partial sum runs along the flattened array with a
     multiplicative recurrence (see _partial_sums); it is cheapest when
-    consecutive points differ by one of a few steps.  Raises PoleAt1 or OutOfDomain for the first point
-    near s = 1 or outside the domain.
+    consecutive points differ by one of a few steps.  Raises PoleAt1 or
+    OutOfDomain for the first point near s = 1 or outside the certified
+    strip.
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
     flat = s_values.ravel()
-    _check_points(flat, domain)
+    _check_points(flat.real, flat.imag)
     neg = flat.imag < 0.0
     work = np.where(neg, flat.conj(), flat)
     if terms is not None:
         n_terms = terms
     else:
         n_terms = _em_term_count(
-            float(np.min(work.real, initial=domain.sigma_max)),
+            float(np.min(work.real, initial=SIGMA_MAX)),
             float(np.max(work.imag, initial=0.0)),
         )
     logs = _logs(n_terms)
-    out = _partial_sums(work, logs, max_block_elems)
+    out = _partial_sums(work, logs)
     out += _em_tail(work, np.exp(-work * logs[-1]), n_terms)
     out = np.where(neg, out.conj(), out)
     if not np.all(np.isfinite(out)):
@@ -464,26 +444,21 @@ def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tu
     return evaluations, terms
 
 
-def zeta_on_line(
-    sigma: float,
-    t0: float,
-    delta: float,
-    m: np.ndarray,
-    domain: EvalDomain = DEFAULT_DOMAIN,
-) -> np.ndarray:
+def zeta_on_line(sigma: float, t0: float, delta: float, m: np.ndarray) -> np.ndarray:
     """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any
     order: the line kernel of every scan and of the mean square.
 
     The pieces of _progression_plan are evaluated in order on the calling
     thread and merged.  A NUFFT segment computes every height between its
     first and last requested m, each once.  Raises PoleAt1 or OutOfDomain
-    for the first requested point near s = 1 or outside the domain."""
+    for the first requested point near s = 1 or outside the certified
+    strip."""
     m = np.asarray(m, dtype=np.int64)
-    _check_points(sigma + 1j * (t0 + delta * m), domain)
+    _check_points(sigma, t0 + delta * m)
     u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
     t = t0 + delta * u
     values = [
-        zeta_grid(sigma + 1j * t[i:j], domain, n_terms) if dense is None
+        zeta_grid(sigma + 1j * t[i:j], n_terms) if dense is None
         else _nufft_segment(sigma, t0, delta, dense[0], dense[1], n_terms)[u[i:j] - dense[0]]
         for i, j, n_terms, dense in pieces
     ]
@@ -549,18 +524,18 @@ def log_chi(s: complex) -> complex:
     return s * LN2 + (s - 1.0) * LNPI + _log_sin(pi * s / 2.0) + log_gamma(w)
 
 
-def chi(s: complex, domain: EvalDomain = DEFAULT_DOMAIN) -> complex:
+def chi(s: complex) -> complex:
     """The functional-equation factor chi(s), computed in log space."""
     s = complex(s)
-    if not domain.contains(s):
-        raise OutOfDomain(f"s = {s} outside {domain}")
+    if not _in_strip(s.real, s.imag):
+        raise OutOfDomain(f"s = {s} outside {_STRIP}")
     return _require_finite(cmath.exp(log_chi(s)), "chi")
 
 
-def functional_equation_residual(s: complex, domain: EvalDomain = DEFAULT_DOMAIN) -> float:
+def functional_equation_residual(s: complex) -> float:
     """|zeta(s) - chi(s) zeta(1 - s)|, a cross-validation statistic."""
     s = complex(s)
-    return abs(zeta(s, domain) - chi(s, domain) * zeta(1.0 - s, domain))
+    return abs(zeta(s) - chi(s) * zeta(1.0 - s))
 
 
 def theta(t: float) -> float:
@@ -574,11 +549,11 @@ def theta(t: float) -> float:
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LNPI
 
 
-def hardy_z(t: float, domain: EvalDomain = DEFAULT_DOMAIN) -> float:
+def hardy_z(t: float) -> float:
     """Hardy's Z(t) = zeta(1/2 + it) exp(i theta(t)); real on the line."""
     if t < 2.0:
         raise BelowDomain(f"hardy_z requires t >= 2, got {t}")
-    value = zeta(0.5 + 1j * t, domain) * cmath.exp(1j * theta(t))
+    value = zeta(0.5 + 1j * t) * cmath.exp(1j * theta(t))
     if abs(value.imag) >= 1e-8:
         raise ImaginaryLeak(
             f"Z({t}) imaginary part {value.imag:.3e} exceeds 1e-8"
@@ -596,7 +571,6 @@ class ChiBoundReport:
     abs_chi: np.ndarray
     min_abs_chi: float
     t0: float | None  # first grid t from which |chi| >= c holds onward
-    max_asymptotic_deviation: float  # of log|chi| from (1/2 - sigma) log(t/2pi)
 
 
 def chi_lower_bound_check(
@@ -604,15 +578,13 @@ def chi_lower_bound_check(
     c: float,
     t_range: tuple[float, float],
     steps: int,
-    domain: EvalDomain = DEFAULT_DOMAIN,
 ) -> ChiBoundReport:
-    """Certify |chi(sigma + it)| >= c on a grid and measure the Stirling
-    main-term deviation of log|chi|."""
+    """Certify |chi(sigma + it)| >= c on a grid."""
     if not (0.0 < sigma < 0.5):
         raise OutOfDomain(f"sigma must lie in (0, 1/2), got {sigma}")
     lo, hi = t_range
-    if lo < 2.0 or hi > domain.t_max or lo >= hi:
-        raise OutOfDomain(f"t_range {t_range} not inside [2, {domain.t_max}]")
+    if not 2.0 <= lo < hi <= T_MAX:
+        raise OutOfDomain(f"t_range {t_range} not inside [2, {T_MAX}]")
     t_grid = np.linspace(lo, hi, steps)
     log_abs = np.array([log_chi(sigma + 1j * t).real for t in t_grid])
     abs_chi = np.exp(log_abs)
@@ -623,7 +595,6 @@ def chi_lower_bound_check(
     idx = np.nonzero(holds_onward)[0]
     if idx.size:
         t0 = float(t_grid[idx[0]])
-    deviation = np.abs(log_abs - (0.5 - sigma) * np.log(t_grid / (2.0 * pi)))
     return ChiBoundReport(
         sigma=sigma,
         c=c,
@@ -631,5 +602,4 @@ def chi_lower_bound_check(
         abs_chi=abs_chi,
         min_abs_chi=float(abs_chi.min()),
         t0=t0,
-        max_asymptotic_deviation=float(deviation.max()),
     )

@@ -31,17 +31,17 @@ def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
     work = []
     recurrence, nufft, scalar = zc._partial_sums, zc._nufft_segment, zc.zeta
 
-    def counting_recurrence(s, logs, max_block_elems):
+    def counting_recurrence(s, logs):
         work.append((s.size, s.size * logs.size))
-        return recurrence(s, logs, max_block_elems)
+        return recurrence(s, logs)
 
     def counting_nufft(sigma, t0, delta, lo, count, n_terms):
         work.append((count, n_terms))
         return nufft(sigma, t0, delta, lo, count, n_terms)
 
-    def counting_scalar(s, *args, **kwargs):
+    def counting_scalar(s):
         work.append((1, 0))
-        return scalar(s, *args, **kwargs)
+        return scalar(s)
 
     monkeypatch.setattr(zc, "_partial_sums", counting_recurrence)
     monkeypatch.setattr(zc, "_nufft_segment", counting_nufft)
@@ -115,11 +115,27 @@ class TestExitCodes:
         *[(["bergman", "--f", f, "--z-re", "0.75", "--z-im", "0.5", "--step", "1e-320", *dry],
            "step 1e-320 gives an infinite number of grid cells")
           for f, dry in (("s", []), ("zeta", ["--dry-run"]))],
+        # NaN and infinity are refused by name before any zeta is evaluated
+        (["limit-theorem", "--m", "5", "--h", "nan", "--N", "10", "--trials", "10"],
+         "h must be finite and positive"),
+        (["joint-hits", "--alpha", "golden", "--eps", "nan", "--s-re", "0.75", "--a1-re", "1",
+          "--a2-re", "1", "--N", "10"], "epsilon must be finite and positive"),
+        ([*HITS[:-4], "--eps", "nan", "--N", "10"], "epsilon must be finite and positive"),
+        (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "nan",
+          "--N", "10"], "r must be finite and positive"),
+        *[(["sis", "--alpha", "golden", flag, value, "--s-re", "0.75", "--a1-re", "1",
+            "--a2-re", "1", "--eps", "0.5", "--N", "10"], message) for flag, value, message in (
+            ("--t1", "inf", "t1 must be finite"),
+            ("--delta2", "nan", "delta2 must be finite"),
+        )],
+        (["hits", "--sigma", "0.75", "--im0", "10", "--h", "nan", "--l", "1", "--a-re", "1",
+          "--eps", "0.5", "--N", "10"], "h must be finite and positive"),
     ])
     def test_bad_parameter_is_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {message}" in err
+        assert "RuntimeWarning" not in err
         assert out == ""
 
     def test_success_is_0(self, capsys):
@@ -198,9 +214,9 @@ class TestCommands:
         seen = []
         line = zc.zeta_on_line
 
-        def spy(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN):  # takes no thread count
+        def spy(sigma, t0, delta, m):  # takes no thread count
             seen.append(m.size)
-            return line(sigma, t0, delta, m, domain)
+            return line(sigma, t0, delta, m)
 
         monkeypatch.setattr(zc, "zeta_on_line", spy)
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0

@@ -169,9 +169,6 @@ class TestValidateShiftSequence:
         with pytest.raises(HypothesisViolation):
             eq.validate_shift_sequence(np.array([1.0, 500.0]))
 
-    def test_override(self):
-        eq.validate_shift_sequence(np.array([2.0, 1.0]), allow_irregular=True)
-
 
 def _weyl_reference(phase_fn, N, chunk=1 << 17):
     """The allocating chunk loop the buffered one replaced, with the phase

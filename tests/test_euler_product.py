@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import tracemalloc
@@ -167,8 +166,7 @@ class TestZetaMOnShifts:
         lvl = ep.TruncationLevel.of(1000)
         shifts = 2.0 * np.arange(1, 201)
         ref = _outer_zeta_m(lvl, 0.75, shifts)
-        small = functools.partial(zc._power_rows, max_block_elems=3000)
-        monkeypatch.setattr(zc, "_power_rows", small)
+        monkeypatch.setattr(zc, "_BLOCK_ELEMS", 3000)
         got = ep._zeta_m_on_shifts(lvl, 0.75, shifts)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
 
@@ -271,10 +269,6 @@ class TestMeanSquare:
         shifts = np.array([1.0, 1.001, 2.0, 3.0])
         with pytest.raises(HypothesisViolation):
             ep.mean_square_discrete(ep.TruncationLevel.of(5), 0.75, shifts, 4)
-        stat = ep.mean_square_discrete(
-            ep.TruncationLevel.of(5), 0.75, shifts, 4, allow_irregular=True
-        )
-        assert stat.value >= 0
 
 
 class TestRectangleAndBergman:

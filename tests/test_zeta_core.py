@@ -227,11 +227,3 @@ def test_hardy_z_imaginary_leak_guard():
     for t in np.linspace(2.0, 40.0, 25):
         zc.hardy_z(float(t))
 
-
-def test_eval_domain_validation():
-    with pytest.raises(ValueError):
-        zc.EvalDomain(sigma_min=-2.0)
-    with pytest.raises(ValueError):
-        zc.EvalDomain(t_max=1.0)
-    with pytest.raises(ValueError):
-        zc.EvalDomain(sigma_min=5.0, sigma_max=1.0)

@@ -130,23 +130,24 @@ def test_grid_names_first_offending_point():
         zc.zeta_grid(np.array([0.5 + 3j, complex(np.nan, 1.0)]))
 
 
-def test_working_memory_bounded_for_scattered_block():
+def test_working_memory_bounded_for_scattered_block(monkeypatch):
     heights = np.sort(np.random.default_rng(5).uniform(9_000.0, 10_000.0, 512))
     budget = 200_000
-    zc.zeta_grid(0.5 + 1j * heights[:2], max_block_elems=budget)  # grow the log cache
+    monkeypatch.setattr(zc, "_BLOCK_ELEMS", budget)
+    zc.zeta_grid(0.5 + 1j * heights[:2])  # grow the log cache
     tracemalloc.start()
     try:
-        zc.zeta_grid(0.5 + 1j * heights, max_block_elems=budget)
+        zc.zeta_grid(0.5 + 1j * heights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * budget + 2**20
 
 
-def _direct_partial_sums(s, logs, max_block_elems):
+def _direct_partial_sums(s, logs):
     """The exp-per-term partial sum that the recurrence replaced."""
     out = np.empty(s.size, dtype=np.complex128)
-    chunk = max(1, max_block_elems // logs.size)
+    chunk = max(1, zc._BLOCK_ELEMS // logs.size)
     for i in range(0, s.size, chunk):
         out[i : i + chunk] = np.exp(-np.multiply.outer(s[i : i + chunk], logs)).sum(axis=1)
     return out
@@ -161,14 +162,14 @@ def _criterion_10_and_11():
     return {h.n: h.max_dev for h in hits}, flip
 
 
-def _direct_progression(sigma, t0, delta, m, domain=zc.DEFAULT_DOMAIN):
+def _direct_progression(sigma, t0, delta, m):
     """zeta on the progression by zeta_grid over blocks of 512 sorted
     heights, which with _direct_partial_sums patched in sums exp per term."""
     order = np.argsort(m, kind="stable")
     points = sigma + 1j * (t0 + delta * m[order])
     out = np.empty(m.size, dtype=np.complex128)
     blocks = [points[i : i + 512] for i in range(0, m.size, 512)]
-    out[order] = np.concatenate([zc.zeta_grid(block, domain) for block in blocks])
+    out[order] = np.concatenate([zc.zeta_grid(block) for block in blocks])
     return out
 
 
@@ -184,7 +185,7 @@ def test_scans_match_direct_summation(monkeypatch):
     assert flip.disagreements == ref_flip.disagreements
 
 
-def _tile_sweep_partial_sums(s, logs, max_block_elems):
+def _tile_sweep_partial_sums(s, logs):
     """The partial-sum recurrence as it stood before the power rows were
     shared with the Euler products: one loop that allocates its rows, step
     rows and gather buffer afresh for every column slice."""
@@ -200,7 +201,7 @@ def _tile_sweep_partial_sums(s, logs, max_block_elems):
     diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
     step_of = step_of.reshape(at.shape)
     last = s.size - first[-1]
-    width = max(1, max_block_elems // (2 * first.size + diffs.size))
+    width = max(1, zc._BLOCK_ELEMS // (2 * first.size + diffs.size))
     for c in range(0, logs.size, width):
         row = powers(s[first], logs[c : c + width])
         steps = powers(diffs, logs[c : c + width])
@@ -226,9 +227,10 @@ def test_grid_bit_identical_to_tile_sweep(monkeypatch, case, budget):
         "sorted-beatty": 0.75 + 1j * _swap_heights()[:512],
         "midpoint-grid": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),
     }[case]
-    values = zc.zeta_grid(points, max_block_elems=budget)
+    monkeypatch.setattr(zc, "_BLOCK_ELEMS", budget)
+    values = zc.zeta_grid(points)
     monkeypatch.setattr(zc, "_partial_sums", _tile_sweep_partial_sums)
-    reference = zc.zeta_grid(points, max_block_elems=budget)
+    reference = zc.zeta_grid(points)
     assert values.tobytes() == reference.tobytes()
 
 
@@ -346,6 +348,9 @@ def test_progression_checks_points_and_crosses_zero():
         zc.zeta_on_line(0.5, 29_990.0, 1.0, np.array([1, 5, 20, 30, 40]))
     with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
         zc.zeta_on_line(1.0, -2.0, 1.0, np.array([0, 2, 5]))
+    # the check works on real parts, so no inf * 1j turns into NaN on the way
+    with pytest.raises(OutOfDomain, match=r"\(0\.75\+infj\)"):
+        zc.zeta_on_line(0.75, math.inf, 1.0, np.arange(1, 5))
     # only requested heights below 512 are evaluated: t = 0 is skipped here
     m = np.array([0, 2])
     _assert_contract(1.0, -1.0 + m, zc.zeta_on_line(1.0, -1.0, 1.0, m))
