@@ -34,18 +34,14 @@ from .equidist import (
     FrequencyVector,
     WeylReport,
     joint_beatty_weyl,
-    star_discrepancy_estimate,
     weyl_sum,
 )
 from .euler_product import (
-    RandomPhase,
     Rectangle,
     TruncationLevel,
     bergman_sup_bound,
     empirical_limit_theorem,
     mean_square_discrete,
-    random_zeta_m,
-    zeta_m,
 )
 from .shift_search import (
     HitDensityReport,

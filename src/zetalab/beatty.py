@@ -321,14 +321,6 @@ class ExclusionWitness:
     roots: tuple[float, ...]
     distance: float
 
-    def theta_values(self) -> tuple[float, float]:
-        d1, q1 = self.theta1
-        d2, q2 = self.theta2
-        return (
-            d1 * math.log(q1) / (2.0 * math.pi),
-            d2 * math.log(q2) / (2.0 * math.pi),
-        )
-
 
 def _rationals_from_primes(primes: list[int], exponent_bound: int) -> list[Fraction]:
     """All q = prod p^e with |e| <= bound; reduced, positive, deduplicated."""

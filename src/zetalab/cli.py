@@ -197,19 +197,19 @@ def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, float, float
     zeta_core.zeta_on_line, with t0 and m computed as the command
     computes them."""
     if command == "meansquare":  # one anchor: the CLI takes no grid
-        return [(float(p["sigma"]), 0.0, float(p.get("shift_step", 1.0)), np.arange(1, n + 1))]
+        return [(float(p["sigma"]), 0.0, float(p["shift_step"]), np.arange(1, n + 1))]
     if command in ("hits", "flip"):
         m = np.arange(1, n + int(p["l"]))
         if command == "hits":
-            return [(float(p["sigma"]), float(p.get("im0", 0.0)), float(p["h"]), m)]
+            return [(float(p["sigma"]), float(p["im0"]), float(p["h"]), m)]
         sigma, t0, h = float(p["sigma"]), float(p["t_start"]), float(p["h"])
         return [(1.0 - sigma, t0, h, m), (sigma, t0, h, m)]  # mirrored, then direct
     if command not in ("joint-hits", "sis"):
         return []
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    sigma, im = float(p["s_re"]), float(p.get("s_im", 0.0))
-    t1, t2 = float(p.get("t1", 0.0)), float(p.get("t2", 0.0))
-    d1, d2 = float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0))
+    sigma, im = float(p["s_re"]), float(p["s_im"])
+    t1, t2 = float(p["t1"]), float(p["t2"])
+    d1, d2 = float(p["delta1"]), float(p["delta2"])
     k = np.arange(1, n + 1)
     lines = [(sigma, im + t, d, beatty_mod.beatty_terms(a, k.astype(np.float64)).astype(np.int64))
              for t, d, a in ((t1, d1, pair.alpha), (t2, d2, pair.alpha_prime))]
@@ -237,7 +237,7 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
     if cfg.command == "meansquare":
         estimate["estimated_euler_factors"] = n * m
     elif cfg.command == "limit-theorem":
-        estimate["estimated_euler_factors"] = m * (n + int(p.get("trials", 0)))
+        estimate["estimated_euler_factors"] = m * (n + int(p["trials"]))
     return estimate
 
 
@@ -269,13 +269,13 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig
 
 
 def _zeta(p: dict, seed) -> tuple[dict, list | None]:
-    value = zeta_core.zeta(complex(p["re"], p.get("im", 0.0)))
+    value = zeta_core.zeta(complex(p["re"], p["im"]))
     print(_fmt_complex(value))
     return {"value": _fmt_complex(value)}, None
 
 
 def _chi(p: dict, seed) -> tuple[dict, list | None]:
-    value = zeta_core.chi(complex(p["re"], p.get("im", 0.0)))
+    value = zeta_core.chi(complex(p["re"], p["im"]))
     return {"value": _fmt_complex(value), "abs": abs(value)}, None
 
 
@@ -285,16 +285,16 @@ def _ztheta(p: dict, seed) -> tuple[dict, list | None]:
 
 
 def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
-    f = dirichlet.power_of_two_indicator() if p.get("coeffs") == "pow2" else dirichlet.constant_one()
+    f = dirichlet.power_of_two_indicator() if p["coeffs"] == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
     if p.get("swap"):
         n1, n2 = (int(x) for x in str(p["swap"]).split(","))
         perm = dirichlet.transposition(n1, n2)
     cert = dirichlet.uniqueness_bound(
         f, f,
-        dirichlet.Progression(float(p.get("t1", 0.0)), float(p["delta1"])),
-        dirichlet.Progression(float(p.get("t2", 0.0)), float(p["delta2"])),
-        perm, int(p["n_max"]), int(p["m_max"]), float(p.get("tol", dirichlet.DEFAULT_TOL)),
+        dirichlet.Progression(float(p["t1"]), float(p["delta1"])),
+        dirichlet.Progression(float(p["t2"]), float(p["delta2"])),
+        perm, int(p["n_max"]), int(p["m_max"]), float(p["tol"]),
     )
     if cert is None:
         return {"certificate": None}, None
@@ -323,23 +323,25 @@ def _beatty(p: dict, seed) -> tuple[dict, list | None]:
 
 def _weyl(p: dict, seed) -> tuple[dict, list | None]:
     n_total = int(p["N"])
-    if p.get("mode", "linear") == "linear":
+    if p["mode"] == "linear":
         if "beta" not in p:
             raise ValueError("weyl --mode linear requires --beta")
         beta = float(p["beta"])
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta}")
-        rep = equidist.weyl_sum(lambda n: n * beta, float(p.get("freq", 1.0)), n_total)
+        rep = equidist.weyl_sum(lambda n: n * beta, float(p["freq"]), n_total)
     else:
+        if "alpha" not in p:
+            raise ValueError("weyl --mode beatty requires --alpha")
         pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
         freq = equidist.FrequencyVector(
-            primes1=_parse_weights(str(p.get("m1", ""))),
-            primes2=_parse_weights(str(p.get("m2", ""))),
-            delta1=float(p.get("delta1", 1.0)),
-            delta2=float(p.get("delta2", 1.0)),
+            primes1=_parse_weights(str(p["m1"])),
+            primes2=_parse_weights(str(p["m2"])),
+            delta1=float(p["delta1"]),
+            delta2=float(p["delta2"]),
         )
         rep = equidist.joint_beatty_weyl(
-            pair, float(p.get("t1", 0.0)), float(p.get("t2", 0.0)), freq, n_total
+            pair, float(p["t1"]), float(p["t2"]), freq, n_total
         )
     rows = [("N", "magnitude")] + list(rep.trajectory)
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
@@ -348,7 +350,7 @@ def _weyl(p: dict, seed) -> tuple[dict, list | None]:
 def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     n_total = int(p["N"])
-    shifts = float(p.get("shift_step", 1.0)) * np.arange(1, n_total + 1)
+    shifts = float(p["shift_step"]) * np.arange(1, n_total + 1)
     stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
     return asdict(stat), None
 
@@ -356,7 +358,7 @@ def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
 def _limit_theorem(p: dict, seed) -> tuple[dict, list | None]:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     rep = euler_product.empirical_limit_theorem(
-        level, float(p["h"]), complex(float(p.get("sigma", 0.75)), 0.0),
+        level, float(p["h"]), complex(float(p["sigma"]), 0.0),
         int(p["N"]), int(p["trials"]), int(seed or 0),
     )
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
@@ -365,10 +367,10 @@ def _limit_theorem(p: dict, seed) -> tuple[dict, list | None]:
 
 def _hits(p: dict, seed) -> tuple[dict, list | None]:
     grid = shift_search.VerticalGrid(
-        s=complex(p["sigma"], p.get("im0", 0.0)), h=float(p["h"]), l=int(p["l"])
+        s=complex(p["sigma"], p["im0"]), h=float(p["h"]), l=int(p["l"])
     )
     disk = shift_search.TargetDisk(
-        a=complex(p["a_re"], p.get("a_im", 0.0)), epsilon=float(p["eps"])
+        a=complex(p["a_re"], p["a_im"]), epsilon=float(p["eps"])
     )
     hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]))
     return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
@@ -378,10 +380,10 @@ def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
     rep = scan(
         pair,
-        float(p.get("t1", 0.0)), float(p.get("t2", 0.0)),
-        float(p.get("delta1", 1.0)), float(p.get("delta2", 1.0)),
-        np.array([complex(p["s_re"], p.get("s_im", 0.0))]),
-        (complex(p["a1_re"], p.get("a1_im", 0.0)), complex(p["a2_re"], p.get("a2_im", 0.0))),
+        float(p["t1"]), float(p["t2"]),
+        float(p["delta1"]), float(p["delta2"]),
+        np.array([complex(p["s_re"], p["s_im"])]),
+        (complex(p["a1_re"], p["a1_im"]), complex(p["a2_re"], p["a2_im"])),
         float(p["eps"]), int(p["N"]),
     )
     return asdict(rep), None
@@ -389,7 +391,7 @@ def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
 
 def _flip(p: dict, seed) -> tuple[dict, list | None]:
     sigma = float(p["sigma"])
-    c = float(p.get("c", 1.0))
+    c = float(p["c"])
     t_start = float(p["t_start"])
     chi_rep = zeta_core.chi_lower_bound_check(sigma, c, (2.0, t_start), 500)
     if chi_rep.t0 is None:

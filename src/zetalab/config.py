@@ -1,5 +1,6 @@
 """Plain-text experiment configuration: one `key = value` per line,
-`#` comments, lossless round-trip."""
+`#` comments.  Values parse as int, then float, then true/false, else
+stay text."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ from .errors import ParseError
 
 log = logging.getLogger("zetalab")
 
-_RESERVED = ("command", "seed", "output", "format")
-
 
 @dataclass
 class ExperimentConfig:
@@ -21,17 +20,6 @@ class ExperimentConfig:
     output: str | None = None
     format: str = "json"
 
-    def to_text(self) -> str:
-        lines = [f"command = {self.command}"]
-        if self.seed is not None:
-            lines.append(f"seed = {self.seed}")
-        if self.output is not None:
-            lines.append(f"output = {self.output}")
-        lines.append(f"format = {self.format}")
-        for key in sorted(self.params):
-            lines.append(f"{key} = {_format_value(self.params[key])}")
-        return "\n".join(lines) + "\n"
-
     def as_dict(self) -> dict:
         out = {"command": self.command, "format": self.format}
         if self.seed is not None:
@@ -40,12 +28,6 @@ class ExperimentConfig:
             out["output"] = self.output
         out.update({k: self.params[k] for k in sorted(self.params)})
         return out
-
-
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _parse_value(text: str):
@@ -91,7 +73,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def config_roundtrip(path) -> ExperimentConfig:
-    """Parse a config file; to_text of the result reparses to an equal config."""
+    """Parse the config file at `path`."""
     with open(path) as fh:
         return parse_config_text(fh.read())
 

@@ -24,7 +24,7 @@ class BoundedCoeffFn:
     """Arithmetic function m -> f(m) with declared bound |f(m)| <= B.
 
     `support_hint` may mark indices where f is certainly zero, letting
-    scans skip them; it is advisory and checked against eval lazily.
+    scans skip them; nothing checks it against eval, so the scans trust it.
     Both are numpy-style: given an int64 array of indices they answer
     elementwise (eval may answer with one scalar for every index), which is
     how the scans call them.
@@ -92,15 +92,12 @@ class Progression:
 
 
 class Permutation:
-    """Lazily evaluated bijection of the positive integers.
+    """Lazily evaluated map n -> forward(n) of the positive integers, meant
+    to be a bijection.  Only the positivity of each image is checked, when
+    it is taken; bijectivity is the caller's promise."""
 
-    kind is one of {"identity", "transposition", "explicit-table"}.
-    Bijectivity is only checkable on finite prefixes; see check_prefix.
-    """
-
-    def __init__(self, forward: Callable[[int], int], kind: str = "explicit-table"):
+    def __init__(self, forward: Callable[[int], int]):
         self.forward = forward
-        self.kind = kind
 
     def __call__(self, n: int) -> int:
         image = self.forward(n)
@@ -108,16 +105,9 @@ class Permutation:
             raise ValueError(f"permutation image {image} of {n} not a positive integer")
         return image
 
-    def check_prefix(self, n_max: int) -> dict:
-        """Injectivity of {1..n_max} under forward; overflow images tracked."""
-        images = [self(n) for n in range(1, n_max + 1)]
-        distinct = len(set(images)) == len(images)
-        overflow = [im for im in images if im > n_max]
-        return {"injective": distinct, "overflow": overflow, "images": images}
-
 
 def identity_permutation() -> Permutation:
-    return Permutation(lambda n: n, kind="identity")
+    return Permutation(lambda n: n)
 
 
 def transposition(n1: int, n2: int) -> Permutation:
@@ -128,7 +118,7 @@ def transposition(n1: int, n2: int) -> Permutation:
             return n1
         return n
 
-    return Permutation(fwd, kind="transposition")
+    return Permutation(fwd)
 
 
 def dirichlet_eval(f: BoundedCoeffFn, s: complex, n_terms: int) -> tuple[complex, float]:
@@ -203,8 +193,10 @@ def find_mu(
     `slack`.  So every m whose block value clears guard - slack is settled
     by the scalar phi_n, in order, and no other m can pass the scalar test:
     mu and phi_n(mu) are those of the one-m-at-a-time scan."""
-    if m_max < 1 or tol <= 0:
-        raise ValueError("m_max >= 1 and tol > 0 required")
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     eps = math.ulp(1.0)
     theta1, theta2 = p1.shift(n), p2.shift(sigma(n))
     phases = abs(theta1) + abs(theta2)
@@ -279,7 +271,6 @@ def uniqueness_bound(
 
 @dataclass(frozen=True)
 class DistinctnessReport:
-    samples: list
     differences: list
     lower_bounds: list
     violations: list
@@ -316,6 +307,4 @@ def verify_distinct_beyond_b(
         lbs.append(lb)
         if diff < lb - _VERIFY_SLACK - tail1 - tail2:
             bad.append(s)
-    return DistinctnessReport(
-        samples=list(s_samples), differences=diffs, lower_bounds=lbs, violations=bad
-    )
+    return DistinctnessReport(differences=diffs, lower_bounds=lbs, violations=bad)

@@ -1,5 +1,5 @@
-"""Weyl sums, the joint Beatty-progression exponential sum and
-one-dimensional star discrepancy.
+"""Weyl sums, the joint Beatty-progression exponential sum and the side
+conditions of a shift sequence.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
 Neumaier compensation across chunks, so runs up to 1e8 terms keep full
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def _neumaier_step(s: float, comp: float, x: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class FrequencyVector:
     """Finite prime sets with integer weights, together with the step sizes
-    delta1, delta2; derives theta_i = delta_i * sum w log p / (2 pi)."""
+    delta1, delta2; derives u_i = sum w log p / (2 pi)."""
 
     primes1: dict[int, int]
     primes2: dict[int, int]
@@ -87,14 +87,6 @@ class FrequencyVector:
     @property
     def u2(self) -> float:
         return sum(w * math.log(p) for p, w in self.primes2.items()) / TWO_PI
-
-    @property
-    def theta1(self) -> float:
-        return self.delta1 * self.u1
-
-    @property
-    def theta2(self) -> float:
-        return self.delta2 * self.u2
 
 
 @dataclass(frozen=True)
@@ -268,22 +260,15 @@ def joint_beatty_weyl(
     return _accumulate_phases(chunk_sum, N)
 
 
-def star_discrepancy_estimate(points: Sequence[float]) -> float:
-    """Exact 1-D star discrepancy of the fractional parts via the sorted
-    formula D*_N = max_i max(i/N - x_(i), x_(i) - (i-1)/N)."""
-    pts = np.mod(np.asarray(points, dtype=np.float64), 1.0)
-    if pts.size == 0:
-        raise ValueError("nonempty point list required")
-    pts.sort()
-    n = pts.size
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - pts, pts - (i - 1) / n).max())
-
-
 def validate_shift_sequence(x: np.ndarray) -> None:
-    """Check the side conditions x_n = O(n), gaps bounded below, required
-    by the mean-square approximation; refuse violating sequences."""
+    """Check that the shifts are finite and meet the side conditions
+    x_n = O(n), gaps bounded below, required by the mean-square
+    approximation; refuse violating sequences."""
     x = np.asarray(x, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = bad[0]
+        raise HypothesisViolation(f"shift sequence must be finite, got x_{i + 1} = {x[i]}")
     if x.size >= 2:
         gaps = np.diff(x)
         if gaps.min() <= 0:

@@ -46,11 +46,7 @@ class Unclassifiable(ZetaLabError):
 
 
 class HypothesisViolation(ZetaLabError):
-    """A shift sequence violates the growth/gap side conditions."""
-
-
-class VanishingFactor(ZetaLabError):
-    """A factor of a (random) Euler product is numerically zero."""
+    """A shift sequence is not finite or violates the growth/gap side conditions."""
 
 
 class PointOnBoundary(ZetaLabError):

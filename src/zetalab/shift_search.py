@@ -37,9 +37,6 @@ class VerticalGrid:
         if not (lo < self.s.real < hi):
             raise ValueError(f"Re s = {self.s.real} outside ({lo}, {hi})")
 
-    def points(self) -> np.ndarray:
-        return self.s + 1j * self.h * np.arange(self.l)
-
 
 @dataclass(frozen=True)
 class TargetDisk:

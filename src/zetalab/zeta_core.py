@@ -544,15 +544,15 @@ def theta(t: float) -> float:
     Continuous in t >= 2 because the principal log Gamma is continuous
     along the path 1/4 + it/2.  exp(2 i theta(t)) = chi(1/2 + it)^(-1).
     """
-    if t < 2.0:
-        raise BelowDomain(f"theta requires t >= 2, got {t}")
+    if not 2.0 <= t < math.inf:
+        raise BelowDomain(f"theta requires finite t >= 2, got {t}")
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LNPI
 
 
 def hardy_z(t: float) -> float:
     """Hardy's Z(t) = zeta(1/2 + it) exp(i theta(t)); real on the line."""
-    if t < 2.0:
-        raise BelowDomain(f"hardy_z requires t >= 2, got {t}")
+    if not 2.0 <= t < math.inf:
+        raise BelowDomain(f"hardy_z requires finite t >= 2, got {t}")
     value = zeta(0.5 + 1j * t) * cmath.exp(1j * theta(t))
     if abs(value.imag) >= 1e-8:
         raise ImaginaryLeak(
@@ -565,11 +565,8 @@ def hardy_z(t: float) -> float:
 class ChiBoundReport:
     """Scan of |chi(sigma + it)| over an even t-grid."""
 
-    sigma: float
-    c: float
     t_grid: np.ndarray
     abs_chi: np.ndarray
-    min_abs_chi: float
     t0: float | None  # first grid t from which |chi| >= c holds onward
 
 
@@ -596,10 +593,7 @@ def chi_lower_bound_check(
     if idx.size:
         t0 = float(t_grid[idx[0]])
     return ChiBoundReport(
-        sigma=sigma,
-        c=c,
         t_grid=t_grid,
         abs_chi=abs_chi,
-        min_abs_chi=float(abs_chi.min()),
         t0=t0,
     )

@@ -159,7 +159,8 @@ class TestExclusionScan:
                                  exponent_bound=1)
         assert hits
         for w in hits[:20]:
-            t1, t2 = w.theta_values()
+            (d1, q1), (d2, q2) = w.theta1, w.theta2
+            t1, t2 = d1 * math.log(q1) / (2 * math.pi), d2 * math.log(q2) / (2 * math.pi)
             k1, k2, k3, k4 = w.k
             for x in w.roots:
                 resid = (k2 + k4 * t1) * x * x + (k1 - k2 + k3 - k4 * t1 + k4 * t2) * x - k1

@@ -85,6 +85,8 @@ class TestExitCodes:
         (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "0"], "trials"),
         (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "1",
           "--N", "0"], "N"),
+        (["limit-theorem", "--m", "0", "--h", "1", "--N", "10", "--trials", "10"], "m"),
+        *[(["meansquare", "--sigma", "0.75", "--m", m, "--N", "10"], "m") for m in ("0", "-3")],
     ])
     def test_zero_size_run_is_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -130,6 +132,16 @@ class TestExitCodes:
         )],
         (["hits", "--sigma", "0.75", "--im0", "10", "--h", "nan", "--l", "1", "--a-re", "1",
           "--eps", "0.5", "--N", "10"], "h must be finite and positive"),
+        *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
+            "--tol", tol], "tol must be finite and positive") for tol in ("nan", "inf")],
+        (["bergman", "--f", "s", "--z-re", "nan", "--z-im", "0.5"],
+         "z = (nan+0.5j) is not strictly inside"),
+        (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "10", "--shift-step", "nan"],
+         "shift sequence must be finite, got x_1 = nan"),
+        (["weyl", "--mode", "beatty", "--m1", "2:1", "--N", "10"],
+         "weyl --mode beatty requires --alpha"),
+        *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
+          for t in ("nan", "inf")],
     ])
     def test_bad_parameter_is_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -429,13 +441,11 @@ class TestConfigFile:
 
 class TestConfigParsing:
     def test_round_trip(self):
-        cfg = cf.ExperimentConfig(
+        again = cf.parse_config_text("command = hits\nseed = 7\nformat = csv\nN = 100\n"
+                                     "sigma = 0.75\n")
+        assert again == cf.ExperimentConfig(
             command="hits", params={"sigma": 0.75, "N": 100}, seed=7, format="csv"
         )
-        again = cf.parse_config_text(cfg.to_text())
-        assert again.command == cfg.command
-        assert again.seed == 7 and again.format == "csv"
-        assert again.params == cfg.params
 
     def test_comments_and_blank_lines(self):
         cfg = cf.parse_config_text("# hi\n\ncommand = zeta  # trailing\nre = 2\n")
@@ -470,10 +480,9 @@ class TestConfigParsing:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, params):
-        params = {k: v for k, v in params.items() if k not in cf._RESERVED}
-        cfg = cf.ExperimentConfig(command="zeta", params=params)
-        again = cf.parse_config_text(cfg.to_text())
-        assert again.params == params
+        # repr writes ints and floats so that they parse back equal
+        text = "command = zeta\n" + "".join(f"{k} = {v!r}\n" for k, v in params.items())
+        assert cf.parse_config_text(text).params == params
 
 
 def test_unknown_config_key_warns(tmp_path, capsys, caplog):

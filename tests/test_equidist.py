@@ -36,7 +36,6 @@ class TestFrequencyVector:
         fv = eq.FrequencyVector(primes1={2: 1}, primes2={3: 2}, delta1=1.0, delta2=0.5)
         assert abs(fv.u1 - math.log(2) / (2 * math.pi)) < 1e-15
         assert abs(fv.u2 - 2 * math.log(3) / (2 * math.pi)) < 1e-15
-        assert abs(fv.theta2 - fv.u2 * 0.5) < 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,37 +119,6 @@ class TestJointBeattyWeyl:
         )
         rep = eq.joint_beatty_weyl(pair, 0.0, 0.0, fv, 4096)
         assert rep.sum_magnitude > 0.99
-
-
-class TestStarDiscrepancy:
-    def test_uniform_grid_is_tight(self):
-        n = 1000
-        pts = (np.arange(n) + 0.5) / n
-        assert abs(eq.star_discrepancy_estimate(pts) - 0.5 / n) < 1e-12
-
-    def test_single_point(self):
-        assert abs(eq.star_discrepancy_estimate([0.25]) - 0.75) < 1e-15
-
-    def test_golden_rotation_low_discrepancy(self):
-        # frozen constant C = 1.0; measured C ~ 0.3 on the first run
-        for n in (1000, 10000, 100000):
-            pts = np.mod(np.arange(1, n + 1) * GOLDEN, 1.0)
-            d = eq.star_discrepancy_estimate(pts)
-            assert d <= 1.0 * math.log(n) / n
-
-    def test_clustered_points_large_discrepancy(self):
-        pts = np.full(100, 0.5)
-        assert eq.star_discrepancy_estimate(pts) >= 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            eq.star_discrepancy_estimate([])
-
-    @given(st.lists(st.floats(0.0, 0.999999), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_bounds_property(self, pts):
-        d = eq.star_discrepancy_estimate(pts)
-        assert 1.0 / (2 * len(pts)) - 1e-12 <= d <= 1.0 + 1e-12
 
 
 class TestValidateShiftSequence:

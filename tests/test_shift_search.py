@@ -12,12 +12,6 @@ from zetalab.errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
 
 
 class TestVerticalGrid:
-    def test_points(self):
-        g = ss.VerticalGrid(s=0.75 + 10j, h=0.5, l=3)
-        pts = g.points()
-        assert pts.size == 3
-        assert pts[2] == 0.75 + 11j
-
     def test_strip_check(self):
         g = ss.VerticalGrid(s=0.75 + 10j, h=0.5, l=1)
         g.require_strip(0.5, 1.0)
