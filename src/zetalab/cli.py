@@ -288,7 +288,10 @@ def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
     f = dirichlet.power_of_two_indicator() if p["coeffs"] == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
     if p.get("swap"):
-        n1, n2 = (int(x) for x in str(p["swap"]).split(","))
+        try:
+            n1, n2 = (int(x) for x in str(p["swap"]).split(","))
+        except ValueError:
+            raise ValueError(f"swap expects n1,n2, got {p['swap']!r}") from None
         perm = dirichlet.transposition(n1, n2)
     cert = dirichlet.uniqueness_bound(
         f, f,
@@ -392,6 +395,8 @@ def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
 def _flip(p: dict, seed) -> tuple[dict, list | None]:
     sigma = float(p["sigma"])
     c = float(p["c"])
+    if not 0.0 < c < math.inf:  # before the scan, which would blame the certificate
+        raise ValueError(f"c must be finite and positive, got {c}")
     t_start = float(p["t_start"])
     chi_rep = zeta_core.chi_lower_bound_check(sigma, c, (2.0, t_start), 500)
     if chi_rep.t0 is None:

@@ -84,8 +84,10 @@ class Progression:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
 
     def shift(self, n: int) -> float:
         return self.t + self.delta * n

@@ -25,15 +25,20 @@ def run_cli(capsys, *argv):
 
 def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
     """Patch zeta_core so that each kernel call appends (zeta values
-    computed, terms summed): a recurrence block sums points times its term
-    count, a NUFFT segment spreads one source per term, a scalar call is one
-    value."""
+    computed, terms summed): a recurrence block or a product grid sums
+    points times its term count, a NUFFT segment spreads one source per
+    term, a scalar call is one value."""
     work = []
-    recurrence, nufft, scalar = zc._partial_sums, zc._nufft_segment, zc.zeta
+    recurrence, product, nufft, scalar = zc._partial_sums, zc._product_grid, zc._nufft_segment, zc.zeta
 
     def counting_recurrence(s, logs):
         work.append((s.size, s.size * logs.size))
         return recurrence(s, logs)
+
+    def counting_product(s, x, y):
+        n_terms = zc._grid_plan(float(x.min()), float(np.abs(y).max()))[0]
+        work.append((s.size, s.size * n_terms))
+        return product(s, x, y)
 
     def counting_nufft(sigma, t0, delta, lo, count, n_terms):
         work.append((count, n_terms))
@@ -44,6 +49,7 @@ def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
         return scalar(s)
 
     monkeypatch.setattr(zc, "_partial_sums", counting_recurrence)
+    monkeypatch.setattr(zc, "_product_grid", counting_product)
     monkeypatch.setattr(zc, "_nufft_segment", counting_nufft)
     monkeypatch.setattr(zc, "zeta", counting_scalar)
     return work
@@ -142,12 +148,30 @@ class TestExitCodes:
          "weyl --mode beatty requires --alpha"),
         *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
           for t in ("nan", "inf")],
+        (["uniqueness", "--delta1", "inf", "--delta2", "1", "--n-max", "1", "--m-max", "10"],
+         "delta must be finite and positive, got inf"),
+        (["uniqueness", "--t1", "nan", "--delta1", "1", "--delta2", "2", "--n-max", "2",
+          "--m-max", "10"], "t must be finite, got nan"),
+        *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
+            "--swap", swap], f"swap expects n1,n2, got '{swap}'") for swap in ("1", "1,2,3", "1,x")],
     ])
     def test_bad_parameter_is_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {message}" in err
         assert "RuntimeWarning" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+    def test_flip_refuses_c_before_the_chi_scan(self, capsys, monkeypatch, c):
+        def no_scan(*args):
+            raise AssertionError("the chi scan ran before c was checked")
+
+        monkeypatch.setattr(zc, "chi_lower_bound_check", no_scan)
+        code, out, err = run_cli(capsys, "flip", "--sigma", "0.3", "--t-start", "50", "--h", "1",
+                                 "--l", "2", "--r", "1", "--N", "10", "--c", c)
+        assert code == 2
+        assert f"error: c must be finite and positive, got {float(c)}" in err
         assert out == ""
 
     def test_success_is_0(self, capsys):
@@ -305,6 +329,8 @@ class TestDryRunAndReports:
         ["limit-theorem", "--m", "20", "--h", "1.5", "--N", "200", "--trials", "100"],
         ["bergman", "--f", "zeta", "--step", "0.1", "--z-re", "0.75", "--z-im", "0.5"],
         ["bergman", "--f", "s2", "--step", "0.1", "--z-re", "0.75", "--z-im", "0.5"],
+        # an 80 x 200 grid: the product path
+        ["bergman", "--f", "zeta", "--step", "0.005", "--z-re", "0.75", "--z-im", "0.5"],
     ])
     def test_dry_run_evaluations_match_the_run(self, capsys, monkeypatch, argv):
         code, out, _ = run_cli(capsys, *argv, "--dry-run")

@@ -190,6 +190,17 @@ def test_progression_delta_positive():
         dl.Progression(0.0, 0.0)
 
 
+@pytest.mark.parametrize("t, delta, message", [
+    (0.0, math.inf, "delta must be finite and positive, got inf"),
+    (0.0, math.nan, "delta must be finite and positive, got nan"),
+    (math.nan, 1.0, "t must be finite, got nan"),
+    (-math.inf, 1.0, "t must be finite, got -inf"),
+])
+def test_progression_refuses_non_finite(t, delta, message):
+    with pytest.raises(ValueError, match=message):
+        dl.Progression(t, delta)
+
+
 # The scalar code the vectorised dirichlet_eval and find_mu replaced, kept
 # as the reference: same coefficients, same guard, one m at a time.
 def _dirichlet_eval_loop(f, s, n_terms):

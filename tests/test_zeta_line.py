@@ -4,6 +4,7 @@ on rerun and from a cold log cache, working memory, and equivalence of the
 scans with a direct exp-per-term summation."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -95,19 +96,39 @@ def _em_in_mpmath(s: complex, n: int, k: int):
     return value, bound
 
 
+def _assert_remainder_bound(sigma: float, t: float, k: int) -> None:
+    n = zc._em_term_count(sigma, t, k)
+    with mpmath.workdps(40):
+        value, bound = _em_in_mpmath(complex(sigma, t), n, k)
+        error = abs(value - mpmath.zeta(mpmath.mpc(sigma, t)))
+        # the closed form behind the count: C n^{-(Re s + 2k + 1)}
+        a = sigma + 2 * k + 1
+        closed = (abs(mpmath.mpc(sigma, t)) + 2 * k + 1) ** (2 * k + 2) / a
+        closed *= abs(mpmath.bernoulli(2 * k + 2)) / mpmath.factorial(2 * k + 2) * mpmath.mpf(n) ** -a
+    roundoff = 1e-38 * n ** max(1.0, 1.0 - sigma)  # 40 digits over n terms of size <= n^-sigma
+    assert error <= bound + roundoff and bound <= closed <= zc._EM_TOL, (sigma, t, k, n)
+
+
 @pytest.mark.parametrize("t", [0.5, 2.0, 50.0, 1e3, 1e4, 3e4])
 def test_term_count_meets_remainder_bound(t):
     for sigma in (-0.99, -0.5, 0.0, 0.5, 0.75, 1.5, 40.0):
-        n, k = zc._em_term_count(sigma, t), zc._EM_K
-        with mpmath.workdps(40):
-            value, bound = _em_in_mpmath(complex(sigma, t), n, k)
-            error = abs(value - mpmath.zeta(mpmath.mpc(sigma, t)))
-            # the closed form behind the count: C n^{-(Re s + 2k + 1)}
-            a = sigma + 2 * k + 1
-            closed = (abs(mpmath.mpc(sigma, t)) + 2 * k + 1) ** (2 * k + 2) / a
-            closed *= abs(mpmath.bernoulli(2 * k + 2)) / mpmath.factorial(2 * k + 2) * mpmath.mpf(n) ** -a
-        roundoff = 1e-38 * n ** max(1.0, 1.0 - sigma)  # 40 digits over n terms of size <= n^-sigma
-        assert error <= bound + roundoff and bound <= closed <= zc._EM_TOL, (sigma, t, n)
+        _assert_remainder_bound(sigma, t, zc._EM_K)
+
+
+_PLAN_SIGMAS = (-0.99, -0.5, 0.0, 0.5, 0.75, 1.5, 4.0, 10.0, 40.0)
+_PLAN_HEIGHTS = (0.0, 0.5, 2.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1e3, 1e4, 3e4)
+
+
+@pytest.mark.parametrize("k", range(1, zc._EM_K + 1))
+def test_grid_plan_term_count_meets_remainder_bound(k):
+    # the product-grid plan may pick any k: check each at the lowest and the
+    # highest point of a scan of the strip where the plan picks it
+    picks = [(sigma, t) for t in _PLAN_HEIGHTS for sigma in _PLAN_SIGMAS
+             if zc._grid_plan(sigma, t)[1] == k]
+    assert picks, f"the plan picks k = {k} nowhere on the scan"
+    for sigma, t in {picks[0], picks[-1]}:
+        assert zc._grid_plan(sigma, t)[0] == zc._em_term_count(sigma, t, k)
+        _assert_remainder_bound(sigma, t, k)
 
 
 def test_midpoint_grid_against_mpmath():
@@ -128,6 +149,95 @@ def test_grid_names_first_offending_point():
         zc.zeta_grid(np.array([0.5 + 3j, -2.0 + 0j, 1.0 + 0j]))
     with pytest.raises(OutOfDomain):
         zc.zeta_grid(np.array([0.5 + 3j, complex(np.nan, 1.0)]))
+
+
+def _product_cases():
+    return {
+        "bergman": np.add.outer(np.linspace(0.55, 0.95, 64), 1j * np.linspace(0.05, 1.05, 80)),
+        "across-zero": np.add.outer(np.linspace(0.2, 0.8, 64), 1j * np.linspace(-8.0, 5.0, 97)),
+        "left-of-zero": np.add.outer(np.linspace(-0.99, -0.1, 70), 1j * np.linspace(100.0, 110.0, 64)),
+        "tall-right": np.add.outer(np.linspace(0.5, 2.0, 64), 1j * np.linspace(9_990.0, 10_000.0, 64)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_product_cases()))
+def test_product_grid_against_mpmath(monkeypatch, case):
+    grid = _product_cases()[case]
+
+    def no_recurrence(s, logs):
+        raise AssertionError("a product grid ran the recurrence")
+
+    monkeypatch.setattr(zc, "_partial_sums", no_recurrence)
+    values = zc.zeta_grid(grid)
+    assert values.shape == grid.shape
+    rng = np.random.default_rng(7)
+    rows, cols = grid.shape
+    corners = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+    for i, j in corners + list(zip(rng.integers(0, rows, 6), rng.integers(0, cols, 6))):
+        s = complex(grid[i, j])
+        exact = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        assert abs(values[i, j] - exact) / max(1.0, abs(exact)) < _contract(s.real, s.imag), (case, i, j)
+
+
+def test_product_grid_tail_takes_the_plan(monkeypatch):
+    grid = _product_cases()["across-zero"]  # largest |Im s| at Im s = -8
+    plan = zc._grid_plan(0.2, 8.0)
+    tails = []
+    tail = zc._em_tail
+    monkeypatch.setattr(zc, "_em_tail", lambda s, power, n, k=zc._EM_K: tails.append((n, k)) or tail(s, power, n, k))
+    zc.zeta_grid(grid)
+    assert tails and set(tails) == {plan}
+
+
+def test_product_grid_independent_of_tiles(monkeypatch):
+    grid = _product_cases()["across-zero"]
+    values = zc.zeta_grid(grid)
+    for elems, points in ((200, zc._GRID_BLOCK), (10**6, 7), (100, 1)):
+        monkeypatch.setattr(zc, "_BLOCK_ELEMS", elems)  # tiles of a few rows
+        monkeypatch.setattr(zc, "_GRID_BLOCK", points)
+        assert zc.zeta_grid(grid).tobytes() == values.tobytes(), (elems, points)
+
+
+@pytest.mark.parametrize("x, y, error", [
+    (np.linspace(0.0, 2.0, 65), np.linspace(-1.0, 1.0, 65), PoleAt1),
+    (np.linspace(0.5, -1.5, 64), np.linspace(10.0, 20.0, 64), OutOfDomain),
+    (np.linspace(0.5, 0.9, 64), np.linspace(29_990.0, 30_010.0, 64), OutOfDomain),
+    (np.linspace(0.5, 0.9, 64), np.linspace(-30_010.0, -29_990.0, 64), OutOfDomain),
+])
+def test_product_grid_names_first_offending_point(x, y, error):
+    grid = np.add.outer(x, 1j * y)
+    with pytest.raises(error) as flat:
+        zc.zeta_grid(grid.ravel())
+    with pytest.raises(error, match=f"^{re.escape(str(flat.value))}$"):
+        zc.zeta_grid(grid)
+
+
+def test_other_arrays_keep_the_recurrence(monkeypatch):
+    def no_product(s, x, y):
+        raise AssertionError("the product path ran")
+
+    monkeypatch.setattr(zc, "_product_grid", no_product)
+    calls = []
+    recurrence = zc._partial_sums
+    monkeypatch.setattr(zc, "_partial_sums", lambda s, logs: calls.append(s.size) or recurrence(s, logs))
+    grid = _product_cases()["bergman"]
+    nudged_re, nudged_im = grid.copy(), grid.copy()
+    nudged_re[5, 7] += 1e-9  # Re s no longer constant along its row
+    nudged_im[9, 3] += 1e-9j  # Im s no longer constant down its column
+    arrays = {
+        "nudged-re": nudged_re,
+        "nudged-im": nudged_im,
+        "40 x 100": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),
+        "transposed": grid.T,  # Re s along the columns
+        "3-D": grid.reshape(2, 32, 80),
+    }
+    for name, points in arrays.items():
+        calls.clear()
+        zc.zeta_grid(points)
+        assert calls == [points.size], name
+    calls.clear()
+    zc.zeta_grid(grid, terms=40)  # a fixed term count keeps K = 16
+    assert calls == [grid.size]
 
 
 def test_working_memory_bounded_for_scattered_block(monkeypatch):
@@ -225,7 +335,8 @@ def test_grid_bit_identical_to_tile_sweep(monkeypatch, case, budget):
     points = {
         "progression": 0.75 + 1j * (28_000.0 + np.arange(512)),
         "sorted-beatty": 0.75 + 1j * _swap_heights()[:512],
-        "midpoint-grid": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),
+        # flattened, so that a product grid cannot skip the recurrence on both sides
+        "midpoint-grid": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01).ravel(),
     }[case]
     monkeypatch.setattr(zc, "_BLOCK_ELEMS", budget)
     values = zc.zeta_grid(points)
