@@ -25,7 +25,6 @@ from .dirichlet import (
 )
 from .beatty import (
     BeattyPair,
-    beatty_term,
     exclusion_scan,
     rayleigh_partition_check,
     sigma_alpha,

@@ -134,24 +134,6 @@ def _beyond_range(what: str) -> AmbiguousFloor:
     )
 
 
-def beatty_term(alpha: float, m: int) -> int:
-    """floor(m * alpha): exact for a named alpha; for a literal one, with a
-    loud guard: a near-integer product that is not an exact float integer,
-    or a product beyond LITERAL_RANGE, cannot be floored reliably."""
-    if alpha <= 1.0 or m < 1:
-        raise ValueError("alpha > 1 and m >= 1 required")
-    surd = _SURD_OF.get(alpha)
-    if surd is not None:
-        return surd.floor(int(m))
-    x = m * alpha
-    if x >= LITERAL_RANGE:
-        raise _beyond_range(f"{m} * {alpha}")
-    nearest = round(x)
-    if x != nearest and abs(x - nearest) < FLOOR_GUARD:
-        raise AmbiguousFloor(f"{m} * {alpha} = {x} is within {FLOOR_GUARD} of an integer")
-    return math.floor(x)
-
-
 def beatty_terms(
     alpha: float,
     m: np.ndarray,
@@ -159,8 +141,10 @@ def beatty_terms(
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """floor(m * alpha) for a float array of integer multipliers m >= 0, as
-    floats, with the arithmetic of beatty_term (exact also for 1 / alpha
-    of a named alpha, which the swap uses).
+    floats: exact for a named alpha and for 1 / alpha of one (which the
+    swap uses); for a literal alpha, a product within FLOOR_GUARD of an
+    integer and not an exact float integer, or one at or beyond
+    LITERAL_RANGE, cannot be floored reliably and raises AmbiguousFloor.
 
     `out` receives the floors and `scratch` is a work array, both float64
     arrays of m's shape (allocated when not given), so that a caller going
@@ -244,7 +228,7 @@ def rayleigh_partition_check(pair: BeattyPair, n_max: int) -> PartitionReport:
 
 def _counts_below(alpha: float, x: np.ndarray) -> np.ndarray:
     """#{k >= 1 : k alpha < x} = ceil(x / alpha) - 1 for a literal alpha;
-    a quotient near an integer k is guarded as beatty_term guards k alpha."""
+    a quotient near an integer k is guarded as beatty_terms guards k alpha."""
     q = x / alpha
     nearest = np.round(q)
     close = (q != nearest) & (np.abs(q - nearest) < FLOOR_GUARD / alpha)

@@ -192,35 +192,8 @@ def _parse_weights(text: str) -> dict[int, int]:
     return out
 
 
-def _scan_lines(command: str, p: dict, n: int) -> list[tuple[float, float, float, np.ndarray]]:
-    """The (Re s, t0, delta, m) progressions that a command hands to
-    zeta_core.zeta_on_line, with t0 and m computed as the command
-    computes them."""
-    if command == "meansquare":  # one anchor: the CLI takes no grid
-        return [(float(p["sigma"]), 0.0, float(p["shift_step"]), np.arange(1, n + 1))]
-    if command in ("hits", "flip"):
-        m = np.arange(1, n + int(p["l"]))
-        if command == "hits":
-            return [(float(p["sigma"]), float(p["im0"]), float(p["h"]), m)]
-        sigma, t0, h = float(p["sigma"]), float(p["t_start"]), float(p["h"])
-        return [(1.0 - sigma, t0, h, m), (sigma, t0, h, m)]  # mirrored, then direct
-    if command not in ("joint-hits", "sis"):
-        return []
-    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    sigma, im = float(p["s_re"]), float(p["s_im"])
-    t1, t2 = float(p["t1"]), float(p["t2"])
-    d1, d2 = float(p["delta1"]), float(p["delta2"])
-    k = np.arange(1, n + 1)
-    lines = [(sigma, im + t, d, beatty_mod.beatty_terms(a, k.astype(np.float64)).astype(np.int64))
-             for t, d, a in ((t1, d1, pair.alpha), (t2, d2, pair.alpha_prime))]
-    if command == "sis":  # plus the progression and the swapped line
-        lines += [(sigma, im + t1, d1, k), (sigma, im + t2, d2, beatty_mod.sigma_alpha(pair, k))]
-    return lines
-
-
 def _cost_estimate(cfg: ExperimentConfig) -> dict:
     p = cfg.params
-    n = int(p.get("N", p.get("check", p.get("n_max", 1))))
     # zeta evaluations; beatty, weyl and limit-theorem make none
     evals = {"zeta": 1, "ztheta": 1}.get(cfg.command, 0)
     if cfg.command == "bergman":  # the midpoint grid, then zeta(z)
@@ -228,16 +201,21 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
         nx, ny = rect.grid_shape(float(p["step"]))
         evals = nx * ny + 1 if p["f"] == "zeta" else 0
     estimate = {"dry_run": True, "estimated_evaluations": evals}
-    lines = _scan_lines(cfg.command, p, n)
-    if lines:
-        costs = [zeta_core.progression_cost(*line) for line in lines]
+    if cfg.command in _LINES:
+        build, line_builders = _LINES[cfg.command]
+        args = build(p)
+        # in the run's order, so that the first refusal is the run's
+        costs = [zeta_core.progression_cost(*line)
+                 for lines in line_builders for line in lines(*args)]
         estimate["estimated_evaluations"] = sum(c[0] for c in costs)
         estimate["estimated_terms"] = sum(c[1] for c in costs)
-    m = int(p.get("m", 0))
     if cfg.command == "meansquare":
-        estimate["estimated_euler_factors"] = n * m
+        level, _, _, n = args  # built above
+        estimate["estimated_euler_factors"] = n * level.m
     elif cfg.command == "limit-theorem":
-        estimate["estimated_euler_factors"] = m * (n + int(p["trials"]))
+        level, h, s0, n, trials = _limit_args(p)
+        euler_product.check_limit_theorem(h, s0, n, trials)
+        estimate["estimated_euler_factors"] = level.m * (n + trials)
     return estimate
 
 
@@ -350,38 +328,46 @@ def _weyl(p: dict, seed) -> tuple[dict, list | None]:
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
 
 
-def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
+def _meansquare_args(p: dict) -> tuple:
     level = euler_product.TruncationLevel.of(int(p["m"]))
     n_total = int(p["N"])
     shifts = float(p["shift_step"]) * np.arange(1, n_total + 1)
-    stat = euler_product.mean_square_discrete(level, float(p["sigma"]), shifts, n_total)
-    return asdict(stat), None
+    return level, float(p["sigma"]), shifts, n_total
+
+
+def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
+    return asdict(euler_product.mean_square_discrete(*_meansquare_args(p))), None
+
+
+def _limit_args(p: dict) -> tuple:
+    level = euler_product.TruncationLevel.of(int(p["m"]))
+    return level, float(p["h"]), complex(float(p["sigma"]), 0.0), int(p["N"]), int(p["trials"])
 
 
 def _limit_theorem(p: dict, seed) -> tuple[dict, list | None]:
-    level = euler_product.TruncationLevel.of(int(p["m"]))
-    rep = euler_product.empirical_limit_theorem(
-        level, float(p["h"]), complex(float(p["sigma"]), 0.0),
-        int(p["N"]), int(p["trials"]), int(seed or 0),
-    )
+    rep = euler_product.empirical_limit_theorem(*_limit_args(p), int(seed or 0))
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None
 
 
-def _hits(p: dict, seed) -> tuple[dict, list | None]:
+def _hits_args(p: dict) -> tuple:
     grid = shift_search.VerticalGrid(
         s=complex(p["sigma"], p["im0"]), h=float(p["h"]), l=int(p["l"])
     )
     disk = shift_search.TargetDisk(
         a=complex(p["a_re"], p["a_im"]), epsilon=float(p["eps"])
     )
-    hits, rep = shift_search.scan_disk_hits(grid, disk, int(p["N"]))
+    return grid, disk, int(p["N"])
+
+
+def _hits(p: dict, seed) -> tuple[dict, list | None]:
+    hits, rep = shift_search.scan_disk_hits(*_hits_args(p))
     return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
 
 
-def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
+def _pair_args(p: dict) -> tuple:
     pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    rep = scan(
+    return (
         pair,
         float(p["t1"]), float(p["t2"]),
         float(p["delta1"]), float(p["delta2"]),
@@ -389,10 +375,10 @@ def _pair_hits(scan, p: dict, seed) -> tuple[dict, list | None]:
         (complex(p["a1_re"], p["a1_im"]), complex(p["a2_re"], p["a2_im"])),
         float(p["eps"]), int(p["N"]),
     )
-    return asdict(rep), None
 
 
-def _flip(p: dict, seed) -> tuple[dict, list | None]:
+def _flip_args(p: dict) -> tuple:
+    """The arguments of left_half_flip, t0 from the chi certificate scan."""
     sigma = float(p["sigma"])
     c = float(p["c"])
     if not 0.0 < c < math.inf:  # before the scan, which would blame the certificate
@@ -402,7 +388,11 @@ def _flip(p: dict, seed) -> tuple[dict, list | None]:
     if chi_rep.t0 is None:
         raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
     grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
-    rep = shift_search.left_half_flip(grid, float(p["r"]), c, int(p["N"]), chi_rep.t0)
+    return grid, float(p["r"]), c, int(p["N"]), chi_rep.t0
+
+
+def _flip(p: dict, seed) -> tuple[dict, list | None]:
+    rep = shift_search.left_half_flip(*_flip_args(p))
     return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
             "disagreements": rep.disagreements, "params": rep.params}, None
 
@@ -424,8 +414,18 @@ _COMMANDS = {
     "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
     "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
     "limit-theorem": _limit_theorem, "hits": _hits, "flip": _flip, "bergman": _bergman,
-    "joint-hits": lambda *a: _pair_hits(shift_search.joint_beatty_hits, *a),
-    "sis": lambda *a: _pair_hits(shift_search.corollary_sis_density, *a),
+    "joint-hits": lambda p, seed: (asdict(shift_search.joint_beatty_hits(*_pair_args(p))), None),
+    "sis": lambda p, seed: (asdict(shift_search.corollary_sis_density(*_pair_args(p))), None),
+}
+# command -> (argument builder, line builders): the run passes the
+# arguments to the command's scan, and the dry-run to the builders of the
+# lines that the scan, and any scan it runs, evaluates zeta on
+_LINES = {
+    "hits": (_hits_args, (shift_search.disk_hit_lines,)),
+    "flip": (_flip_args, (shift_search.flip_lines,)),
+    "joint-hits": (_pair_args, (shift_search.joint_beatty_lines,)),
+    "sis": (_pair_args, (shift_search.sis_lines, shift_search.joint_beatty_lines)),
+    "meansquare": (_meansquare_args, (euler_product.mean_square_lines,)),
 }
 
 

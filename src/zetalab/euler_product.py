@@ -28,7 +28,7 @@ import numpy as np
 
 from . import zeta_core
 from .equidist import validate_shift_sequence
-from .errors import PointOnBoundary
+from .errors import HypothesisViolation, PointOnBoundary
 from .primes import first_n_primes, is_prime
 
 _LOG_RANGE = 690.0  # largest |log| allowed for a partial product of factors
@@ -102,6 +102,26 @@ class MeanSquareStat:
             raise ValueError("mean-square statistic must be non-negative")
 
 
+def mean_square_lines(level, sigma, shifts, N, grid=None) -> list[zeta_core.Line]:
+    """The lines (Re s, t0, h, m) on which mean_square_discrete, given the
+    same arguments, evaluates zeta: one per anchor point, m = 1..N.
+    Refuses what the statistic refuses, and shifts other than x_n = h n
+    with h = x_1 > 0 (HypothesisViolation)."""
+    if not (0.5 < sigma < 1.0):
+        raise ValueError("sigma must lie in (1/2, 1)")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    shifts = np.asarray(shifts, dtype=np.float64)[:N]
+    if shifts.size != N:
+        raise ValueError("fewer shifts than N")
+    validate_shift_sequence(shifts)
+    h, m = shifts[0], np.arange(1, N + 1)
+    if not (h > 0.0 and np.array_equal(shifts, h * m)):
+        raise HypothesisViolation("shifts must be x_n = h n with h = x_1 > 0")
+    anchors = np.asarray(grid, dtype=np.complex128) if grid is not None else np.array([sigma + 0j])
+    return [(s0.real, s0.imag, h, m) for s0 in map(complex, anchors)]
+
+
 def mean_square_discrete(
     level: TruncationLevel,
     sigma: float,
@@ -111,32 +131,15 @@ def mean_square_discrete(
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - P(sigma + i x_n)|^2, P the truncated
     product of `level`, or with the sup over a compact grid of anchor
-    points when `grid` is given.
-
-    Shifts x_n = h n with h = x_1 > 0 go to the line kernel
-    zeta_core.zeta_on_line; any others to one zeta_grid call, which takes
-    the term count of the top height."""
-    if not (0.5 < sigma < 1.0):
-        raise ValueError("sigma must lie in (1/2, 1)")
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    shifts = np.asarray(shifts, dtype=np.float64)[:N]
-    if shifts.size != N:
-        raise ValueError("fewer shifts than N")
-    validate_shift_sequence(shifts)
-    anchors = np.asarray(grid, dtype=np.complex128) if grid is not None else np.array([sigma + 0j])
-    mode = "sup-on-K" if grid is not None else "pointwise"
-    h, m = shifts[0], np.arange(1, N + 1)
-    on_line = h > 0.0 and np.array_equal(shifts, h * m)
+    points when `grid` is given.  The shifts must be x_n = h n, h > 0: zeta
+    comes from the line kernel zeta_core.zeta_on_line (mean_square_lines)."""
+    lines = mean_square_lines(level, sigma, shifts, N, grid)
     dev_sq = np.zeros(N)
-    for anchor in anchors:
-        s0 = complex(anchor)
-        if on_line:
-            exact = zeta_core.zeta_on_line(s0.real, s0.imag, h, m)
-        else:
-            exact = zeta_core.zeta_grid(s0 + 1j * shifts)
-        truncated = _zeta_m_on_shifts(level, s0, shifts)
+    for s0_re, s0_im, h, m in lines:
+        exact = zeta_core.zeta_on_line(s0_re, s0_im, h, m)
+        truncated = _zeta_m_on_shifts(level, complex(s0_re, s0_im), h * m)
         dev_sq = np.maximum(dev_sq, np.abs(exact - truncated) ** 2)
+    mode = "sup-on-K" if grid is not None else "pointwise"
     return MeanSquareStat(m=level.m, N=N, sigma=sigma, value=float(dev_sq.mean()), mode=mode)
 
 
@@ -212,6 +215,19 @@ class LimitTheoremReport:
     ks_log_abs: float
 
 
+def check_limit_theorem(h: float, s0: complex, N: int, trials: int) -> None:
+    """Refuse what empirical_limit_theorem refuses, before it draws its
+    sample."""
+    if not (0.5 < complex(s0).real < 1.0):
+        raise ValueError("Re s0 must lie in (1/2, 1)")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def empirical_limit_theorem(
     level: TruncationLevel,
     h: float,
@@ -225,14 +241,7 @@ def empirical_limit_theorem(
     an independent uniform unit phase, via KS distances of the Re, Im and
     log-modulus marginals."""
     s0 = complex(s0)
-    if not (0.5 < s0.real < 1.0):
-        raise ValueError("Re s0 must lie in (1/2, 1)")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be finite and positive, got {h}")
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_limit_theorem(h, s0, N, trials)
     shifts = h * np.arange(1, N + 1, dtype=np.float64)
     shifted = _zeta_m_on_shifts(level, s0, shifts)
     rng = np.random.default_rng(seed)

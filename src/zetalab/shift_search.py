@@ -75,6 +75,21 @@ def _all_of_window(flags: np.ndarray, N: int, l: int) -> np.ndarray:
     return window
 
 
+def disk_hit_lines(grid: VerticalGrid, disk: TargetDisk, N: int) -> list[zeta_core.Line]:
+    """The line on which scan_disk_hits, given the same arguments,
+    evaluates zeta; refuses what the scan refuses.  Grid point k of shift n
+    sits at height Im s + h (n + k - 1), so m = 1 .. N + l - 1 holds every
+    needed height once."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    grid.require_strip(0.5, 1.0)
+    t_top = abs(grid.s.imag) + grid.h * (N + grid.l - 1)
+    if t_top > zeta_core.T_MAX:
+        raise DomainOverflow(
+            f"scan reaches t = {t_top}, beyond certified t_max = {zeta_core.T_MAX}")
+    return [(grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))]
+
+
 def scan_disk_hits(
     grid: VerticalGrid,
     disk: TargetDisk,
@@ -82,19 +97,8 @@ def scan_disk_hits(
 ) -> tuple[list[ShiftHit], HitDensityReport]:
     """All n <= N with |zeta(grid point + i h n) - a| < epsilon for every
     grid point, plus a density report."""
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    grid.require_strip(0.5, 1.0)
-    t_top = abs(grid.s.imag) + grid.h * (N + grid.l - 1)
-    if t_top > zeta_core.T_MAX:
-        raise DomainOverflow(
-            f"scan reaches t = {t_top}, beyond certified t_max = {zeta_core.T_MAX}"
-        )
-    # grid point k of shift n sits at height Im s + h (n + k - 1): evaluate
-    # every needed height once.
-    m = np.arange(1, N + grid.l)
-    values = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m)
-    dev = np.abs(values - disk.a)
+    (line,) = disk_hit_lines(grid, disk, N)
+    dev = np.abs(zeta_core.zeta_on_line(*line) - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
     # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
     # one reduction for all hits, then plain Python floats
@@ -119,24 +123,11 @@ def scan_disk_hits(
     return hits, report
 
 
-def _sup_dev_per_shift(
-    grid_pts: np.ndarray,
-    t0: float,
-    delta: float,
-    m: np.ndarray,
-    target: complex,
-) -> np.ndarray:
-    """max over grid points of |zeta(point + i (t0 + delta m)) - target| per
-    integer multiplier m."""
-    sup = np.zeros(m.size)
-    for pt in np.asarray(grid_pts, dtype=np.complex128).ravel():
-        vals = zeta_core.zeta_on_line(pt.real, pt.imag + t0, delta, m)
-        sup = np.maximum(sup, np.abs(vals - target))
-    return sup
-
-
-def _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N) -> None:
-    """Refuse a pair scan's parameters before any zeta is evaluated."""
+def _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
+                multipliers) -> list[zeta_core.Line]:
+    """Refuse a pair scan's parameters, then return its lines: every grid
+    point on t1 + delta1 m1, then on t2 + delta2 m2, where (m1, m2) =
+    multipliers(n) for n = 1..N."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if 0 in targets:
@@ -145,6 +136,48 @@ def _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N) -> None:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     _require_positive("epsilon", epsilon)
+    m1, m2 = multipliers(np.arange(1, N + 1))
+    pts = np.asarray(grid_pts, dtype=np.complex128).ravel()
+    progressions = ((t1, delta1, m1), (t2, delta2, m2))
+    return [(pt.real, pt.imag + t, d, m) for t, d, m in progressions for pt in pts]
+
+
+def _pair_hits(lines: list[zeta_core.Line], targets, epsilon: float, N: int) -> np.ndarray:
+    """Whether the values of n <= N on every line lie within epsilon of
+    the target of their progression (the first half of the lines takes
+    targets[0])."""
+    ok = np.ones(N, dtype=bool)
+    for i, line in enumerate(lines):
+        target = complex(targets[2 * i >= len(lines)])
+        ok &= np.abs(zeta_core.zeta_on_line(*line) - target) < epsilon
+    return ok
+
+
+def _pair_report(args: tuple, ok: np.ndarray, **extra) -> HitDensityReport:
+    """The report of a pair scan on `args`, given which n <= N hit."""
+    pair, t1, t2, delta1, delta2, _, (a1, a2), epsilon, _ = args
+    idx = np.nonzero(ok)[0] + 1
+    return HitDensityReport(
+        N=ok.size,
+        hits=int(ok.sum()),
+        density=float(ok.mean()),
+        first_hits=tuple(int(i) for i in idx[:10]),
+        params={"alpha": pair.alpha, "t1": t1, "t2": t2, "delta1": delta1, "delta2": delta2,
+                "a1": str(a1), "a2": str(a2), "epsilon": epsilon, **extra},
+    )
+
+
+def joint_beatty_lines(
+    pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
+) -> list[zeta_core.Line]:
+    """The lines on which joint_beatty_hits, given the same arguments,
+    evaluates zeta, the multipliers floor(n alpha) and floor(n alpha');
+    refuses what the scan refuses."""
+    def floors(n):
+        n = n.astype(np.float64)
+        return [beatty_terms(a, n).astype(np.int64) for a in (pair.alpha, pair.alpha_prime)]
+
+    return _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N, floors)
 
 
 def joint_beatty_hits(
@@ -160,33 +193,22 @@ def joint_beatty_hits(
 ) -> HitDensityReport:
     """Density of n <= N whose Beatty shifts on both lines approximate the
     constant targets within epsilon over the finite grid."""
-    _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N)
-    a1, a2 = targets
-    n = np.arange(1, N + 1, dtype=np.float64)
-    fa = beatty_terms(pair.alpha, n).astype(np.int64)
-    fb = beatty_terms(pair.alpha_prime, n).astype(np.int64)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, fa, complex(a1))
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, fb, complex(a2))
-    ok = (sup1 < epsilon) & (sup2 < epsilon)
-    idx = np.nonzero(ok)[0] + 1
-    return HitDensityReport(
-        N=N,
-        hits=int(ok.sum()),
-        density=float(ok.mean()),
-        first_hits=tuple(int(i) for i in idx[:10]),
-        params={
-            "alpha": pair.alpha,
-            "t1": t1,
-            "t2": t2,
-            "delta1": delta1,
-            "delta2": delta2,
-            "a1": str(a1),
-            "a2": str(a2),
-            "epsilon": epsilon,
-            "caveat": "alpha membership in the admissible set is only testable "
-                      "by the finite exclusion scan",
-        },
-    )
+    args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
+    ok = _pair_hits(joint_beatty_lines(*args), targets, epsilon, N)
+    return _pair_report(args, ok,
+                        caveat="alpha membership in the admissible set is only testable "
+                               "by the finite exclusion scan")
+
+
+def sis_lines(
+    pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
+) -> list[zeta_core.Line]:
+    """The lines on which corollary_sis_density, given the same arguments,
+    evaluates zeta itself, the multipliers n and sigma_alpha(n); refuses
+    what the scan refuses.  The scan adds joint_beatty_hits on the same
+    arguments for its transferred bound."""
+    return _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
+                       lambda n: (n, sigma_alpha(pair, n)))
 
 
 def corollary_sis_density(
@@ -203,35 +225,12 @@ def corollary_sis_density(
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
     (1/alpha) * (Beatty-line density) for comparison."""
-    _check_pair_scan(t1, t2, delta1, delta2, targets, epsilon, N)
-    a1, a2 = targets
-    n = np.arange(1, N + 1)
-    sup1 = _sup_dev_per_shift(grid_pts, t1, delta1, n, complex(a1))
-    sup2 = _sup_dev_per_shift(grid_pts, t2, delta2, sigma_alpha(pair, n), complex(a2))
-    ok = (sup1 < epsilon) & (sup2 < epsilon)
-    idx = np.nonzero(ok)[0] + 1
-    beatty_report = joint_beatty_hits(
-        pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
-    )
-    return HitDensityReport(
-        N=N,
-        hits=int(ok.sum()),
-        density=float(ok.mean()),
-        first_hits=tuple(int(i) for i in idx[:10]),
-        params={
-            "alpha": pair.alpha,
-            "t1": t1,
-            "t2": t2,
-            "delta1": delta1,
-            "delta2": delta2,
-            "a1": str(a1),
-            "a2": str(a2),
-            "epsilon": epsilon,
-            "beatty_line_density": beatty_report.density,
-            "transferred_lower_bound": beatty_report.density / pair.alpha,
-            "sampling_slack": 2.0 / math.sqrt(N),
-        },
-    )
+    args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
+    ok = _pair_hits(sis_lines(*args), targets, epsilon, N)
+    beatty_density = joint_beatty_hits(*args).density
+    return _pair_report(args, ok, beatty_line_density=beatty_density,
+                        transferred_lower_bound=beatty_density / pair.alpha,
+                        sampling_slack=2.0 / math.sqrt(N))
 
 
 @dataclass(frozen=True)
@@ -241,6 +240,25 @@ class FlipReport:
     confirmed_hits: tuple[int, ...]
     disagreements: tuple[int, ...]
     params: dict
+
+
+def flip_lines(grid: VerticalGrid, r: float, c: float, N: int, t0: float) -> list[zeta_core.Line]:
+    """The lines on which left_half_flip, given the same arguments,
+    evaluates zeta: the mirrored line Re s = 1 - sigma, then the direct
+    one, each over m = 1 .. N + l - 1 as in disk_hit_lines; refuses what
+    the scan refuses."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    _require_positive("r", r)
+    _require_positive("c", c)
+    grid.require_strip(0.0, 0.5)
+    if grid.s.imag < t0:
+        raise ChiBoundUnavailable(f"scan starts at t = {grid.s.imag}, below certified t0 = {t0}")
+    t_top = grid.s.imag + grid.h * (N + grid.l - 1)
+    if t_top > zeta_core.T_MAX:
+        raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {zeta_core.T_MAX}")
+    m = np.arange(1, N + grid.l)
+    return [(1.0 - grid.s.real, grid.s.imag, grid.h, m), (grid.s.real, grid.s.imag, grid.h, m)]
 
 
 def left_half_flip(
@@ -254,29 +272,16 @@ def left_half_flip(
     whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
     evaluation; c and its onset t0 must come from a chi lower-bound scan
     for Re s and the scanned t-range."""
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    _require_positive("r", r)
-    _require_positive("c", c)
-    grid.require_strip(0.0, 0.5)
-    if grid.s.imag < t0:
-        raise ChiBoundUnavailable(
-            f"scan starts at t = {grid.s.imag}, below certified t0 = {t0}"
-        )
-    t_top = grid.s.imag + grid.h * (N + grid.l - 1)
-    if t_top > zeta_core.T_MAX:
-        raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {zeta_core.T_MAX}")
-    # grid point k of shift n sits at height Im s + h (n + k)
-    m = np.arange(1, N + grid.l)
+    mirror_line, direct_line = flip_lines(grid, r, c, N, t0)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = zeta_core.zeta_on_line(1.0 - grid.s.real, grid.s.imag, grid.h, m)
+    mirrored = zeta_core.zeta_on_line(*mirror_line)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
     # the confirmations run over the whole line too: a NUFFT segment costs
     # about the same for every height as for the predicted ones it spans.
     # Below |t| = 512 this sums the recurrence at unpredicted heights as
     # well, a few ms at most on the strip, and it keeps the dry-run's
     # count of this line exact without knowing the predictions.
-    direct = zeta_core.zeta_on_line(grid.s.real, grid.s.imag, grid.h, m)
+    direct = zeta_core.zeta_on_line(*direct_line)
     ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
     return FlipReport(
         N=N,

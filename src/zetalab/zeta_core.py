@@ -35,8 +35,8 @@ table's columns out to the new edge first.
 
 A product grid, a 2-D array whose Re s depends only on the row and Im s
 only on the column (Rectangle.midpoint_grid builds one), with at least 64
-rows and 64 columns, takes a third path in zeta_grid.  Any other array,
-or one given a term count, runs the recurrence.  As n^{-s} =
+rows and 64 columns, takes a third path in zeta_grid.  Any other array
+runs the recurrence.  As n^{-s} =
 n^{-x_i} n^{-i y_j}, the partial sums of a tile are one real matrix
 product: the exps n^{-x_i} times the real and imaginary parts of the exps
 n^{-i y_j}.  Each factor is one exact exp, and with 64 points a side a
@@ -389,35 +389,32 @@ def _product_grid(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def zeta_grid(s_values: np.ndarray, terms: int | None = None) -> np.ndarray:
+def zeta_grid(s_values: np.ndarray) -> np.ndarray:
     """Vectorised zeta over an array of points sharing one term count.
 
     The term count is taken at the smallest Re s and the largest |Im s| in
     the array, so this is intended for blocks of points with comparable
     height.  A product grid (see _grid_axes) takes its partial sums from
     matrix products, with the term count and Bernoulli corrections chosen
-    together (_product_grid), unless terms fixes the count.  Any other
-    array runs along its flattened points with a multiplicative recurrence
-    (see _partial_sums); it is cheapest when consecutive points differ by
-    one of a few steps.  Raises PoleAt1 or OutOfDomain for the first point
-    near s = 1 or outside the certified strip.
+    together (_product_grid).  Any other array runs along its flattened
+    points with a multiplicative recurrence (see _partial_sums); it is
+    cheapest when consecutive points differ by one of a few steps.  Raises
+    PoleAt1 or OutOfDomain for the first point near s = 1 or outside the
+    certified strip.
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
     flat = s_values.ravel()
-    axes = _grid_axes(s_values) if terms is None else None
+    axes = _grid_axes(s_values)
     if axes is not None:
         out = _product_grid(s_values, *axes)
     else:  # a product grid with a bad point comes here to have it named
         _check_points(flat.real, flat.imag)
         neg = flat.imag < 0.0
         work = np.where(neg, flat.conj(), flat)
-        if terms is not None:
-            n_terms = terms
-        else:
-            n_terms = _em_term_count(
-                float(np.min(work.real, initial=SIGMA_MAX)),
-                float(np.max(work.imag, initial=0.0)),
-            )
+        n_terms = _em_term_count(
+            float(np.min(work.real, initial=SIGMA_MAX)),
+            float(np.max(work.imag, initial=0.0)),
+        )
         logs = _logs(n_terms)
         out = _partial_sums(work, logs)
         out += _em_tail(work, np.exp(-work * logs[-1]), n_terms)
@@ -475,6 +472,9 @@ def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n
     return partial + _em_tail(s, np.exp(-s * logs[-1]), n_terms)
 
 
+Line = tuple[float, float, float, np.ndarray]  # (sigma, t0, delta, m): a zeta_on_line call
+
+
 def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     """How zeta_on_line evaluates zeta(sigma + i (t0 + delta m)).
 
@@ -488,8 +488,11 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     heights form one zeta_grid block.  A zeta_grid block joins the one
     before it when the joined block holds at most _LINE_BLOCK heights and
     does not cross t = 0.  Every piece takes the term count of its largest
-    |t|."""
-    u, inverse = np.unique(np.asarray(m, dtype=np.int64), return_inverse=True)
+    |t|, as zeta_grid does.  Raises PoleAt1 or OutOfDomain for the first
+    point of m near s = 1 or outside the certified strip."""
+    m = np.asarray(m, dtype=np.int64)
+    _check_points(sigma, t0 + delta * m)
+    u, inverse = np.unique(m, return_inverse=True)
     t = t0 + delta * u
     top = np.abs(t)
     band = np.where(top >= _NUFFT_FROM, np.frexp(top)[1], 0) * np.sign(t)
@@ -521,7 +524,7 @@ def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tu
     """(zeta values computed, terms summed) by zeta_on_line on the same
     arguments: a zeta_grid block computes its points and sums points times
     its term count; a NUFFT segment computes its consecutive heights and
-    spreads one source per term."""
+    spreads one source per term.  Refuses what zeta_on_line refuses."""
     evaluations = terms = 0
     for i, j, n_terms, dense in _progression_plan(sigma, t0, delta, m)[2]:
         evaluations += j - i if dense is None else dense[1]
@@ -538,12 +541,10 @@ def zeta_on_line(sigma: float, t0: float, delta: float, m: np.ndarray) -> np.nda
     first and last requested m, each once.  Raises PoleAt1 or OutOfDomain
     for the first requested point near s = 1 or outside the certified
     strip."""
-    m = np.asarray(m, dtype=np.int64)
-    _check_points(sigma, t0 + delta * m)
     u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
     t = t0 + delta * u
     values = [
-        zeta_grid(sigma + 1j * t[i:j], n_terms) if dense is None
+        zeta_grid(sigma + 1j * t[i:j]) if dense is None
         else _nufft_segment(sigma, t0, delta, dense[0], dense[1], n_terms)[u[i:j] - dense[0]]
         for i, j, n_terms, dense in pieces
     ]

@@ -271,12 +271,12 @@ class TestDryRunAndReports:
     def test_dry_run_prints_config_only(self, capsys):
         code, out, _ = run_cli(
             capsys, "hits", "--sigma", "0.75", "--h", "1", "--l", "2",
-            "--a-re", "1", "--eps", "0.5", "--N", "100000", "--dry-run",
+            "--a-re", "1", "--eps", "0.5", "--N", "29000", "--dry-run",
         )
         payload = json.loads(out.strip())
         assert code == 0
         assert payload["dry_run"] is True
-        assert payload["estimated_evaluations"] == 100001  # heights 1 .. N + l - 1
+        assert payload["estimated_evaluations"] == 29001  # heights 1 .. N + l - 1
         assert payload["config"]["command"] == "hits"
         assert "estimated_euler_factors" not in payload
 
@@ -354,6 +354,29 @@ class TestDryRunAndReports:
         code, out, _ = run_cli(capsys, "bergman", "--f", "zeta", "--z-re", "0.75",
                                "--z-im", "0.5", "--dry-run")
         assert json.loads(out.strip())["estimated_evaluations"] == 40 * 100 + 1
+
+    @pytest.mark.parametrize("argv", [
+        [*HITS[:-1], "100000"],  # reaches t = 1e5
+        *[[*HITS, flag, value] for flag, value in (
+            ("--sigma", "0.3"), ("--h", "-1"), ("--h", "nan"), ("--l", "0"))],
+        *[["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "1",
+           *flags] for flags in (["--N", "0"], ["--N", "10", "--r", "-1"], ["--N", "10", "--c", "1e6"])],
+        *[["joint-hits", "--alpha", "golden", "--s-re", "0.75", "--a2-re", "1", "--eps", "0.5",
+           *flags] for flags in (["--a1-re", "0", "--N", "10"],
+                                 ["--a1-re", "1", "--N", "10", "--t1", "inf"])],
+        ["sis", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+         "--eps", "0.5", "--N", "100000"],
+        *[["meansquare", "--sigma", sigma, "--m", m, "--N", n, "--shift-step", step]
+          for sigma, m, n, step in (("0.75", "5", "10", "0.01"), ("0.75", "0", "10", "1"),
+                                    ("0.4", "5", "10", "1"), ("0.75", "5", "100000", "1"))],
+        *[["limit-theorem", "--m", m, "--h", h, "--N", n, "--trials", trials]
+          for m, h, n, trials in (("5", "nan", "10", "10"), ("0", "1", "10", "10"),
+                                  ("5", "1", "0", "10"), ("5", "1", "10", "0"))],
+    ])
+    def test_dry_run_refuses_what_the_run_refuses(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert run_cli(capsys, *argv, "--dry-run") == (code, "", err)
 
     def test_bergman_dry_run_builds_no_grid(self, capsys, monkeypatch):
         argv = ["bergman", "--f", "zeta", "--z-re", "0.75", "--z-im", "0.5", "--dry-run"]

@@ -230,28 +230,6 @@ class TestMeanSquare:
             tracemalloc.stop()
         assert peak < 150 * 2**20
 
-    def test_line_kernel_and_grid_branches_agree(self, monkeypatch):
-        # x_n = 1.5 n runs to 1350, past |t| = 512, so the line kernel sums
-        # NUFFT segments; one nudged shift sends all of them to zeta_grid
-        lvl = ep.TruncationLevel.of(50)
-        shifts = 1.5 * np.arange(1, 901)
-        nudged = shifts.copy()
-        nudged[400] = np.nextafter(nudged[400], np.inf)
-        segments = []
-        nufft = zc._nufft_segment
-
-        def counting_nufft(*args):
-            segments.append(args)
-            return nufft(*args)
-
-        monkeypatch.setattr(zc, "_nufft_segment", counting_nufft)
-        on_line = ep.mean_square_discrete(lvl, 0.8, shifts, 900).value
-        assert segments
-        segments.clear()
-        on_grid = ep.mean_square_discrete(lvl, 0.8, nudged, 900).value
-        assert not segments
-        assert abs(on_line - on_grid) < 1e-10 * on_line
-
     def test_sigma_range_enforced(self):
         shifts = np.arange(1, 11, dtype=np.float64)
         for sigma in (0.5, 1.0, 1.2):
@@ -262,6 +240,12 @@ class TestMeanSquare:
         shifts = np.array([1.0, 1.001, 2.0, 3.0])
         with pytest.raises(HypothesisViolation):
             ep.mean_square_discrete(ep.TruncationLevel.of(5), 0.75, shifts, 4)
+        # one nudged shift meets the gap and growth hypotheses but leaves
+        # the lattice x_n = h n that the line kernel evaluates
+        nudged = 1.5 * np.arange(1, 901)
+        nudged[400] = np.nextafter(nudged[400], np.inf)
+        with pytest.raises(HypothesisViolation, match="x_n = h n"):
+            ep.mean_square_discrete(ep.TruncationLevel.of(50), 0.8, nudged, 900)
 
 
 class TestRectangleAndBergman:

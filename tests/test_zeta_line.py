@@ -235,9 +235,6 @@ def test_other_arrays_keep_the_recurrence(monkeypatch):
         calls.clear()
         zc.zeta_grid(points)
         assert calls == [points.size], name
-    calls.clear()
-    zc.zeta_grid(grid, terms=40)  # a fixed term count keeps K = 16
-    assert calls == [grid.size]
 
 
 def test_working_memory_bounded_for_scattered_block(monkeypatch):
