@@ -212,6 +212,8 @@ def _cost_estimate(cfg: ExperimentConfig) -> dict:
     if cfg.command == "meansquare":
         level, _, _, n = args  # built above
         estimate["estimated_euler_factors"] = n * level.m
+    elif cfg.command == "weyl":
+        _weyl_args(p)
     elif cfg.command == "limit-theorem":
         level, h, s0, n, trials = _limit_args(p)
         euler_product.check_limit_theorem(h, s0, n, trials)
@@ -302,7 +304,8 @@ def _beatty(p: dict, seed) -> tuple[dict, list | None]:
     ]
 
 
-def _weyl(p: dict, seed) -> tuple[dict, list | None]:
+def _weyl_args(p: dict) -> tuple:
+    """The sum weyl runs and its arguments, refused as the sum refuses them."""
     n_total = int(p["N"])
     if p["mode"] == "linear":
         if "beta" not in p:
@@ -310,20 +313,26 @@ def _weyl(p: dict, seed) -> tuple[dict, list | None]:
         beta = float(p["beta"])
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta}")
-        rep = equidist.weyl_sum(lambda n: n * beta, float(p["freq"]), n_total)
-    else:
-        if "alpha" not in p:
-            raise ValueError("weyl --mode beatty requires --alpha")
-        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-        freq = equidist.FrequencyVector(
-            primes1=_parse_weights(str(p["m1"])),
-            primes2=_parse_weights(str(p["m2"])),
-            delta1=float(p["delta1"]),
-            delta2=float(p["delta2"]),
-        )
-        rep = equidist.joint_beatty_weyl(
-            pair, float(p["t1"]), float(p["t2"]), freq, n_total
-        )
+        freq = float(p["freq"])
+        equidist.check_weyl_sum(freq, n_total)
+        return equidist.weyl_sum, (lambda n: n * beta, freq, n_total)
+    if "alpha" not in p:
+        raise ValueError("weyl --mode beatty requires --alpha")
+    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
+    freq = equidist.FrequencyVector(
+        primes1=_parse_weights(str(p["m1"])),
+        primes2=_parse_weights(str(p["m2"])),
+        delta1=float(p["delta1"]),
+        delta2=float(p["delta2"]),
+    )
+    t1, t2 = float(p["t1"]), float(p["t2"])
+    equidist.check_joint_beatty_weyl(t1, t2, n_total)
+    return equidist.joint_beatty_weyl, (pair, t1, t2, freq, n_total)
+
+
+def _weyl(p: dict, seed) -> tuple[dict, list | None]:
+    sum_fn, args = _weyl_args(p)
+    rep = sum_fn(*args)
     rows = [("N", "magnitude")] + list(rep.trajectory)
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
 

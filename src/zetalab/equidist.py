@@ -3,18 +3,21 @@ conditions of a shift sequence.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
 Neumaier compensation across chunks, so runs up to 1e8 terms keep full
-double accuracy.  Each sum allocates its chunk buffers once and works in
+double accuracy.  weyl_sum allocates its chunk buffers once and works in
 them in place.  The joint Beatty sum takes its floors from
 beatty.beatty_terms: exact for the named pairs at any N, and for a literal
 alpha only while N max(alpha, alpha') stays below 2^23.
 
-The joint sum takes no exponential per term.  Its chunks are cut into
-tiles of _TILE indices; a term is the tile's one exponential Z_s times an
-entry of a table W, built once per call, that the floors' carries inside
-the tile select.  Each term is within 4 pi eps M(n) + 24 eps of the exact
-term, M(n) the sum of the phase's parts in absolute value (see
-joint_beatty_weyl); the float phase of a term-by-term sum has the same
-eps M(n) rounding."""
+The joint sum costs O(1) per tile of w = _TILE indices, not per index.  A
+tile's terms depend on its start n_s only through the fractions {n_s alpha}
+and {n_s alpha'}, which pick one entry of a dominance table of (w + 1)^2
+sums (1.06 MB), built once per call.  A call costs O(N / w + w^2) time and
+O(N / w) memory, plus an O(N) pass that checks every floor first for a
+literal alpha.  A tile whose carries the float fractions do not settle,
+within a margin, and each partial tile are summed term by term.  A tile's
+sum is within 4 pi eps M(n) + 24 eps per term of its exact value, M(n)
+the sum of the phase's parts in absolute value (see joint_beatty_weyl);
+the float phase of a term-by-term sum has the same eps M(n) rounding."""
 
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .errors import AmbiguousFloor, HypothesisViolation
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
-_TILE = 1 << 10  # terms per tile of the joint Beatty sum
+_TILE = 1 << 8  # terms per tile of the joint Beatty sum
 _MIN_GAP = 0.05  # smallest gap x_{n+1} - x_n a shift sequence may have
 _LINEAR_BOUND = 100.0  # largest x_n / n a shift sequence may reach
 
@@ -110,25 +113,17 @@ def _unit_terms(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _accumulate_phases(chunk_sum: Callable[[np.ndarray], complex], N: int) -> WeylReport:
-    """Sum the terms n = 1..N with power-of-two checkpoints.  chunk_sum(n)
-    returns the sum of the terms at the indices n, a float array of
-    consecutive integers that the next chunk overwrites.
-
-    The index array is allocated once and reused by every chunk, and so are
-    the callers' work arrays, so the sum does not depend on what the heap
-    holds."""
+def _accumulate_phases(chunk_sum: Callable[[int, int], complex], N: int) -> WeylReport:
+    """Sum the terms n = 1..N with power-of-two checkpoints.
+    chunk_sum(lo, count) returns the sum of the terms at the indices
+    lo + 1, ..., lo + count; no chunk crosses a checkpoint."""
     acc = CompensatedSum()
     trajectory = []
     next_checkpoint = 1
     done = 0
-    size = min(_CHUNK, N)
-    offsets = np.arange(1, size + 1, dtype=np.float64)
-    n_buf = np.empty(size)
     while done < N:
         count = min(_CHUNK, next_checkpoint - done, N - done)
-        n = np.add(offsets[:count], done, out=n_buf[:count])
-        acc.add(complex(chunk_sum(n)))
+        acc.add(complex(chunk_sum(done, count)))
         done += count
         if done == next_checkpoint:
             trajectory.append((done, abs(acc.value) / done))
@@ -138,16 +133,107 @@ def _accumulate_phases(chunk_sum: Callable[[np.ndarray], complex], N: int) -> We
     return WeylReport(N=N, sum_magnitude=min(abs(acc.value) / N, 1.0), trajectory=trajectory)
 
 
+def check_weyl_sum(freq: float, N: int) -> None:
+    """Refuse what weyl_sum refuses, before it sums anything."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    if freq == 0.0 or not math.isfinite(freq):
+        raise ValueError(f"freq must be finite and nonzero, got {freq}")
+
+
 def weyl_sum(seq: Callable[[np.ndarray], np.ndarray], freq: float, N: int) -> WeylReport:
     """(1/N) |sum_{n<=N} exp(2 pi i freq x_n)| with checkpoints at powers of 2.
 
     `seq` maps an index array to the x_n values."""
+    check_weyl_sum(freq, N)
+    size = min(_CHUNK, N)
+    offsets = np.arange(1, size + 1, dtype=np.float64)
+    n_buf, z_buf = np.empty(size), np.empty(size, dtype=np.complex128)
+
+    def chunk_sum(lo: int, count: int) -> complex:
+        # the index and term arrays are allocated once and reused by every chunk
+        n = np.add(offsets[:count], lo, out=n_buf[:count])
+        return _unit_terms(freq * seq(n), z_buf[:count]).sum()
+
+    return _accumulate_phases(chunk_sum, N)
+
+
+def check_joint_beatty_weyl(t1: float, t2: float, N: int) -> None:
+    """Refuse what joint_beatty_weyl refuses of its own arguments, before it
+    sums anything (BeattyPair and FrequencyVector check theirs)."""
     if N < 1:
-        raise ValueError("N >= 1 required")
-    if freq == 0.0 or not math.isfinite(freq):
-        raise ValueError(f"freq must be finite and nonzero, got {freq}")
-    z_buf = np.empty(min(_CHUNK, N), dtype=np.complex128)
-    return _accumulate_phases(lambda n: _unit_terms(freq * seq(n), z_buf[: n.size]).sum(), N)
+        raise ValueError(f"N must be at least 1, got {N}")
+    for name, value in (("t1", t1), ("t2", t2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _carry_margin(top: float) -> float:
+    """How near a tile's carry threshold may come to a table fraction before
+    the tile is summed term by term, for products up to top.  It bounds the
+    error of the float fractions, 2^-53 top + ulp(top) for a named pair,
+    and the rounding between fl(n a) and fl(n_s a) + fl(j a), 1.5 ulp(top)
+    for a literal alpha, with room left for the rounding of the distance."""
+    return 2.0 ** -52 * top + 2.0 * math.ulp(top)
+
+
+def _checked_floors(alpha: float, m: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """floor(m alpha) from beatty_terms, and m alpha minus it; AmbiguousFloor
+    unless that lies in [-slack, 1 + slack)."""
+    floor = beatty_terms(alpha, m)
+    frac = m * alpha - floor
+    if not np.all((frac >= -slack) & (frac < 1.0 + slack)):  # NaN fails too
+        raise AmbiguousFloor(
+            f"floor(m * {alpha}) is not exact for some m in [{m[0]:.0f}, {m[-1]:.0f}]: "
+            f"m * {alpha} minus it lies outside [0, 1)"
+        )
+    return floor, frac
+
+
+def _tree_scan(x: np.ndarray) -> None:
+    """x[r] <- x[0] + ... + x[r] along axis 0, in place, for len(x) a
+    multiple of 16: a tree inside each block of 16 rows, a tree over the
+    block totals, then one addition.  Each sum has depth log2 len(x) + 1,
+    so it rounds like a pairwise sum, not like a running one."""
+    blocks = x.reshape(-1, 16, *x.shape[1:])
+    for rows in (blocks.swapaxes(0, 1), blocks[:, -1]):
+        step = 1
+        while step < len(rows):
+            rows[step:] += rows[:-step]  # numpy reads the overlapping operand as it was
+            step *= 2
+    blocks[1:, :-1] += blocks[:-1, -1:]
+
+
+def _dominance_table(alphas: tuple[float, float], A: float, B: float):
+    """For tiles of w = _TILE: the fractions {j a} and {j a'}, j < w, each
+    ascending and closed by 1, and the (w + 1) x (w + 1) table
+    T[r, q] = sum_j W[j, rank_a(j) >= r, rank_b(j) >= q], where
+    W[j, c_a, c_b] = e(A (floor(j a) + c_a) + B (floor(j a') + c_b)) and
+    rank_a(j) is the place of j in the order of {j a}.
+
+    The carries read these fractions, so they must not wrap: a floor
+    whose fraction leaves [0, 1) raises."""
+    (floor_a, frac_a), (floor_b, frac_b) = (
+        _checked_floors(a, np.arange(_TILE, dtype=np.float64), 0.0) for a in alphas)
+    order_a, order_b = np.argsort(frac_a, kind="stable"), np.argsort(frac_b, kind="stable")
+    rank_b = np.empty(_TILE, dtype=np.intp)
+    rank_b[order_b] = np.arange(_TILE)
+    carry = np.array([0.0, 1.0])
+    phase = A * (floor_a[order_a] + carry[:, None, None]) + B * (floor_b[order_a] + carry[None, :, None])
+    w = _unit_terms(phase, np.empty(phase.shape, dtype=np.complex128))
+    # row 1 + i of `lower` holds the j of rank_a i, and row 1 + i of `upper`
+    # the j of rank_a w - 1 - i; either carries in a' where q <= rank_b(j)
+    carry_b = np.arange(_TILE + 1) <= rank_b[order_a, None]
+    lower = np.zeros((_TILE + 1, _TILE + 1), dtype=np.complex128)
+    upper = np.zeros((_TILE + 1, _TILE + 1), dtype=np.complex128)
+    for half, c_a, rows in ((lower, 0, slice(None)), (upper, 1, slice(None, None, -1))):
+        half[1:] = w[c_a, 0, rows, None]
+        np.copyto(half[1:], w[c_a, 1, rows, None], where=carry_b[rows])
+        _tree_scan(half[1:])
+    # lower[r] sums the j of rank_a < r, which do not carry in a, and
+    # upper[w - r] the j of rank_a >= r, which do
+    lower += upper[::-1]
+    return (np.append(frac_a[order_a], 1.0), np.append(frac_b[order_b], 1.0)), lower
 
 
 def joint_beatty_weyl(
@@ -161,101 +247,89 @@ def joint_beatty_weyl(
     phase(n) = (t1 + d1 floor(n a)) u1 + (t2 + d2 floor(n a')) u2,
     the exponential sum behind the joint equidistribution statement.
 
-    Each chunk of indices is cut into tiles of _TILE.  In the tile that
-    starts at n_s, n = n_s + j and floor(n a) = floor(n_s a) + floor(j a)
-    + c_a with a carry c_a of 0 or 1; likewise c_b for a'.  The term is
-    then Z_s W[4 j + 2 c_a + c_b]:
+    The indices are cut into tiles of w = _TILE.  In the tile that starts
+    at n_s, n = n_s + j and floor(n a) = floor(n_s a) + floor(j a) + c_a,
+    where the carry c_a is 1 exactly when {j a} >= 1 - {n_s a}; likewise
+    c_b for a'.  So the j that carry in a are a suffix of the j sorted by
+    {j a}, and the tile's sum is Z_s T[r_a, r_b]:
 
-    - Z_s = e(phase(n_s)), one exponential per tile, from the float
-      expression above;
-    - W holds e(A (floor(j a) + c_a) + B (floor(j a') + c_b)), A = d1 u1,
-      B = d2 u2, for j < _TILE and both carries, built once per call.
+    - Z_s = e(phase(n_s)), from the float expression above;
+    - r_a = #{j < w : {j a} < 1 - {n_s a}}, one searchsorted of the
+      threshold in the sorted fractions {j a}; likewise r_b;
+    - T[r, q] = sum_j W[j, rank_a(j) >= r, rank_b(j) >= q], where
+      W[j, c_a, c_b] = e(A (floor(j a) + c_a) + B (floor(j a') + c_b)),
+      A = d1 u1, B = d2 u2: see _dominance_table, which builds it once per
+      call in O(w^2 log w), (w + 1)^2 complex values, 1.06 MB at w = 256.
 
-    So a term costs one integer key, one gather and its share of a row
-    sum, and no exponential.  Every carry is checked before its key is
-    used; a floor that gives a carry other than 0 or 1 raises
-    AmbiguousFloor.
+    A full tile costs O(1), and a call O(N / w + w^2).  The fractions are
+    those of the float products, m a minus its floor.  The carries are
+    exact unless a threshold 1 - {n_s a} or 1 - {n_s a'} lies within
+    _carry_margin(N max(a, a')) of a fraction of the table, 0 and 1
+    included.  Such a tile, and each partial tile (the first 256 indices,
+    which come in chunks shorter than a tile, and the last tile), is
+    summed term by term, one exponential of the float phase per index.
+    Every floor the sum reads comes from beatty_terms and raises
+    AmbiguousFloor unless m a minus it lies in [0, 1), to within that
+    margin (exactly, for the table).
+
+    A literal alpha's floors are all checked before anything is summed,
+    alpha's and then alpha''s, each in index order, so the call refuses
+    by the first product that cannot be floored.  That pass costs O(N).
 
     Error, with the float inputs and the exact floors taken as exact:
     write M(n) = |t1 u1| + |t2 u2| + |A| floor(n a) + |B| floor(n a').
-    Z_s carries the rounding of the float phase that a term-by-term sum
-    has, at most 2 eps M(n_s) in the argument; W's argument is off by at most
-    2 eps (M(n) - M(n_s)); the reductions, the exponentials and the
-    product add a few ulp.  Each term is within 4 pi eps M(n) + 24 eps of
-    e(phase(n)), and |S|/N within 4 pi eps M(N) + (24 + log2 N) eps of
-    its exact value."""
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    for name, value in (("t1", t1), ("t2", t2)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    Z_s carries the rounding of the float phase
+    that a term-by-term sum has, at most 2 eps M(n_s) in the argument;
+    W's argument is off by at most 2 eps (M(n) - M(n_s)); the tree sums
+    of T (depth 9), the exponentials and the product add a few ulp per
+    term.  A tile's sum is within 4 pi eps M(n) + 24 eps per term of its
+    exact value, n its last index, and |S|/N within
+    4 pi eps M(N) + (24 + log2 N) eps of its exact value."""
+    check_joint_beatty_weyl(t1, t2, N)
+    alphas = (pair.alpha, pair.alpha_prime)
+    if pair.surds is None:
+        for alpha in alphas:
+            for lo in range(0, N, _CHUNK):
+                beatty_terms(alpha, np.arange(lo + 1.0, min(lo + _CHUNK, N) + 1.0))
     u1, u2 = freq.u1, freq.u2
     d1, d2 = freq.delta1, freq.delta2
+    margin = _carry_margin(N * max(alphas))
 
-    # j < width <= N: every j of the table is also an index of the sum, so
-    # flooring it raises only where the sum itself would
-    width = min(_TILE, N)
-    j = np.arange(width, dtype=np.float64)
-    floor_ja = beatty_terms(pair.alpha, j)
-    floor_jb = beatty_terms(pair.alpha_prime, j)
-    carry_a, carry_b = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
-    table_phase = ((d1 * u1) * (floor_ja[:, None] + carry_a)
-                   + (d2 * u2) * (floor_jb[:, None] + carry_b))
-    table = _unit_terms(table_phase.ravel(), np.empty(4 * width, dtype=np.complex128))
-    key_base = 4.0 * j
+    def terms(m: np.ndarray) -> np.ndarray:
+        # e(phase(m)), one exponential of the float phase per index
+        (fa, _), (fb, _) = (_checked_floors(alpha, m, margin) for alpha in alphas)
+        phase = (t1 + d1 * fa) * u1 + (t2 + d2 * fb) * u2
+        return _unit_terms(phase, np.empty(m.size, dtype=np.complex128))
 
-    size = min(_CHUNK, N)
-    tiles = -(-size // width)
-    fa, fb, scratch = np.empty(size), np.empty(size), np.empty(size)
-    keys = np.empty(size, dtype=np.intp)
-    terms = np.empty(size, dtype=np.complex128)
-    start_a, start_b = np.empty(tiles), np.empty(tiles)
-    rows, z_start = np.empty(tiles, dtype=np.complex128), np.empty(tiles, dtype=np.complex128)
+    # the first 256 indices come in chunks shorter than a tile, and after
+    # them every chunk starts on a tile boundary; every floor is read and
+    # checked before anything is summed
+    n_full = max(N // _TILE - 1, 0)  # full tiles after the first 256 indices
+    head = terms(np.arange(1.0, (_TILE if n_full else N) + 1.0))
+    if not n_full:
+        return _accumulate_phases(lambda lo, count: head[lo : lo + count].sum(), N)
 
-    def tile_sum(n: np.ndarray, lo: int, k: int, w: int) -> complex:
-        # the k tiles of w terms from offset lo of the chunk n
-        hi = lo + k * w
-        a, b = fa[lo:hi].reshape(k, w), fb[lo:hi].reshape(k, w)
-        sa, sb = start_a[:k], start_b[:k]
-        np.copyto(sa, a[:, 0])
-        np.copyto(sb, b[:, 0])
-        a -= sa[:, None]
-        a -= floor_ja[:w]
-        b -= sb[:, None]
-        b -= floor_jb[:w]
-        # a and b now hold the carries; NaN fails these tests too
-        if not (a.min() >= 0.0 and b.min() >= 0.0 and a.max() <= 1.0 and b.max() <= 1.0):
-            raise AmbiguousFloor(
-                f"floor(n * {pair.alpha}) or floor(n * {pair.alpha_prime}) is not exact for "
-                f"some n in [{n[lo]:.0f}, {n[hi - 1]:.0f}]: a tile carry is not 0 or 1"
-            )
-        a *= 2.0
-        a += b
-        a += key_base[:w]  # 4 j + 2 c_a + c_b, in range by the check above
-        key = keys[lo:hi]
-        np.copyto(key, a.ravel(), casting="unsafe")
-        # mode="clip" writes straight into out, where "raise" would buffer
-        term = np.take(table, key, out=terms[lo:hi], mode="clip").reshape(k, w)
-        row = term.sum(axis=1, out=rows[:k])
-        # phase(n_s), with the expression and rounding of a term-by-term sum
-        sa *= d1
-        sa += t1
-        sa *= u1
-        sb *= d2
-        sb += t2
-        sb *= u2
-        sa += sb
-        z = _unit_terms(sa, z_start[:k])
-        z *= row
-        return complex(z.sum())
+    # every j < w is an index of the sum too, so a literal alpha's were checked above
+    sorted_fracs, table = _dominance_table(alphas, d1 * u1, d2 * u2)
+    starts = np.arange(1.0, n_full + 1.0) * _TILE + 1.0
+    ranks, exact = [], np.ones(n_full, dtype=bool)
+    for alpha, fracs in zip(alphas, sorted_fracs):
+        x = starts * alpha
+        threshold = 1.0 - (x - np.floor(x))
+        r = np.searchsorted(fracs, threshold)  # fracs[r - 1] < threshold <= fracs[r]
+        exact &= (threshold - fracs[r - 1] > margin) & (fracs[r] - threshold > margin)
+        ranks.append(r)
+    tile_sums = np.empty(n_full, dtype=np.complex128)
+    m = starts[~exact, None] + np.arange(_TILE, dtype=np.float64)  # carries the table does not settle
+    tile_sums[~exact] = terms(m.ravel()).reshape(m.shape).sum(axis=1)
+    tile_sums[exact] = terms(starts[exact]) * table[ranks[0][exact], ranks[1][exact]]
+    tail = terms(np.arange((n_full + 1.0) * _TILE + 1.0, N + 1.0))  # the last, partial tile
 
-    def chunk_sum(n: np.ndarray) -> complex:
-        count = n.size
-        beatty_terms(pair.alpha, n, out=fa[:count], scratch=scratch[:count])
-        beatty_terms(pair.alpha_prime, n, out=fb[:count], scratch=scratch[:count])
-        full, rest = divmod(count, width)
-        total = tile_sum(n, 0, full, width) if full else 0j
-        return total + tile_sum(n, full * width, 1, rest) if rest else total
+    def chunk_sum(lo: int, count: int) -> complex:
+        if lo < _TILE:
+            return head[lo : lo + count].sum()
+        total = tile_sums[lo // _TILE - 1 :][: count // _TILE].sum()
+        return total + tail.sum() if lo + count == N else total
 
     return _accumulate_phases(chunk_sum, N)
 

@@ -93,6 +93,8 @@ class TestExitCodes:
           "--N", "0"], "N"),
         (["limit-theorem", "--m", "0", "--h", "1", "--N", "10", "--trials", "10"], "m"),
         *[(["meansquare", "--sigma", "0.75", "--m", m, "--N", "10"], "m") for m in ("0", "-3")],
+        (["weyl", "--mode", "linear", "--beta", "1.5", "--N", "0"], "N"),
+        (["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "0"], "N"),
     ])
     def test_zero_size_run_is_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -372,6 +374,16 @@ class TestDryRunAndReports:
         *[["limit-theorem", "--m", m, "--h", h, "--N", n, "--trials", trials]
           for m, h, n, trials in (("5", "nan", "10", "10"), ("0", "1", "10", "10"),
                                   ("5", "1", "0", "10"), ("5", "1", "10", "0"))],
+        ["weyl", "--N", "100"],
+        *[["weyl", "--mode", "linear", *flags] for flags in (
+            ["--beta", "inf", "--N", "10"], ["--beta", "1.5", "--freq", "nan", "--N", "10"],
+            ["--beta", "1.5", "--N", "0"])],
+        *[["weyl", "--mode", "beatty", *flags] for flags in (
+            ["--m1", "2:1", "--N", "10"], ["--alpha", "1.0", "--m1", "2:1", "--N", "10"],
+            ["--alpha", "golden", "--m1", "2:1", "--N", "0"])],
+        *[["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10", flag, value]
+          for flag, value in (("--delta1", "nan"), ("--delta2", "inf"), ("--t1", "inf"),
+                              ("--t2", "nan"))],
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

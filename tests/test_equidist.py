@@ -181,7 +181,9 @@ def _joint_bound(pair, n):
     return 4 * math.pi * EPS * M + (24 + math.log2(n)) * EPS
 
 
-_TILE_37 = eq._TILE * 5 + 37  # a tile boundary plus 37
+# N = 1; below one tile; a partial tile after the checkpoint 2 w; whole
+# tiles and 37 terms after the checkpoint 4 w
+_JOINT_NS = (1, eq._TILE - 56, 2 * eq._TILE + 100, 5 * eq._TILE + 37)
 
 
 @pytest.mark.parametrize("alpha, surds", [  # alpha, alpha' as (p + sqrt D) / r
@@ -202,19 +204,35 @@ def test_joint_sum_meets_its_bound_against_mpmath(alpha, surds):
         t1, t2 = mpmath.mpf(_T1), mpmath.mpf(_T2)
         d1u1, d2u2 = mpmath.mpf(_FV.delta1) * _FV.u1, mpmath.mpf(_FV.delta2) * _FV.u2
         total, exact = mpmath.mpc(0), [None]
-        for n in range(1, _TILE_37 + 1):
+        for n in range(1, max(_JOINT_NS) + 1):
             fa, fb = mpmath.floor(n * a), mpmath.floor(n * b)
             total += mpmath.expjpi(2 * (t1 * _FV.u1 + t2 * _FV.u2 + d1u1 * fa + d2u2 * fb))
             exact.append(float(abs(total) / n))
-    # N = 1; below one tile; one partial tile after the checkpoint 2048;
-    # whole tiles and 37 terms after the checkpoint 4096
-    for N in (1, 700, 3000, _TILE_37):
+    for N in _JOINT_NS:
         rep = eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N)
         ns = [n for n, _ in rep.trajectory]
         assert ns == [1 << k for k in range(N.bit_length()) if 1 << k < N] + [N]
         for n, mag in rep.trajectory:
             assert abs(mag - exact[n]) <= _joint_bound(pair, n), (N, n)
         assert rep.sum_magnitude == rep.trajectory[-1][1]
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, math.e])
+def test_table_tiles_agree_with_term_by_term_tiles(monkeypatch, alpha):
+    # a margin of 1 sends every full tile through the term-by-term path,
+    # and one of 2e-4 about one tile in ten for each of alpha and alpha'
+    pair = BeattyPair.from_alpha(alpha)
+    for N in (5 * eq._TILE + 37, 64 * eq._TILE + 37):
+        reps = [eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N)]
+        for margin in (1.0, 2e-4):
+            monkeypatch.setattr(eq, "_carry_margin", lambda top: margin)
+            reps.append(eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N))
+        monkeypatch.undo()
+        by_term = reps.pop(1)
+        for rep in reps:
+            assert [n for n, _ in rep.trajectory] == [n for n, _ in by_term.trajectory]
+            for (n, mag), (_, ref) in zip(rep.trajectory, by_term.trajectory):
+                assert abs(mag - ref) <= _joint_bound(pair, n), (N, n)
 
 
 def test_joint_sum_matches_the_float_phase_loop_across_a_chunk():
@@ -239,20 +257,46 @@ def test_joint_sum_matches_the_float_phase_loop_across_a_chunk():
 @pytest.mark.parametrize("which", [0, 1])
 @pytest.mark.parametrize("error", [1.0, -1.0, math.nan])
 def test_a_wrong_floor_raises_instead_of_summing(monkeypatch, which, error):
-    # floors of n in [3000, 3064), one tile's middle, off by one: some
-    # carry there leaves {0, 1}, which must raise before any key is used
+    # one floor off by one, or NaN, moves m alpha minus it out of [0, 1):
+    # the table's entry j = 100, the start of the full tile 2w + 1..3w, or
+    # an index of the last, partial tile.  Each must raise before the
+    # accumulation sums anything.
     pair = BeattyPair.from_alpha(GOLDEN)
     bad_alpha = (pair.alpha, pair.alpha_prime)[which]
+    N = 4 * eq._TILE + 100
 
-    def wrong_terms(alpha, m, out=None, scratch=None):
-        out = beatty_terms(alpha, m, out=out, scratch=scratch)
-        if alpha == bad_alpha:
-            out[(m >= 3000) & (m < 3064)] += error
-        return out
+    def no_sum(chunk_sum, N):
+        raise AssertionError("a chunk was summed before the wrong floor was read")
 
-    monkeypatch.setattr(eq, "beatty_terms", wrong_terms)
-    with pytest.raises(AmbiguousFloor, match="tile carry"):
-        eq.joint_beatty_weyl(pair, _T1, _T2, _FV, 4096)
+    monkeypatch.setattr(eq, "_accumulate_phases", no_sum)
+    for bad_m, in_table in ((100, True), (2 * eq._TILE + 1, False), (4 * eq._TILE + 50, False)):
+        def wrong_terms(alpha, m, out=None, scratch=None):
+            out = beatty_terms(alpha, m, out=out, scratch=scratch)
+            if alpha == bad_alpha and (m.size > 0 and m[0] == 0.0) == in_table:
+                out[m == bad_m] += error
+            return out
+
+        monkeypatch.setattr(eq, "beatty_terms", wrong_terms)
+        with pytest.raises(AmbiguousFloor, match=r"minus it lies outside \[0, 1\)"):
+            eq.joint_beatty_weyl(pair, _T1, _T2, _FV, N)
+
+
+@pytest.mark.parametrize("argv, message", [
+    # none of the named products is a tile start, 256 k + 1
+    (["--alpha", "1.0033222591362126", "--N", "2000"],
+     "903 * 1.0033222591362125 is within 1e-09 of an integer"),
+    (["--alpha", "2.718281828459045", "--N", "3086000"],
+     "3085997 * 2.718281828459045 is at or beyond 2^23, where the floor guard of a literal "
+     "alpha certifies nothing"),
+    (["--alpha", "1.7", "--N", "100000"], "21 * 2.428571428571429 is within 1e-09 of an integer"),
+])
+def test_literal_alpha_refusals_name_the_first_bad_product(capsys, argv, message):
+    # a literal alpha's floors are checked before anything is summed,
+    # alpha's first: alpha' = 302.0000000000081 of the first case is
+    # within the guard at n = 1 already
+    assert run(["weyl", "--mode", "beatty", "--m1", "2:1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_unit_terms_take_the_exact_fraction_of_the_phase():

@@ -1,5 +1,6 @@
 """Every `zetalab ...` line of README's CLI block runs through cli.run and
-exits 0, so the README's commands cannot drift from the CLI."""
+exits 0, with and without --dry-run, so the README's commands cannot drift
+from the CLI and no dry-run refusal turns a valid command away."""
 
 import shlex
 from pathlib import Path
@@ -22,3 +23,8 @@ def _cli_lines() -> list[str]:
 def test_readme_command_exits_0(line, tmp_path, capsys):
     argv = shlex.split(line)[1:]
     assert cli.run(argv + ["--output", str(tmp_path / "report")]) == 0
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_readme_command_dry_run_exits_0(line, capsys):
+    assert cli.run(shlex.split(line)[1:] + ["--dry-run"]) == 0
