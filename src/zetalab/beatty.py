@@ -177,17 +177,34 @@ def beatty_terms(
     return out
 
 
-def _beatty_values(alpha: float, n_max: int) -> np.ndarray:
-    """floor(m alpha) for all m with floor(m alpha) <= n_max, vectorised in
-    chunks whose work arrays stay in cache."""
-    m_top = int(n_max / alpha) + 2
-    vals = np.empty(m_top, dtype=np.int64)
+def _floor_chunks(alpha: float, m_top: int):
+    """(start, floor(m alpha) for m = start + 1, ...) over m = 1..m_top, by
+    beatty_terms, in chunks whose work arrays stay in cache and are reused."""
     offsets = np.arange(1.0, _CHUNK + 1.0)
     m, out, scratch = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK)
     for start in range(0, m_top, _CHUNK):
         c = min(_CHUNK, m_top - start)
         np.add(offsets[:c], start, out=m[:c])
-        vals[start : start + c] = beatty_terms(alpha, m[:c], out[:c], scratch[:c])
+        yield start, beatty_terms(alpha, m[:c], out[:c], scratch[:c])
+
+
+def check_floors(alpha: float, m_top: int) -> None:
+    """Raise what beatty_terms raises first for m = 1..m_top in order,
+    storing nothing; a surd's floors are exact and skip the pass."""
+    if alpha not in _SURD_OF:
+        for _ in _floor_chunks(alpha, m_top):
+            pass
+
+
+def _m_top(alpha: float, n_max: int) -> int:
+    return int(n_max / alpha) + 2  # every m with floor(m alpha) <= n_max, and one more
+
+
+def _beatty_values(alpha: float, n_max: int) -> np.ndarray:
+    """floor(m alpha) for all m with floor(m alpha) <= n_max."""
+    vals = np.empty(_m_top(alpha, n_max), dtype=np.int64)
+    for start, floors in _floor_chunks(alpha, vals.size):
+        vals[start : start + floors.size] = floors
     return vals[: np.searchsorted(vals, n_max, side="right")]  # vals ascend
 
 
@@ -204,11 +221,23 @@ class PartitionReport:
         return self.overlaps.size == 0 and self.gaps.size == 0
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
+def check_rayleigh_partition(pair: BeattyPair, n_max: int) -> None:
+    """Refuse what rayleigh_partition_check refuses, in its order, storing
+    nothing; that check floors each m once, as it stores it."""
+    _check_n_max(n_max)
+    for alpha in (pair.alpha, pair.alpha_prime):
+        check_floors(alpha, _m_top(alpha, n_max))
+
+
 def rayleigh_partition_check(pair: BeattyPair, n_max: int) -> PartitionReport:
     """Materialise both Beatty sequences up to n_max and report overlaps
     and gaps (both empty exactly when the two sequences dissect 1..n_max)."""
-    if n_max < 1:
-        raise ValueError("n_max >= 1 required")
+    _check_n_max(n_max)
     a = _beatty_values(pair.alpha, n_max)
     b = _beatty_values(pair.alpha_prime, n_max)
     seen_a = np.zeros(n_max + 1, dtype=bool)

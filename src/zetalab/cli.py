@@ -20,7 +20,7 @@ import numpy as np
 from . import beatty as beatty_mod
 from . import dirichlet, equidist, euler_product, shift_search, zeta_core
 from .config import ExperimentConfig, config_roundtrip, warn_unknown_keys
-from .errors import ParseError, ZetaLabError
+from .errors import ParseError, PoleAt1, ZetaLabError
 
 USAGE_ERROR = 64
 _CSV_COMMANDS = ("hits", "beatty", "weyl")  # every other command writes JSON only
@@ -192,35 +192,6 @@ def _parse_weights(text: str) -> dict[int, int]:
     return out
 
 
-def _cost_estimate(cfg: ExperimentConfig) -> dict:
-    p = cfg.params
-    # zeta evaluations; beatty, weyl and limit-theorem make none
-    evals = {"zeta": 1, "ztheta": 1}.get(cfg.command, 0)
-    if cfg.command == "bergman":  # the midpoint grid, then zeta(z)
-        rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
-        nx, ny = rect.grid_shape(float(p["step"]))
-        evals = nx * ny + 1 if p["f"] == "zeta" else 0
-    estimate = {"dry_run": True, "estimated_evaluations": evals}
-    if cfg.command in _LINES:
-        build, line_builders = _LINES[cfg.command]
-        args = build(p)
-        # in the run's order, so that the first refusal is the run's
-        costs = [zeta_core.progression_cost(*line)
-                 for lines in line_builders for line in lines(*args)]
-        estimate["estimated_evaluations"] = sum(c[0] for c in costs)
-        estimate["estimated_terms"] = sum(c[1] for c in costs)
-    if cfg.command == "meansquare":
-        level, _, _, n = args  # built above
-        estimate["estimated_euler_factors"] = n * level.m
-    elif cfg.command == "weyl":
-        _weyl_args(p)
-    elif cfg.command == "limit-theorem":
-        level, h, s0, n, trials = _limit_args(p)
-        euler_product.check_limit_theorem(h, s0, n, trials)
-        estimate["estimated_euler_factors"] = level.m * (n + trials)
-    return estimate
-
-
 def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig:
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     cfg = ExperimentConfig(
@@ -248,23 +219,41 @@ def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig
     return cfg
 
 
-def _zeta(p: dict, seed) -> tuple[dict, list | None]:
-    value = zeta_core.zeta(complex(p["re"], p["im"]))
+def _line_estimate(args: tuple, *line_builders) -> dict:
+    """The zeta values and terms of the lines the run's scans evaluate zeta
+    on, taken in the run's order, so that the first refusal is the run's."""
+    costs = [zeta_core.progression_cost(*line) for lines in line_builders for line in lines(*args)]
+    return {"estimated_evaluations": sum(c[0] for c in costs),
+            "estimated_terms": sum(c[1] for c in costs)}
+
+
+def _zeta(p: dict, seed, dry_run: bool):
+    s = zeta_core.check_zeta(complex(p["re"], p["im"]))
+    if dry_run:
+        return {"estimated_evaluations": 1}
+    value = zeta_core.zeta(s)
     print(_fmt_complex(value))
     return {"value": _fmt_complex(value)}, None
 
 
-def _chi(p: dict, seed) -> tuple[dict, list | None]:
-    value = zeta_core.chi(complex(p["re"], p["im"]))
+def _chi(p: dict, seed, dry_run: bool):
+    s = zeta_core.check_chi(complex(p["re"], p["im"]))
+    if dry_run:
+        return {"estimated_evaluations": 0}
+    value = zeta_core.chi(s)
     return {"value": _fmt_complex(value), "abs": abs(value)}, None
 
 
-def _ztheta(p: dict, seed) -> tuple[dict, list | None]:
+def _ztheta(p: dict, seed, dry_run: bool):
     t = float(p["t"])
+    zeta_core.check_theta(t)
+    zeta_core.check_zeta(0.5 + 1j * t)  # hardy_z's point
+    if dry_run:
+        return {"estimated_evaluations": 1}
     return {"theta": zeta_core.theta(t), "Z": zeta_core.hardy_z(t)}, None
 
 
-def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
+def _uniqueness(p: dict, seed, dry_run: bool):
     f = dirichlet.power_of_two_indicator() if p["coeffs"] == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
     if p.get("swap"):
@@ -272,13 +261,16 @@ def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
             n1, n2 = (int(x) for x in str(p["swap"]).split(","))
         except ValueError:
             raise ValueError(f"swap expects n1,n2, got {p['swap']!r}") from None
+        if min(n1, n2) < 1:
+            raise ValueError(f"swap expects two positive integers n1,n2, got {p['swap']!r}")
         perm = dirichlet.transposition(n1, n2)
-    cert = dirichlet.uniqueness_bound(
-        f, f,
-        dirichlet.Progression(float(p["t1"]), float(p["delta1"])),
-        dirichlet.Progression(float(p["t2"]), float(p["delta2"])),
-        perm, int(p["n_max"]), int(p["m_max"]), float(p["tol"]),
-    )
+    p1 = dirichlet.Progression(float(p["t1"]), float(p["delta1"]))
+    p2 = dirichlet.Progression(float(p["t2"]), float(p["delta2"]))
+    limits = int(p["n_max"]), int(p["m_max"]), float(p["tol"])
+    dirichlet.check_uniqueness_bound(*limits)
+    if dry_run:
+        return {"estimated_evaluations": 0}
+    cert = dirichlet.uniqueness_bound(f, f, p1, p2, perm, *limits)
     if cert is None:
         return {"certificate": None}, None
     return {"certificate": {
@@ -289,9 +281,12 @@ def _uniqueness(p: dict, seed) -> tuple[dict, list | None]:
     }}, None
 
 
-def _beatty(p: dict, seed) -> tuple[dict, list | None]:
-    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    rep = beatty_mod.rayleigh_partition_check(pair, int(p["check"]))
+def _beatty(p: dict, seed, dry_run: bool):
+    pair, n_max = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"]))), int(p["check"])
+    if dry_run:
+        beatty_mod.check_rayleigh_partition(pair, n_max)
+        return {"estimated_evaluations": 0}
+    rep = beatty_mod.rayleigh_partition_check(pair, n_max)
     return {
         "n_max": rep.n_max,
         "count_alpha": rep.count_alpha,
@@ -304,8 +299,7 @@ def _beatty(p: dict, seed) -> tuple[dict, list | None]:
     ]
 
 
-def _weyl_args(p: dict) -> tuple:
-    """The sum weyl runs and its arguments, refused as the sum refuses them."""
+def _weyl(p: dict, seed, dry_run: bool):
     n_total = int(p["N"])
     if p["mode"] == "linear":
         if "beta" not in p:
@@ -315,81 +309,76 @@ def _weyl_args(p: dict) -> tuple:
             raise ValueError(f"beta must be finite, got {beta}")
         freq = float(p["freq"])
         equidist.check_weyl_sum(freq, n_total)
-        return equidist.weyl_sum, (lambda n: n * beta, freq, n_total)
-    if "alpha" not in p:
-        raise ValueError("weyl --mode beatty requires --alpha")
-    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    freq = equidist.FrequencyVector(
-        primes1=_parse_weights(str(p["m1"])),
-        primes2=_parse_weights(str(p["m2"])),
-        delta1=float(p["delta1"]),
-        delta2=float(p["delta2"]),
-    )
-    t1, t2 = float(p["t1"]), float(p["t2"])
-    equidist.check_joint_beatty_weyl(t1, t2, n_total)
-    return equidist.joint_beatty_weyl, (pair, t1, t2, freq, n_total)
-
-
-def _weyl(p: dict, seed) -> tuple[dict, list | None]:
-    sum_fn, args = _weyl_args(p)
+        sum_fn, args = equidist.weyl_sum, (lambda n: n * beta, freq, n_total)
+    else:
+        if "alpha" not in p:
+            raise ValueError("weyl --mode beatty requires --alpha")
+        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
+        freq = equidist.FrequencyVector(
+            primes1=_parse_weights(str(p["m1"])),
+            primes2=_parse_weights(str(p["m2"])),
+            delta1=float(p["delta1"]),
+            delta2=float(p["delta2"]),
+        )
+        t1, t2 = float(p["t1"]), float(p["t2"])
+        equidist.check_joint_beatty_weyl(pair, t1, t2, n_total)
+        sum_fn, args = equidist.joint_beatty_weyl, (pair, t1, t2, freq, n_total)
+    if dry_run:
+        return {"estimated_evaluations": 0}
     rep = sum_fn(*args)
     rows = [("N", "magnitude")] + list(rep.trajectory)
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
 
 
-def _meansquare_args(p: dict) -> tuple:
+def _meansquare(p: dict, seed, dry_run: bool):
     level = euler_product.TruncationLevel.of(int(p["m"]))
     n_total = int(p["N"])
-    shifts = float(p["shift_step"]) * np.arange(1, n_total + 1)
-    return level, float(p["sigma"]), shifts, n_total
+    args = level, float(p["sigma"]), float(p["shift_step"]) * np.arange(1, n_total + 1), n_total
+    if dry_run:
+        return {**_line_estimate(args, euler_product.mean_square_lines),
+                "estimated_euler_factors": n_total * level.m}
+    return asdict(euler_product.mean_square_discrete(*args)), None
 
 
-def _meansquare(p: dict, seed) -> tuple[dict, list | None]:
-    return asdict(euler_product.mean_square_discrete(*_meansquare_args(p))), None
-
-
-def _limit_args(p: dict) -> tuple:
+def _limit_theorem(p: dict, seed, dry_run: bool):
     level = euler_product.TruncationLevel.of(int(p["m"]))
-    return level, float(p["h"]), complex(float(p["sigma"]), 0.0), int(p["N"]), int(p["trials"])
-
-
-def _limit_theorem(p: dict, seed) -> tuple[dict, list | None]:
-    rep = euler_product.empirical_limit_theorem(*_limit_args(p), int(seed or 0))
+    h, s0, n, trials = float(p["h"]), complex(float(p["sigma"]), 0.0), int(p["N"]), int(p["trials"])
+    if dry_run:
+        euler_product.check_limit_theorem(h, s0, n, trials)
+        return {"estimated_evaluations": 0, "estimated_euler_factors": level.m * (n + trials)}
+    rep = euler_product.empirical_limit_theorem(level, h, s0, n, trials, int(seed or 0))
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None
 
 
-def _hits_args(p: dict) -> tuple:
-    grid = shift_search.VerticalGrid(
-        s=complex(p["sigma"], p["im0"]), h=float(p["h"]), l=int(p["l"])
-    )
-    disk = shift_search.TargetDisk(
-        a=complex(p["a_re"], p["a_im"]), epsilon=float(p["eps"])
-    )
-    return grid, disk, int(p["N"])
-
-
-def _hits(p: dict, seed) -> tuple[dict, list | None]:
-    hits, rep = shift_search.scan_disk_hits(*_hits_args(p))
+def _hits(p: dict, seed, dry_run: bool):
+    s, a = complex(p["sigma"], p["im0"]), complex(p["a_re"], p["a_im"])
+    args = (shift_search.VerticalGrid(s=s, h=float(p["h"]), l=int(p["l"])),
+            shift_search.TargetDisk(a=a, epsilon=float(p["eps"])), int(p["N"]))
+    if dry_run:
+        return _line_estimate(args, shift_search.disk_hit_lines)
+    hits, rep = shift_search.scan_disk_hits(*args)
     return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
 
 
-def _pair_args(p: dict) -> tuple:
-    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-    return (
-        pair,
-        float(p["t1"]), float(p["t2"]),
-        float(p["delta1"]), float(p["delta2"]),
-        np.array([complex(p["s_re"], p["s_im"])]),
-        (complex(p["a1_re"], p["a1_im"]), complex(p["a2_re"], p["a2_im"])),
-        float(p["eps"]), int(p["N"]),
-    )
+def _pair_scan(scan: str, *line_builders: str):
+    """joint-hits and sis: a shift_search scan and the builders of the lines
+    it evaluates zeta on, looked up by name at each call, so that a wrapper
+    set on the module attribute sees the call."""
+    def command(p: dict, seed, dry_run: bool):
+        args = (beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"]))),
+                float(p["t1"]), float(p["t2"]), float(p["delta1"]), float(p["delta2"]),
+                np.array([complex(p["s_re"], p["s_im"])]),
+                (complex(p["a1_re"], p["a1_im"]), complex(p["a2_re"], p["a2_im"])),
+                float(p["eps"]), int(p["N"]))
+        if dry_run:
+            return _line_estimate(args, *(getattr(shift_search, b) for b in line_builders))
+        return asdict(getattr(shift_search, scan)(*args)), None
+    return command
 
 
-def _flip_args(p: dict) -> tuple:
-    """The arguments of left_half_flip, t0 from the chi certificate scan."""
-    sigma = float(p["sigma"])
-    c = float(p["c"])
+def _flip(p: dict, seed, dry_run: bool):
+    sigma, c = float(p["sigma"]), float(p["c"])
     if not 0.0 < c < math.inf:  # before the scan, which would blame the certificate
         raise ValueError(f"c must be finite and positive, got {c}")
     t_start = float(p["t_start"])
@@ -397,44 +386,45 @@ def _flip_args(p: dict) -> tuple:
     if chi_rep.t0 is None:
         raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
     grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
-    return grid, float(p["r"]), c, int(p["N"]), chi_rep.t0
-
-
-def _flip(p: dict, seed) -> tuple[dict, list | None]:
-    rep = shift_search.left_half_flip(*_flip_args(p))
+    args = grid, float(p["r"]), c, int(p["N"]), chi_rep.t0
+    if dry_run:
+        return _line_estimate(args, shift_search.flip_lines)
+    rep = shift_search.left_half_flip(*args)
     return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
             "disagreements": rep.disagreements, "params": rep.params}, None
 
 
-def _bergman(p: dict, seed) -> tuple[dict, list | None]:
+def _bergman(p: dict, seed, dry_run: bool):
     rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
-    grid = rect.midpoint_grid(float(p["step"]))
-    kind = str(p["f"])
+    step, kind, z = float(p["step"]), str(p["f"]), complex(p["z_re"], p["z_im"])
+    nx, ny = rect.grid_shape(step)
+    if kind == "zeta":  # Bergman's bound needs f holomorphic on the closed rectangle
+        nearest = complex(min(max(1.0, rect.x0), rect.x1), min(max(0.0, rect.y0), rect.y1))
+        if abs(nearest - 1.0) < zeta_core.POLE_GUARD:
+            raise PoleAt1(f"{rect} comes within {zeta_core.POLE_GUARD} of the pole of zeta at 1")
+        corners = rect.corner_midpoints(step)  # the grid's axes are monotone, the strip a box
+        zeta_core.check_points(corners.real, corners.imag)
+    euler_product.check_bergman_sup_bound(rect, z)
+    if kind == "zeta":
+        zeta_core.check_zeta(z)
+    if dry_run:
+        return {"estimated_evaluations": nx * ny + 1 if kind == "zeta" else 0}
     samples = {"one": np.ones_like, "s": np.asarray, "s2": np.square,
-               "zeta": zeta_core.zeta_grid}[kind](grid)
-    z = complex(p["z_re"], p["z_im"])
+               "zeta": zeta_core.zeta_grid}[kind](rect.midpoint_grid(step))
     bound = euler_product.bergman_sup_bound(samples, rect, z)
     f_z = zeta_core.zeta(z) if kind == "zeta" else {"one": 1.0 + 0j, "s": z, "s2": z * z}[kind]
     return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
 
 
-# command -> function(params, seed) returning (results, CSV rows or None)
+# command -> function(params, seed, dry_run): each builds its arguments and
+# runs all of its refusals, then returns a dry-run's cost estimate, or runs
+# and returns (results, CSV rows or None)
 _COMMANDS = {
     "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
     "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
     "limit-theorem": _limit_theorem, "hits": _hits, "flip": _flip, "bergman": _bergman,
-    "joint-hits": lambda p, seed: (asdict(shift_search.joint_beatty_hits(*_pair_args(p))), None),
-    "sis": lambda p, seed: (asdict(shift_search.corollary_sis_density(*_pair_args(p))), None),
-}
-# command -> (argument builder, line builders): the run passes the
-# arguments to the command's scan, and the dry-run to the builders of the
-# lines that the scan, and any scan it runs, evaluates zeta on
-_LINES = {
-    "hits": (_hits_args, (shift_search.disk_hit_lines,)),
-    "flip": (_flip_args, (shift_search.flip_lines,)),
-    "joint-hits": (_pair_args, (shift_search.joint_beatty_lines,)),
-    "sis": (_pair_args, (shift_search.sis_lines, shift_search.joint_beatty_lines)),
-    "meansquare": (_meansquare_args, (euler_product.mean_square_lines,)),
+    "joint-hits": _pair_scan("joint_beatty_hits", "joint_beatty_lines"),
+    "sis": _pair_scan("corollary_sis_density", "sis_lines", "joint_beatty_lines"),
 }
 
 
@@ -456,10 +446,11 @@ def run(argv: list[str]) -> int:
                 parser.error(message)
             raise ParseError(message)
         warn_unknown_keys(cfg, {k for k in vars(args) if k not in _NOT_PARAMS})
+        out = _COMMANDS[cfg.command](cfg.params, cfg.seed, args.dry_run)
         if args.dry_run:
-            print(json.dumps({"config": cfg.as_dict(), **_cost_estimate(cfg)}, sort_keys=True))
-            return 0
-        _write_report(cfg, *_COMMANDS[cfg.command](cfg.params, cfg.seed))
+            print(json.dumps({"config": cfg.as_dict(), "dry_run": True, **out}, sort_keys=True))
+        else:
+            _write_report(cfg, *out)
         return 0
     except (ZetaLabError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -173,6 +173,16 @@ def _unit_powers(f: BoundedCoeffFn, m: np.ndarray, live: np.ndarray, logs: np.nd
     return out
 
 
+def check_uniqueness_bound(n_max: int, m_max: int, tol: float) -> None:
+    """Refuse what uniqueness_bound refuses, before it scans anything; find_mu
+    refuses m_max and tol alike."""
+    for name, limit in (("n_max", n_max), ("m_max", m_max)):
+        if limit < 1:
+            raise ValueError(f"{name} must be at least 1, got {limit}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def find_mu(
     f1: BoundedCoeffFn,
     f2: BoundedCoeffFn,
@@ -195,10 +205,7 @@ def find_mu(
     `slack`.  So every m whose block value clears guard - slack is settled
     by the scalar phi_n, in order, and no other m can pass the scalar test:
     mu and phi_n(mu) are those of the one-m-at-a-time scan."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_uniqueness_bound(1, m_max, tol)  # a scan of one n
     eps = math.ulp(1.0)
     theta1, theta2 = p1.shift(n), p2.shift(sigma(n))
     phases = abs(theta1) + abs(theta2)
@@ -253,8 +260,7 @@ def uniqueness_bound(
 ) -> Optional[UniquenessCertificate]:
     """Scan n <= n_max, compute b_n = 1 + 2 B mu / |phi_n(mu)| wherever a
     nonzero phi was found, and return the best certificate (or None)."""
-    if n_max < 1 or m_max < 1:
-        raise ValueError("scan limits must be >= 1")
+    check_uniqueness_bound(n_max, m_max, tol)
     bound = max(f1.bound_B, f2.bound_B)
     best = None
     for n in range(1, n_max + 1):

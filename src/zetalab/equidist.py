@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .beatty import BeattyPair, beatty_terms
+from .beatty import BeattyPair, beatty_terms, check_floors
 from .errors import AmbiguousFloor, HypothesisViolation
 
 TWO_PI = 2.0 * math.pi
@@ -158,14 +158,19 @@ def weyl_sum(seq: Callable[[np.ndarray], np.ndarray], freq: float, N: int) -> We
     return _accumulate_phases(chunk_sum, N)
 
 
-def check_joint_beatty_weyl(t1: float, t2: float, N: int) -> None:
+def check_joint_beatty_weyl(pair: BeattyPair, t1: float, t2: float, N: int) -> None:
     """Refuse what joint_beatty_weyl refuses of its own arguments, before it
-    sums anything (BeattyPair and FrequencyVector check theirs)."""
+    sums anything (BeattyPair and FrequencyVector check theirs).  A literal
+    alpha's floors are all checked, alpha's and then alpha''s, each in
+    index order, so the first product that cannot be floored is named.
+    That pass costs O(N); a named pair's floors are exact and skip it."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     for name, value in (("t1", t1), ("t2", t2)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    for alpha in (pair.alpha, pair.alpha_prime):
+        check_floors(alpha, N)
 
 
 def _carry_margin(top: float) -> float:
@@ -272,9 +277,8 @@ def joint_beatty_weyl(
     AmbiguousFloor unless m a minus it lies in [0, 1), to within that
     margin (exactly, for the table).
 
-    A literal alpha's floors are all checked before anything is summed,
-    alpha's and then alpha''s, each in index order, so the call refuses
-    by the first product that cannot be floored.  That pass costs O(N).
+    A literal alpha's floors are all checked before anything is summed
+    (check_joint_beatty_weyl).
 
     Error, with the float inputs and the exact floors taken as exact:
     write M(n) = |t1 u1| + |t2 u2| + |A| floor(n a) + |B| floor(n a').
@@ -285,12 +289,8 @@ def joint_beatty_weyl(
     term.  A tile's sum is within 4 pi eps M(n) + 24 eps per term of its
     exact value, n its last index, and |S|/N within
     4 pi eps M(N) + (24 + log2 N) eps of its exact value."""
-    check_joint_beatty_weyl(t1, t2, N)
+    check_joint_beatty_weyl(pair, t1, t2, N)
     alphas = (pair.alpha, pair.alpha_prime)
-    if pair.surds is None:
-        for alpha in alphas:
-            for lo in range(0, N, _CHUNK):
-                beatty_terms(alpha, np.arange(lo + 1.0, min(lo + _CHUNK, N) + 1.0))
     u1, u2 = freq.u1, freq.u2
     d1, d2 = freq.delta1, freq.delta2
     margin = _carry_margin(N * max(alphas))
@@ -309,7 +309,7 @@ def joint_beatty_weyl(
     if not n_full:
         return _accumulate_phases(lambda lo, count: head[lo : lo + count].sum(), N)
 
-    # every j < w is an index of the sum too, so a literal alpha's were checked above
+    # every j < w is an index of the sum too, so check_joint_beatty_weyl checked a literal alpha's
     sorted_fracs, table = _dominance_table(alphas, d1 * u1, d2 * u2)
     starts = np.arange(1.0, n_full + 1.0) * _TILE + 1.0
     ranks, exact = [], np.ones(n_full, dtype=bool)

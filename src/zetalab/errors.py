@@ -18,7 +18,8 @@ class PoleAtNonPositiveInteger(ZetaLabError):
 
 
 class PoleOfGammaFactor(ZetaLabError):
-    """chi(s) requested where Gamma(1 - s) has a pole that is not cancelled."""
+    """chi(s) requested within 1e-12 of a positive integer, where Gamma(1 - s)
+    has a pole: every one is refused, the even ones too, where chi is finite."""
 
 
 class BelowDomain(ZetaLabError):

@@ -174,19 +174,31 @@ class Rectangle:
         return nx, ny
 
     def midpoint_grid(self, step: float) -> np.ndarray:
+        return self._midpoints(step, np.arange)
+
+    def corner_midpoints(self, step: float) -> np.ndarray:
+        """midpoint_grid(step)'s four extreme points, bit for bit, in its flat order."""
+        return self._midpoints(step, lambda n: np.array([0, n - 1])).ravel()
+
+    def _midpoints(self, step: float, pick) -> np.ndarray:
         nx, ny = self.grid_shape(step)
-        xs = self.x0 + (np.arange(nx) + 0.5) * (self.x1 - self.x0) / nx
-        ys = self.y0 + (np.arange(ny) + 0.5) * (self.y1 - self.y0) / ny
+        xs = self.x0 + (pick(nx) + 0.5) * (self.x1 - self.x0) / nx
+        ys = self.y0 + (pick(ny) + 0.5) * (self.y1 - self.y0) / ny
         return xs[:, None] + 1j * ys[None, :]
+
+
+def check_bergman_sup_bound(rect: Rectangle, z: complex) -> None:
+    """Refuse what bergman_sup_bound refuses, before any sample is taken."""
+    if not rect.boundary_distance(complex(z)) > 0.0:  # NaN too
+        raise PointOnBoundary(f"z = {z} is not strictly inside {rect}")
 
 
 def bergman_sup_bound(f_samples: np.ndarray, rect: Rectangle, z: complex) -> float:
     """Right-hand side of the Bergman pointwise bound
     (sqrt(pi) d(z, boundary))^{-1} (integral |f|^2 dA)^{1/2}
     with the integral done by midpoint quadrature on the sample grid."""
+    check_bergman_sup_bound(rect, z)
     d = rect.boundary_distance(complex(z))
-    if not d > 0.0:  # NaN too
-        raise PointOnBoundary(f"z = {z} is not strictly inside {rect}")
     cell = rect.area / f_samples.size
     integral = float((np.abs(f_samples) ** 2).sum() * cell)
     return (math.sqrt(math.pi) * d) ** -1 * math.sqrt(integral)

@@ -245,17 +245,25 @@ def _zeta_em(s: complex, n_terms: int) -> complex:
     return total + _em_tail(s, cmath.exp(-s * logs[-1]), n_terms)
 
 
-def zeta(s: complex) -> complex:
-    """zeta(s) by Euler-Maclaurin summation.
+def _check_strip(s: complex) -> complex:
+    """The point check zeta and chi share, in plain Python."""
+    if not _in_strip(s.real, s.imag):
+        raise OutOfDomain(f"s = {s} outside {_STRIP}")
+    return s
 
-    Raises PoleAt1 inside the guard disk around s = 1 and OutOfDomain
-    outside the certified strip.
-    """
+
+def check_zeta(s: complex) -> complex:
+    """s as a complex, refused as zeta refuses it: PoleAt1 inside the guard
+    disk around s = 1, OutOfDomain outside the certified strip."""
     s = complex(s)
     if abs(s - 1.0) < POLE_GUARD:
         raise PoleAt1(f"s = {s} is within {POLE_GUARD} of the pole at 1")
-    if not _in_strip(s.real, s.imag):
-        raise OutOfDomain(f"s = {s} outside {_STRIP}")
+    return _check_strip(s)
+
+
+def zeta(s: complex) -> complex:
+    """zeta(s) by Euler-Maclaurin summation; refuses what check_zeta refuses."""
+    s = check_zeta(s)
     if s.imag < 0.0:
         return zeta(s.conjugate()).conjugate()
     return _require_finite(_zeta_em(s, _em_term_count(s.real, s.imag)), "zeta")
@@ -318,7 +326,7 @@ def _partial_sums(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_points(sigma, t) -> None:
+def check_points(sigma, t) -> None:
     """Raise PoleAt1 or OutOfDomain for the first point sigma + i t that
     lies near s = 1 or outside the certified strip; sigma and t broadcast
     to one 1-D array."""
@@ -408,7 +416,7 @@ def zeta_grid(s_values: np.ndarray) -> np.ndarray:
     if axes is not None:
         out = _product_grid(s_values, *axes)
     else:  # a product grid with a bad point comes here to have it named
-        _check_points(flat.real, flat.imag)
+        check_points(flat.real, flat.imag)
         neg = flat.imag < 0.0
         work = np.where(neg, flat.conj(), flat)
         n_terms = _em_term_count(
@@ -491,7 +499,7 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     |t|, as zeta_grid does.  Raises PoleAt1 or OutOfDomain for the first
     point of m near s = 1 or outside the certified strip."""
     m = np.asarray(m, dtype=np.int64)
-    _check_points(sigma, t0 + delta * m)
+    check_points(sigma, t0 + delta * m)
     u, inverse = np.unique(m, return_inverse=True)
     t = t0 + delta * u
     top = np.abs(t)
@@ -604,18 +612,23 @@ def log_chi(s: complex) -> complex:
     s = complex(s)
     if s.imag < 0.0:
         return log_chi(s.conjugate()).conjugate()
-    w = 1.0 - s
-    if _near_nonpositive_integer(w):
+    return s * LN2 + (s - 1.0) * LNPI + _log_sin(pi * s / 2.0) + log_gamma(1.0 - s)
+
+
+def check_chi(s: complex) -> complex:
+    """s as a complex, refused as chi refuses it: OutOfDomain outside the
+    certified strip, PoleOfGammaFactor at a positive integer."""
+    s = _check_strip(complex(s))
+    if _near_nonpositive_integer(1.0 - s):
         raise PoleOfGammaFactor(f"Gamma(1 - s) pole at s = {s}")
-    return s * LN2 + (s - 1.0) * LNPI + _log_sin(pi * s / 2.0) + log_gamma(w)
+    return s
 
 
 def chi(s: complex) -> complex:
-    """The functional-equation factor chi(s), computed in log space."""
-    s = complex(s)
-    if not _in_strip(s.real, s.imag):
-        raise OutOfDomain(f"s = {s} outside {_STRIP}")
-    return _require_finite(cmath.exp(log_chi(s)), "chi")
+    """The functional-equation factor chi(s), computed in log space.  Every
+    positive integer s is refused, the even ones too, where chi is finite:
+    chi(2) = zeta(2) / zeta(-1) = -2 pi^2."""
+    return _require_finite(cmath.exp(log_chi(check_chi(s))), "chi")
 
 
 def functional_equation_residual(s: complex) -> float:
@@ -624,21 +637,25 @@ def functional_equation_residual(s: complex) -> float:
     return abs(zeta(s) - chi(s) * zeta(1.0 - s))
 
 
+def check_theta(t: float) -> None:
+    """Refuse what theta refuses: t below 2, infinite or NaN."""
+    if not 2.0 <= t < math.inf:
+        raise BelowDomain(f"theta requires finite t >= 2, got {t}")
+
+
 def theta(t: float) -> float:
     """Riemann-Siegel theta: theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
 
     Continuous in t >= 2 because the principal log Gamma is continuous
     along the path 1/4 + it/2.  exp(2 i theta(t)) = chi(1/2 + it)^(-1).
     """
-    if not 2.0 <= t < math.inf:
-        raise BelowDomain(f"theta requires finite t >= 2, got {t}")
+    check_theta(t)
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * LNPI
 
 
 def hardy_z(t: float) -> float:
     """Hardy's Z(t) = zeta(1/2 + it) exp(i theta(t)); real on the line."""
-    if not 2.0 <= t < math.inf:
-        raise BelowDomain(f"hardy_z requires finite t >= 2, got {t}")
+    check_theta(t)
     value = zeta(0.5 + 1j * t) * cmath.exp(1j * theta(t))
     if abs(value.imag) >= 1e-8:
         raise ImaginaryLeak(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import cli
 from zetalab import config as cf
 from zetalab import euler_product as ep
 from zetalab import zeta_core as zc
@@ -59,6 +61,112 @@ def _no_zeta(s):
     raise AssertionError("evaluated before the report format was checked")
 
 
+# (argv, name): a zero-size run, refused by name
+ZERO_SIZE = [
+    (["hits", "--sigma", "0.75", "--h", "1", "--l", "1", "--a-re", "1", "--eps", "0.5",
+      "--N", "0"], "N"),
+    (["joint-hits", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+      "--eps", "0.5", "--N", "0"], "N"),
+    (["sis", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+      "--eps", "0.5", "--N", "0"], "N"),
+    (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "0"], "N"),
+    (["limit-theorem", "--m", "5", "--h", "1", "--N", "0", "--trials", "10"], "N"),
+    (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "0"], "trials"),
+    (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "1",
+      "--N", "0"], "N"),
+    (["limit-theorem", "--m", "0", "--h", "1", "--N", "10", "--trials", "10"], "m"),
+    *[(["meansquare", "--sigma", "0.75", "--m", m, "--N", "10"], "m") for m in ("0", "-3")],
+    (["weyl", "--mode", "linear", "--beta", "1.5", "--N", "0"], "N"),
+    (["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "0"], "N"),
+    (["beatty", "--alpha", "golden", "--check", "0"], "n_max"),
+    *[(["uniqueness", "--delta1", "1", "--delta2", "2", flag, "0"], name)
+      for flag, name in (("--n-max", "n_max"), ("--m-max", "m_max"))],
+]
+
+# (argv, message): a refused parameter
+BAD_PARAMETER = [
+    *[(["bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5", "--step", step],
+       "step must be finite and positive") for step in ("0", "-1", "inf", "nan")],
+    (["weyl", "--N", "100"], "weyl --mode linear requires --beta"),
+    *[(argv, "alpha must be finite and exceed 1") for argv in (
+        ["beatty", "--alpha", "1", "--check", "10"],
+        ["weyl", "--mode", "beatty", "--alpha", "1.0", "--m1", "2:1", "--N", "10"],
+        *[[cmd, "--alpha", "1.0", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+           "--eps", "0.5", "--N", "10"] for cmd in ("sis", "joint-hits")],
+    )],
+    *[(["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10",
+        flag, value], message) for flag, value, message in (
+        ("--delta1", "nan", "delta1 must be finite and positive"),
+        ("--delta2", "inf", "delta2 must be finite and positive"),
+        ("--t1", "inf", "t1 must be finite"),
+        ("--t2", "nan", "t2 must be finite"),
+    )],
+    (["weyl", "--mode", "linear", "--beta", "1.5", "--freq", "nan", "--N", "10"],
+     "freq must be finite and nonzero"),
+    (["weyl", "--mode", "linear", "--beta", "inf", "--N", "10"], "beta must be finite"),
+    *[(["bergman", "--f", f, "--z-re", "0.75", "--z-im", "0.5", "--step", "1e-320", *dry],
+       "step 1e-320 gives an infinite number of grid cells")
+      for f, dry in (("s", []), ("zeta", ["--dry-run"]))],
+    # NaN and infinity are refused by name before any zeta is evaluated
+    (["limit-theorem", "--m", "5", "--h", "nan", "--N", "10", "--trials", "10"],
+     "h must be finite and positive"),
+    (["joint-hits", "--alpha", "golden", "--eps", "nan", "--s-re", "0.75", "--a1-re", "1",
+      "--a2-re", "1", "--N", "10"], "epsilon must be finite and positive"),
+    ([*HITS[:-4], "--eps", "nan", "--N", "10"], "epsilon must be finite and positive"),
+    (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "nan",
+      "--N", "10"], "r must be finite and positive"),
+    *[(["sis", "--alpha", "golden", flag, value, "--s-re", "0.75", "--a1-re", "1",
+        "--a2-re", "1", "--eps", "0.5", "--N", "10"], message) for flag, value, message in (
+        ("--t1", "inf", "t1 must be finite"),
+        ("--delta2", "nan", "delta2 must be finite"),
+    )],
+    (["hits", "--sigma", "0.75", "--im0", "10", "--h", "nan", "--l", "1", "--a-re", "1",
+      "--eps", "0.5", "--N", "10"], "h must be finite and positive"),
+    *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
+        "--tol", tol], "tol must be finite and positive") for tol in ("nan", "inf")],
+    (["bergman", "--f", "s", "--z-re", "nan", "--z-im", "0.5"],
+     "z = (nan+0.5j) is not strictly inside"),
+    (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "10", "--shift-step", "nan"],
+     "shift sequence must be finite, got x_1 = nan"),
+    (["weyl", "--mode", "beatty", "--m1", "2:1", "--N", "10"],
+     "weyl --mode beatty requires --alpha"),
+    *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
+      for t in ("nan", "inf")],
+    (["uniqueness", "--delta1", "inf", "--delta2", "1", "--n-max", "1", "--m-max", "10"],
+     "delta must be finite and positive, got inf"),
+    (["uniqueness", "--t1", "nan", "--delta1", "1", "--delta2", "2", "--n-max", "2",
+      "--m-max", "10"], "t must be finite, got nan"),
+    *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
+        "--swap", swap], f"swap expects n1,n2, got '{swap}'") for swap in ("1", "1,2,3", "1,x")],
+    *[(["zeta", "--re", re, "--im", im], message) for re, im, message in (
+        ("-5", "0", "s = (-5+0j) outside the certified strip"),
+        ("1", "0", "s = (1+0j) is within 1e-12 of the pole at 1"),
+        ("0.5", "1e6", "s = (0.5+1000000j) outside the certified strip"),
+    )],
+    *[(["chi", "--re", re, "--im", im], message) for re, im, message in (
+        ("50", "0", "s = (50+0j) outside the certified strip"),
+        ("0.5", "nan", "s = (0.5+nanj) outside the certified strip"),
+        ("2", "0", "Gamma(1 - s) pole at s = (2+0j)"),
+    )],
+    (["ztheta", "--t", "1"], "theta requires finite t >= 2, got 1.0"),
+    (["ztheta", "--t", "5e4"], "s = (0.5+50000j) outside the certified strip"),
+    *[(argv, "21 * 2.428571428571429 is within 1e-09 of an integer") for argv in (
+        ["beatty", "--alpha", "1.7", "--check", "100"],
+        ["weyl", "--mode", "beatty", "--alpha", "1.7", "--m1", "2:1", "--N", "100000"],
+    )],
+    (["uniqueness", "--delta1", "1", "--delta2", "2", "--swap", "0,5", "--n-max", "6"],
+     "swap expects two positive integers n1,n2, got '0,5'"),
+    (["bergman", "--f", "s", "--z-re", "0.2", "--z-im", "0.5"],
+     "z = (0.2+0.5j) is not strictly inside"),
+    (["bergman", "--f", "zeta", "--x0", "-2", "--z-re", "0.75", "--z-im", "0.5"],
+     "grid point (-1.995+0.055j) outside the certified strip"),
+    # zeta has a pole in the rectangle, so Bergman's bound does not apply
+    (["bergman", "--f", "zeta", "--x0", "0.55", "--x1", "1.45", "--y0", "-0.5", "--y1", "0.5",
+      "--z-re", "0.75", "--z-im", "0.2"],
+     "Rectangle(x0=0.55, x1=1.45, y0=-0.5, y1=0.5) comes within 1e-12 of the pole of zeta at 1"),
+]
+
+
 class TestExitCodes:
     def test_usage_error_is_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -79,90 +187,30 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "zeta", "--re", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("argv, name", [
-        (["hits", "--sigma", "0.75", "--h", "1", "--l", "1", "--a-re", "1", "--eps", "0.5",
-          "--N", "0"], "N"),
-        (["joint-hits", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
-          "--eps", "0.5", "--N", "0"], "N"),
-        (["sis", "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
-          "--eps", "0.5", "--N", "0"], "N"),
-        (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "0"], "N"),
-        (["limit-theorem", "--m", "5", "--h", "1", "--N", "0", "--trials", "10"], "N"),
-        (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "0"], "trials"),
-        (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "1",
-          "--N", "0"], "N"),
-        (["limit-theorem", "--m", "0", "--h", "1", "--N", "10", "--trials", "10"], "m"),
-        *[(["meansquare", "--sigma", "0.75", "--m", m, "--N", "10"], "m") for m in ("0", "-3")],
-        (["weyl", "--mode", "linear", "--beta", "1.5", "--N", "0"], "N"),
-        (["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "0"], "N"),
-    ])
+    @pytest.mark.parametrize("argv, name", ZERO_SIZE)
     def test_zero_size_run_is_2(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {name} must be at least 1" in err
         assert out == ""
+        assert run_cli(capsys, *argv, "--dry-run") == (code, out, err)
 
-    @pytest.mark.parametrize("argv, message", [
-        *[(["bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5", "--step", step],
-           "step must be finite and positive") for step in ("0", "-1", "inf", "nan")],
-        (["weyl", "--N", "100"], "weyl --mode linear requires --beta"),
-        *[(argv, "alpha must be finite and exceed 1") for argv in (
-            ["beatty", "--alpha", "1", "--check", "10"],
-            ["weyl", "--mode", "beatty", "--alpha", "1.0", "--m1", "2:1", "--N", "10"],
-            *[[cmd, "--alpha", "1.0", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
-               "--eps", "0.5", "--N", "10"] for cmd in ("sis", "joint-hits")],
-        )],
-        *[(["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10",
-            flag, value], message) for flag, value, message in (
-            ("--delta1", "nan", "delta1 must be finite and positive"),
-            ("--delta2", "inf", "delta2 must be finite and positive"),
-            ("--t1", "inf", "t1 must be finite"),
-            ("--t2", "nan", "t2 must be finite"),
-        )],
-        (["weyl", "--mode", "linear", "--beta", "1.5", "--freq", "nan", "--N", "10"],
-         "freq must be finite and nonzero"),
-        (["weyl", "--mode", "linear", "--beta", "inf", "--N", "10"], "beta must be finite"),
-        *[(["bergman", "--f", f, "--z-re", "0.75", "--z-im", "0.5", "--step", "1e-320", *dry],
-           "step 1e-320 gives an infinite number of grid cells")
-          for f, dry in (("s", []), ("zeta", ["--dry-run"]))],
-        # NaN and infinity are refused by name before any zeta is evaluated
-        (["limit-theorem", "--m", "5", "--h", "nan", "--N", "10", "--trials", "10"],
-         "h must be finite and positive"),
-        (["joint-hits", "--alpha", "golden", "--eps", "nan", "--s-re", "0.75", "--a1-re", "1",
-          "--a2-re", "1", "--N", "10"], "epsilon must be finite and positive"),
-        ([*HITS[:-4], "--eps", "nan", "--N", "10"], "epsilon must be finite and positive"),
-        (["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2", "--r", "nan",
-          "--N", "10"], "r must be finite and positive"),
-        *[(["sis", "--alpha", "golden", flag, value, "--s-re", "0.75", "--a1-re", "1",
-            "--a2-re", "1", "--eps", "0.5", "--N", "10"], message) for flag, value, message in (
-            ("--t1", "inf", "t1 must be finite"),
-            ("--delta2", "nan", "delta2 must be finite"),
-        )],
-        (["hits", "--sigma", "0.75", "--im0", "10", "--h", "nan", "--l", "1", "--a-re", "1",
-          "--eps", "0.5", "--N", "10"], "h must be finite and positive"),
-        *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
-            "--tol", tol], "tol must be finite and positive") for tol in ("nan", "inf")],
-        (["bergman", "--f", "s", "--z-re", "nan", "--z-im", "0.5"],
-         "z = (nan+0.5j) is not strictly inside"),
-        (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "10", "--shift-step", "nan"],
-         "shift sequence must be finite, got x_1 = nan"),
-        (["weyl", "--mode", "beatty", "--m1", "2:1", "--N", "10"],
-         "weyl --mode beatty requires --alpha"),
-        *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
-          for t in ("nan", "inf")],
-        (["uniqueness", "--delta1", "inf", "--delta2", "1", "--n-max", "1", "--m-max", "10"],
-         "delta must be finite and positive, got inf"),
-        (["uniqueness", "--t1", "nan", "--delta1", "1", "--delta2", "2", "--n-max", "2",
-          "--m-max", "10"], "t must be finite, got nan"),
-        *[(["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1", "--m-max", "100",
-            "--swap", swap], f"swap expects n1,n2, got '{swap}'") for swap in ("1", "1,2,3", "1,x")],
-    ])
+    @pytest.mark.parametrize("argv, message", BAD_PARAMETER)
     def test_bad_parameter_is_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {message}" in err
         assert "RuntimeWarning" not in err
         assert out == ""
+        assert run_cli(capsys, *argv, "--dry-run") == (code, out, err)
+
+    def test_every_subcommand_has_a_command_and_a_refusal_case(self):
+        """A new subcommand needs a _COMMANDS entry, which serves both the
+        run and the dry-run, and a case in the refusal lists above."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        refused = {argv[0] for argv, _ in ZERO_SIZE + BAD_PARAMETER}
+        assert set(sub.choices) == set(cli._COMMANDS)
+        assert set(sub.choices) <= refused
 
     @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
     def test_flip_refuses_c_before_the_chi_scan(self, capsys, monkeypatch, c):

@@ -261,6 +261,15 @@ class TestRectangleAndBergman:
         assert g.shape == (4, 4)
         assert abs(g[0, 0] - (0.125 + 0.125j)) < 1e-15
 
+    @pytest.mark.parametrize("rect, step", [
+        ((0.55, 0.95, 0.05, 1.05), 0.01), ((0.1, 0.7, -3.3, 2.9), 0.037),
+        ((-0.9, 30.0, 100.0, 100.3), 0.3), ((0.0, 1.0, 0.0, 1.0), 5.0),
+    ])
+    def test_corner_midpoints_are_the_grids_bit_for_bit(self, rect, step):
+        r = ep.Rectangle(*rect)
+        g = r.midpoint_grid(step)
+        assert np.array_equal(r.corner_midpoints(step), g[[0, 0, -1, -1], [0, -1, 0, -1]])
+
     def test_constant_function_exact(self):
         # for f = c the bound is |c| sqrt(area) / (sqrt(pi) d)
         r = ep.Rectangle(0.0, 1.0, 0.0, 1.0)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,12 @@ class TestChi:
     def test_gamma_factor_pole(self):
         with pytest.raises(PoleOfGammaFactor):
             zc.chi(1.0)
+
+    def test_even_integer_refused_though_chi_is_finite(self):
+        # chi(2) = zeta(2) / zeta(-1) = -2 pi^2, but every positive integer is refused
+        assert mpmath.almosteq(mpmath.zeta(2) / mpmath.zeta(-1), -2 * mpmath.pi ** 2)
+        with pytest.raises(PoleOfGammaFactor, match=r"pole at s = \(2\+0j\)"):
+            zc.chi(2.0)
 
     def test_conjugation(self):
         s = 0.3 + 40j
