@@ -24,7 +24,8 @@ from .errors import ParseError, PoleAt1, ZetaLabError
 
 USAGE_ERROR = 64
 _CSV_COMMANDS = ("hits", "beatty", "weyl")  # every other command writes JSON only
-_NOT_PARAMS = ("command", "output", "format", "seed", "threads", "dry_run", "config")
+_NOT_OPTIONS = ("command", "config", "dry_run")  # no config file key sets these
+_NOT_RECORDED = (*_NOT_OPTIONS, "threads")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,18 +46,21 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _write_report(cfg: ExperimentConfig, results: dict, csv_rows: list | None) -> None:
+    """Print the results; write the report to the output and in the format
+    that cfg records."""
+    output = cfg.params.get("output")
     report = {
         "config": cfg.as_dict(),
         "results": results,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if cfg.output:
-        if cfg.format == "csv":
-            with open(cfg.output, "w", newline="") as fh:
+    if output:
+        if cfg.params["format"] == "csv":
+            with open(output, "w", newline="") as fh:
                 lines = [",".join([_csv_cell(c) for c in row]) + "\n" for row in csv_rows]
                 fh.write("".join(lines))
         else:
-            with open(cfg.output, "w") as fh:
+            with open(output, "w") as fh:
                 json.dump(report, fh, sort_keys=True, indent=2, default=str)
                 fh.write("\n")
     print(json.dumps(results, sort_keys=True, default=str))
@@ -192,33 +196,6 @@ def _parse_weights(text: str) -> dict[int, int]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> ExperimentConfig:
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
-    cfg = ExperimentConfig(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        output=args.output,
-        format=args.format,
-    )
-    if args.config:
-        file_cfg = config_roundtrip(args.config)
-        if file_cfg.command != cfg.command:
-            raise ParseError(
-                f"config file command {file_cfg.command!r} does not match {cfg.command!r}"
-            )
-        # explicit flags win over file values
-        given = {a[2:].split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-        for key, value in params.items():
-            if key in given or key not in file_cfg.params:
-                file_cfg.params[key] = value
-        cfg.params = file_cfg.params
-        for key in ("seed", "output", "format"):
-            if getattr(file_cfg, key) is not None and key not in given:
-                setattr(cfg, key, getattr(file_cfg, key))
-    return cfg
-
-
 def _line_estimate(args: tuple, *line_builders) -> dict:
     """The zeta values and terms of the lines the run's scans evaluate zeta
     on, taken in the run's order, so that the first refusal is the run's."""
@@ -227,48 +204,47 @@ def _line_estimate(args: tuple, *line_builders) -> dict:
             "estimated_terms": sum(c[1] for c in costs)}
 
 
-def _zeta(p: dict, seed, dry_run: bool):
-    s = zeta_core.check_zeta(complex(p["re"], p["im"]))
-    if dry_run:
+def _zeta(opt):
+    s = zeta_core.check_zeta(complex(opt.re, opt.im))
+    if opt.dry_run:
         return {"estimated_evaluations": 1}
     value = zeta_core.zeta(s)
     print(_fmt_complex(value))
     return {"value": _fmt_complex(value)}, None
 
 
-def _chi(p: dict, seed, dry_run: bool):
-    s = zeta_core.check_chi(complex(p["re"], p["im"]))
-    if dry_run:
+def _chi(opt):
+    s = zeta_core.check_chi(complex(opt.re, opt.im))
+    if opt.dry_run:
         return {"estimated_evaluations": 0}
     value = zeta_core.chi(s)
     return {"value": _fmt_complex(value), "abs": abs(value)}, None
 
 
-def _ztheta(p: dict, seed, dry_run: bool):
-    t = float(p["t"])
-    zeta_core.check_theta(t)
-    zeta_core.check_zeta(0.5 + 1j * t)  # hardy_z's point
-    if dry_run:
+def _ztheta(opt):
+    zeta_core.check_theta(opt.t)
+    zeta_core.check_zeta(0.5 + 1j * opt.t)  # hardy_z's point
+    if opt.dry_run:
         return {"estimated_evaluations": 1}
-    return {"theta": zeta_core.theta(t), "Z": zeta_core.hardy_z(t)}, None
+    return {"theta": zeta_core.theta(opt.t), "Z": zeta_core.hardy_z(opt.t)}, None
 
 
-def _uniqueness(p: dict, seed, dry_run: bool):
-    f = dirichlet.power_of_two_indicator() if p["coeffs"] == "pow2" else dirichlet.constant_one()
+def _uniqueness(opt):
+    f = dirichlet.power_of_two_indicator() if opt.coeffs == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
-    if p.get("swap"):
+    if opt.swap:
         try:
-            n1, n2 = (int(x) for x in str(p["swap"]).split(","))
+            n1, n2 = (int(x) for x in opt.swap.split(","))
         except ValueError:
-            raise ValueError(f"swap expects n1,n2, got {p['swap']!r}") from None
+            raise ValueError(f"swap expects n1,n2, got {opt.swap!r}") from None
         if min(n1, n2) < 1:
-            raise ValueError(f"swap expects two positive integers n1,n2, got {p['swap']!r}")
+            raise ValueError(f"swap expects two positive integers n1,n2, got {opt.swap!r}")
         perm = dirichlet.transposition(n1, n2)
-    p1 = dirichlet.Progression(float(p["t1"]), float(p["delta1"]))
-    p2 = dirichlet.Progression(float(p["t2"]), float(p["delta2"]))
-    limits = int(p["n_max"]), int(p["m_max"]), float(p["tol"])
+    p1 = dirichlet.Progression(opt.t1, opt.delta1)
+    p2 = dirichlet.Progression(opt.t2, opt.delta2)
+    limits = opt.n_max, opt.m_max, opt.tol
     dirichlet.check_uniqueness_bound(*limits)
-    if dry_run:
+    if opt.dry_run:
         return {"estimated_evaluations": 0}
     cert = dirichlet.uniqueness_bound(f, f, p1, p2, perm, *limits)
     if cert is None:
@@ -281,12 +257,12 @@ def _uniqueness(p: dict, seed, dry_run: bool):
     }}, None
 
 
-def _beatty(p: dict, seed, dry_run: bool):
-    pair, n_max = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"]))), int(p["check"])
-    if dry_run:
-        beatty_mod.check_rayleigh_partition(pair, n_max)
+def _beatty(opt):
+    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha))
+    if opt.dry_run:
+        beatty_mod.check_rayleigh_partition(pair, opt.check)
         return {"estimated_evaluations": 0}
-    rep = beatty_mod.rayleigh_partition_check(pair, n_max)
+    rep = beatty_mod.rayleigh_partition_check(pair, opt.check)
     return {
         "n_max": rep.n_max,
         "count_alpha": rep.count_alpha,
@@ -299,63 +275,55 @@ def _beatty(p: dict, seed, dry_run: bool):
     ]
 
 
-def _weyl(p: dict, seed, dry_run: bool):
-    n_total = int(p["N"])
-    if p["mode"] == "linear":
-        if "beta" not in p:
+def _weyl(opt):
+    if opt.mode == "linear":
+        if opt.beta is None:
             raise ValueError("weyl --mode linear requires --beta")
-        beta = float(p["beta"])
+        beta = opt.beta
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta}")
-        freq = float(p["freq"])
-        equidist.check_weyl_sum(freq, n_total)
-        sum_fn, args = equidist.weyl_sum, (lambda n: n * beta, freq, n_total)
+        equidist.check_weyl_sum(opt.freq, opt.N)
+        sum_fn, args = equidist.weyl_sum, (lambda n: n * beta, opt.freq, opt.N)
     else:
-        if "alpha" not in p:
+        if opt.alpha is None:
             raise ValueError("weyl --mode beatty requires --alpha")
-        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"])))
-        freq = equidist.FrequencyVector(
-            primes1=_parse_weights(str(p["m1"])),
-            primes2=_parse_weights(str(p["m2"])),
-            delta1=float(p["delta1"]),
-            delta2=float(p["delta2"]),
-        )
-        t1, t2 = float(p["t1"]), float(p["t2"])
-        equidist.check_joint_beatty_weyl(pair, t1, t2, n_total)
-        sum_fn, args = equidist.joint_beatty_weyl, (pair, t1, t2, freq, n_total)
-    if dry_run:
+        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha))
+        freq = equidist.FrequencyVector(_parse_weights(opt.m1), _parse_weights(opt.m2),
+                                        opt.delta1, opt.delta2)
+        equidist.check_joint_beatty_weyl(pair, opt.t1, opt.t2, opt.N)
+        sum_fn, args = equidist.joint_beatty_weyl, (pair, opt.t1, opt.t2, freq, opt.N)
+    if opt.dry_run:
         return {"estimated_evaluations": 0}
     rep = sum_fn(*args)
     rows = [("N", "magnitude")] + list(rep.trajectory)
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
 
 
-def _meansquare(p: dict, seed, dry_run: bool):
-    level = euler_product.TruncationLevel.of(int(p["m"]))
-    n_total = int(p["N"])
-    args = level, float(p["sigma"]), float(p["shift_step"]) * np.arange(1, n_total + 1), n_total
-    if dry_run:
+def _meansquare(opt):
+    level = euler_product.TruncationLevel.of(opt.m)
+    args = level, opt.sigma, opt.shift_step * np.arange(1, opt.N + 1), opt.N
+    if opt.dry_run:
         return {**_line_estimate(args, euler_product.mean_square_lines),
-                "estimated_euler_factors": n_total * level.m}
+                "estimated_euler_factors": opt.N * level.m}
     return asdict(euler_product.mean_square_discrete(*args)), None
 
 
-def _limit_theorem(p: dict, seed, dry_run: bool):
-    level = euler_product.TruncationLevel.of(int(p["m"]))
-    h, s0, n, trials = float(p["h"]), complex(float(p["sigma"]), 0.0), int(p["N"]), int(p["trials"])
-    if dry_run:
-        euler_product.check_limit_theorem(h, s0, n, trials)
-        return {"estimated_evaluations": 0, "estimated_euler_factors": level.m * (n + trials)}
-    rep = euler_product.empirical_limit_theorem(level, h, s0, n, trials, int(seed or 0))
+def _limit_theorem(opt):
+    level = euler_product.TruncationLevel.of(opt.m)
+    s0 = complex(opt.sigma, 0.0)
+    if opt.dry_run:
+        euler_product.check_limit_theorem(opt.h, s0, opt.N, opt.trials)
+        return {"estimated_evaluations": 0,
+                "estimated_euler_factors": level.m * (opt.N + opt.trials)}
+    rep = euler_product.empirical_limit_theorem(level, opt.h, s0, opt.N, opt.trials, opt.seed)
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None
 
 
-def _hits(p: dict, seed, dry_run: bool):
-    s, a = complex(p["sigma"], p["im0"]), complex(p["a_re"], p["a_im"])
-    args = (shift_search.VerticalGrid(s=s, h=float(p["h"]), l=int(p["l"])),
-            shift_search.TargetDisk(a=a, epsilon=float(p["eps"])), int(p["N"]))
-    if dry_run:
+def _hits(opt):
+    args = (shift_search.VerticalGrid(s=complex(opt.sigma, opt.im0), h=opt.h, l=opt.l),
+            shift_search.TargetDisk(a=complex(opt.a_re, opt.a_im), epsilon=opt.eps), opt.N)
+    if opt.dry_run:
         return _line_estimate(args, shift_search.disk_hit_lines)
     hits, rep = shift_search.scan_disk_hits(*args)
     return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
@@ -365,60 +333,55 @@ def _pair_scan(scan: str, *line_builders: str):
     """joint-hits and sis: a shift_search scan and the builders of the lines
     it evaluates zeta on, looked up by name at each call, so that a wrapper
     set on the module attribute sees the call."""
-    def command(p: dict, seed, dry_run: bool):
-        args = (beatty_mod.BeattyPair.from_alpha(_resolve_alpha(str(p["alpha"]))),
-                float(p["t1"]), float(p["t2"]), float(p["delta1"]), float(p["delta2"]),
-                np.array([complex(p["s_re"], p["s_im"])]),
-                (complex(p["a1_re"], p["a1_im"]), complex(p["a2_re"], p["a2_im"])),
-                float(p["eps"]), int(p["N"]))
-        if dry_run:
+    def command(opt):
+        args = (beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha)),
+                opt.t1, opt.t2, opt.delta1, opt.delta2, np.array([complex(opt.s_re, opt.s_im)]),
+                (complex(opt.a1_re, opt.a1_im), complex(opt.a2_re, opt.a2_im)), opt.eps, opt.N)
+        if opt.dry_run:
             return _line_estimate(args, *(getattr(shift_search, b) for b in line_builders))
         return asdict(getattr(shift_search, scan)(*args)), None
     return command
 
 
-def _flip(p: dict, seed, dry_run: bool):
-    sigma, c = float(p["sigma"]), float(p["c"])
-    if not 0.0 < c < math.inf:  # before the scan, which would blame the certificate
-        raise ValueError(f"c must be finite and positive, got {c}")
-    t_start = float(p["t_start"])
-    chi_rep = zeta_core.chi_lower_bound_check(sigma, c, (2.0, t_start), 500)
+def _flip(opt):
+    if not 0.0 < opt.c < math.inf:  # before the scan, which would blame the certificate
+        raise ValueError(f"c must be finite and positive, got {opt.c}")
+    chi_rep = zeta_core.chi_lower_bound_check(opt.sigma, opt.c, (2.0, opt.t_start), 500)
     if chi_rep.t0 is None:
-        raise ZetaLabError(f"|chi| >= {c} not certified below t = {t_start}")
-    grid = shift_search.VerticalGrid(s=complex(sigma, t_start), h=float(p["h"]), l=int(p["l"]))
-    args = grid, float(p["r"]), c, int(p["N"]), chi_rep.t0
-    if dry_run:
+        raise ZetaLabError(f"|chi| >= {opt.c} not certified below t = {opt.t_start}")
+    grid = shift_search.VerticalGrid(s=complex(opt.sigma, opt.t_start), h=opt.h, l=opt.l)
+    args = grid, opt.r, opt.c, opt.N, chi_rep.t0
+    if opt.dry_run:
         return _line_estimate(args, shift_search.flip_lines)
     rep = shift_search.left_half_flip(*args)
     return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
             "disagreements": rep.disagreements, "params": rep.params}, None
 
 
-def _bergman(p: dict, seed, dry_run: bool):
-    rect = euler_product.Rectangle(float(p["x0"]), float(p["x1"]), float(p["y0"]), float(p["y1"]))
-    step, kind, z = float(p["step"]), str(p["f"]), complex(p["z_re"], p["z_im"])
-    nx, ny = rect.grid_shape(step)
-    if kind == "zeta":  # Bergman's bound needs f holomorphic on the closed rectangle
+def _bergman(opt):
+    rect, z = euler_product.Rectangle(opt.x0, opt.x1, opt.y0, opt.y1), complex(opt.z_re, opt.z_im)
+    nx, ny = rect.grid_shape(opt.step)
+    if opt.f == "zeta":  # Bergman's bound needs f holomorphic on the closed rectangle
         nearest = complex(min(max(1.0, rect.x0), rect.x1), min(max(0.0, rect.y0), rect.y1))
         if abs(nearest - 1.0) < zeta_core.POLE_GUARD:
             raise PoleAt1(f"{rect} comes within {zeta_core.POLE_GUARD} of the pole of zeta at 1")
-        corners = rect.corner_midpoints(step)  # the grid's axes are monotone, the strip a box
+        corners = rect.corner_midpoints(opt.step)  # the grid's axes are monotone, the strip a box
         zeta_core.check_points(corners.real, corners.imag)
     euler_product.check_bergman_sup_bound(rect, z)
-    if kind == "zeta":
+    if opt.f == "zeta":
         zeta_core.check_zeta(z)
-    if dry_run:
-        return {"estimated_evaluations": nx * ny + 1 if kind == "zeta" else 0}
+    if opt.dry_run:
+        return {"estimated_evaluations": nx * ny + 1 if opt.f == "zeta" else 0}
     samples = {"one": np.ones_like, "s": np.asarray, "s2": np.square,
-               "zeta": zeta_core.zeta_grid}[kind](rect.midpoint_grid(step))
+               "zeta": zeta_core.zeta_grid}[opt.f](rect.midpoint_grid(opt.step))
     bound = euler_product.bergman_sup_bound(samples, rect, z)
-    f_z = zeta_core.zeta(z) if kind == "zeta" else {"one": 1.0 + 0j, "s": z, "s2": z * z}[kind]
+    f_z = zeta_core.zeta(z) if opt.f == "zeta" else {"one": 1.0 + 0j, "s": z, "s2": z * z}[opt.f]
     return {"bound": bound, "abs_f_z": abs(f_z), "holds": abs(f_z) <= bound}, None
 
 
-# command -> function(params, seed, dry_run): each builds its arguments and
-# runs all of its refusals, then returns a dry-run's cost estimate, or runs
-# and returns (results, CSV rows or None)
+# command -> function(opt), opt its parsed arguments: each builds its
+# arguments and runs all of its refusals, then returns a dry-run's cost
+# estimate, or runs and returns (results, CSV rows or None)
 _COMMANDS = {
     "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
     "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
@@ -435,18 +398,32 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """argv parsed again with the --config file's values as `--option=value`
+    flags before argv's own, so that each value goes through its option's
+    parser and an explicit flag wins."""
+    file_cfg = config_roundtrip(args.config)
+    if file_cfg.command != args.command:
+        raise ParseError(
+            f"config file command {file_cfg.command!r} does not match {args.command!r}")
+    options = {k for k in vars(args) if k not in _NOT_OPTIONS}
+    warn_unknown_keys(file_cfg, options)
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in file_cfg.params.items() if k in options]
+    return parser.parse_args([args.command, *flags, *argv[1:]])
+
+
 def run(argv: list[str]) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, argv)
-        if cfg.format == "csv" and cfg.command not in _CSV_COMMANDS:
-            message = f"{cfg.command} has no CSV report (only {', '.join(_CSV_COMMANDS)} have one)"
-            if args.format == "csv":  # from the flag: a usage error
-                parser.error(message)
-            raise ParseError(message)
-        warn_unknown_keys(cfg, {k for k in vars(args) if k not in _NOT_PARAMS})
-        out = _COMMANDS[cfg.command](cfg.params, cfg.seed, args.dry_run)
+        if args.config:
+            args = _with_config(parser, args, argv)
+        if args.format == "csv" and args.command not in _CSV_COMMANDS:
+            parser.error(f"{args.command} has no CSV report "
+                         f"(only {', '.join(_CSV_COMMANDS)} have one)")
+        out = _COMMANDS[args.command](args)
+        cfg = ExperimentConfig(args.command, {
+            k: v for k, v in vars(args).items() if k not in _NOT_RECORDED and v is not None})
         if args.dry_run:
             print(json.dumps({"config": cfg.as_dict(), "dry_run": True, **out}, sort_keys=True))
         else:

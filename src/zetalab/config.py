@@ -1,6 +1,7 @@
 """Plain-text experiment configuration: one `key = value` per line,
-`#` comments.  Values parse as int, then float, then true/false, else
-stay text."""
+`#` comments.  `command` names the subcommand; every other key names one
+of its options, with `_` for `-`, and its value stays text, so that the
+CLI passes it as `--option=value` through the option's own parser."""
 
 from __future__ import annotations
 
@@ -16,29 +17,9 @@ log = logging.getLogger("zetalab")
 class ExperimentConfig:
     command: str
     params: dict = field(default_factory=dict)
-    seed: int | None = None
-    output: str | None = None
-    format: str = "json"
 
     def as_dict(self) -> dict:
-        out = {"command": self.command, "format": self.format}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.output is not None:
-            out["output"] = self.output
-        out.update({k: self.params[k] for k in sorted(self.params)})
-        return out
-
-
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text in ("true", "false"):
-        return text == "true"
-    return text
+        return {"command": self.command, **self.params}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -51,25 +32,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}", lineno)
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
         if not key:
             raise ParseError(f"line {lineno}: empty key", lineno)
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}", lineno)
-        values[key] = _parse_value(val)
+        values[key] = val.strip()
     if "command" not in values:
         raise ParseError("missing required key 'command'")
-    command = str(values.pop("command"))
-    seed = values.pop("seed", None)
-    output = values.pop("output", None)
-    fmt = str(values.pop("format", "json"))
-    return ExperimentConfig(
-        command=command,
-        params=values,
-        seed=int(seed) if seed is not None else None,
-        output=str(output) if output is not None else None,
-        format=fmt,
-    )
+    return ExperimentConfig(command=values.pop("command"), params=values)
 
 
 def config_roundtrip(path) -> ExperimentConfig:

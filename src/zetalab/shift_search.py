@@ -50,7 +50,6 @@ class TargetDisk:
 @dataclass(frozen=True)
 class ShiftHit:
     n: int
-    deviations: tuple[float, ...]
     max_dev: float
 
 
@@ -103,10 +102,8 @@ def scan_disk_hits(
     # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
     # one reduction for all hits, then plain Python floats
     rows = np.lib.stride_tricks.sliding_window_view(dev, grid.l)[hit_indices - 1]
-    hits = [
-        ShiftHit(n, tuple(devs), max_dev)
-        for n, devs, max_dev in zip(hit_indices.tolist(), rows.tolist(), rows.max(axis=1).tolist())
-    ]
+    hits = [ShiftHit(n, max_dev)
+            for n, max_dev in zip(hit_indices.tolist(), rows.max(axis=1).tolist())]
     report = HitDensityReport(
         N=N,
         hits=len(hits),

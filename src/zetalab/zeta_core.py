@@ -607,9 +607,11 @@ def log_chi(s: complex) -> complex:
     """log chi(s) with chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s).
 
     The imaginary part is only defined mod 2 pi; the real part (log |chi|)
-    is exact.
+    is exact.  chi has a zero at s = 0, where OutOfDomain is raised.
     """
     s = complex(s)
+    if s == 0:
+        raise OutOfDomain(f"log chi is undefined at s = {s}, a zero of chi")
     if s.imag < 0.0:
         return log_chi(s.conjugate()).conjugate()
     return s * LN2 + (s - 1.0) * LNPI + _log_sin(pi * s / 2.0) + log_gamma(1.0 - s)
@@ -625,10 +627,14 @@ def check_chi(s: complex) -> complex:
 
 
 def chi(s: complex) -> complex:
-    """The functional-equation factor chi(s), computed in log space.  Every
-    positive integer s is refused, the even ones too, where chi is finite:
+    """The functional-equation factor chi(s), computed in log space, and 0
+    at its simple zero s = 0, the only one in the strip.  Every positive
+    integer s is refused, the even ones too, where chi is finite:
     chi(2) = zeta(2) / zeta(-1) = -2 pi^2."""
-    return _require_finite(cmath.exp(log_chi(check_chi(s))), "chi")
+    s = check_chi(s)
+    if s == 0:
+        return 0j
+    return _require_finite(cmath.exp(log_chi(s)), "chi")
 
 
 def functional_equation_residual(s: complex) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from zetalab.errors import ParseError
 
 HITS = ["hits", "--sigma", "0.75", "--im0", "10", "--h", "1", "--l", "1",
         "--a-re", "1", "--eps", "0.5", "--N", "200"]
+UNIQUENESS = ["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "1"]
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +310,13 @@ class TestCommands:
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
         assert seen == [900]
 
+    def test_chi_zero(self, capsys):
+        # chi has a simple zero at s = 0
+        assert run_cli(capsys, "chi", "--re", "0")[1:] == (
+            '{"abs": 0.0, "value": "0+0j"}\n', "")
+        code, out, _ = run_cli(capsys, "chi", "--re", "0", "--dry-run")
+        assert code == 0 and json.loads(out)["estimated_evaluations"] == 0
+
     def test_bergman(self, capsys):
         code, out, _ = run_cli(
             capsys, "bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5",
@@ -506,17 +515,22 @@ class TestConfigFile:
     def test_file_drives_run(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("# a zeta evaluation\ncommand = zeta\nre = 2\n")
-        code, out, _ = run_cli(capsys, "zeta", "--re", "3", "--config", str(cfg))
-        assert code == 0
-        # explicit flag --re 3 wins over the file value 2
-        payload = json.loads(out.strip().splitlines()[-1])
-        assert abs(complex(payload["value"]) - 1.2020569) < 1e-6
+        for flag in ("--re", "--r"):  # however abbreviated
+            code, out, _ = run_cli(capsys, "zeta", flag, "3", "--config", str(cfg))
+            assert code == 0
+            # explicit flag --re 3 wins over the file value 2
+            payload = json.loads(out.strip().splitlines()[-1])
+            assert abs(complex(payload["value"]) - 1.2020569) < 1e-6
 
     def test_file_value_used_when_flag_defaulted(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("command = zeta\nre = 2\nim = 0\n")
-        code, out, _ = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
+        cfg.write_text("command = hits\nim0 = 0\n")
+        argv = [*HITS[:3], *HITS[5:], "--dry-run"]  # no --im0
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 0
+        # parsed and recorded as the flag's value
+        assert run_cli(capsys, *argv, "--im0", "0") == (0, out, "")
+        assert '"im0": 0.0' in out
 
     def test_file_format_used_when_flag_absent(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -535,10 +549,12 @@ class TestConfigFile:
         out = tmp_path / "z.csv"
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"command = zeta\nre = 2\nformat = csv\noutput = {out}\n")
-        code, stdout, err = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
-        assert code == 2
-        assert "zeta has no CSV report" in err
-        assert stdout == "" and not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["zeta", "--re", "2", "--config", str(cfg)])
+        assert exc.value.code == 64  # a usage error, as for the flag
+        captured = capsys.readouterr()
+        assert "zeta has no CSV report" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -547,19 +563,40 @@ class TestConfigFile:
         assert code == 2
         assert "does not match" in err
 
+    @pytest.mark.parametrize("argv, key, option, value", [
+        (UNIQUENESS, "coeffs", "--coeffs", "pow3"),
+        (UNIQUENESS, "n_max", "--n-max", "2.5"),
+        (["zeta", "--re", "2"], "format", "--format", "xml"),
+        (["weyl", "--beta", "1.5", "--N", "10"], "mode", "--mode", "linaer"),
+    ])
+    def test_bad_file_value_is_the_flags_usage_error(self, tmp_path, capsys, argv, key,
+                                                     option, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"command = {argv[0]}\n{key} = {value}\n")
+        errors = []
+        for args in ([*argv, "--config", str(cfg)], [*argv, option, value]):
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 64
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"argument {option}: invalid" in captured.err
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+
 
 class TestConfigParsing:
     def test_round_trip(self):
         again = cf.parse_config_text("command = hits\nseed = 7\nformat = csv\nN = 100\n"
                                      "sigma = 0.75\n")
+        # values stay text; seed and format are options like any other
         assert again == cf.ExperimentConfig(
-            command="hits", params={"sigma": 0.75, "N": 100}, seed=7, format="csv"
+            command="hits", params={"seed": "7", "format": "csv", "N": "100", "sigma": "0.75"}
         )
 
     def test_comments_and_blank_lines(self):
         cfg = cf.parse_config_text("# hi\n\ncommand = zeta  # trailing\nre = 2\n")
         assert cfg.command == "zeta"
-        assert cfg.params == {"re": 2}
+        assert cfg.params == {"re": "2"}
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ParseError) as exc:
@@ -576,9 +613,11 @@ class TestConfigParsing:
 
     def test_value_types(self):
         cfg = cf.parse_config_text(
-            "command = x\na = 3\nb = 2.5\nc = true\nd = hello\n"
+            "command = x\na = 3\nb = 2.5\nc = true\nd = hello\ne =\nf = x=y\n"
         )
-        assert cfg.params == {"a": 3, "b": 2.5, "c": True, "d": "hello"}
+        # no value is typed here: the option's own parser types it
+        assert cfg.params == {"a": "3", "b": "2.5", "c": "true", "d": "hello", "e": "",
+                              "f": "x=y"}
 
     @given(
         st.dictionaries(
@@ -589,18 +628,24 @@ class TestConfigParsing:
     )
     @settings(max_examples=40, deadline=None)
     def test_round_trip_property(self, params):
-        # repr writes ints and floats so that they parse back equal
+        # each value comes back as the text written, which its type reads back equal
         text = "command = zeta\n" + "".join(f"{k} = {v!r}\n" for k, v in params.items())
-        assert cf.parse_config_text(text).params == params
+        parsed = cf.parse_config_text(text).params
+        assert parsed == {k: repr(v) for k, v in params.items()}
+        assert {k: type(v)(parsed[k]) for k, v in params.items()} == params
 
 
 def test_unknown_config_key_warns(tmp_path, capsys, caplog):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("command = zeta\nre = 2\nbogus_key = 1\n")
-    import logging
-
+    # and so do `dry_run` and `config`, which no config key sets; none is recorded
+    cfg, report = tmp_path / "exp.cfg", tmp_path / "r.json"
+    cfg.write_text(f"command = zeta\nre = 2\nbogus_key = 1\ndry_run = true\nconfig = {cfg}\n"
+                   f"threads = 2\noutput = {report}\n")
     with caplog.at_level(logging.WARNING, logger="zetalab"):
-        code = run(["zeta", "--re", "2", "--config", str(cfg)])
-    capsys.readouterr()
-    assert code == 0
-    assert any("bogus_key" in rec.getMessage() for rec in caplog.records)
+        code, out, _ = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
+    assert code == 0 and "dry_run" not in out  # the run, not a dry-run
+    warned = " ".join(rec.getMessage() for rec in caplog.records)
+    assert all(repr(key) in warned for key in ("bogus_key", "dry_run", "config"))
+    assert "threads" not in warned  # accepted, as the flag is
+    assert json.loads(report.read_text())["config"] == {
+        "command": "zeta", "format": "json", "im": 0.0, "output": str(report), "re": 2.0,
+        "seed": 0}

@@ -1,7 +1,9 @@
 """Every `zetalab ...` line of README's CLI block runs through cli.run and
 exits 0, with and without --dry-run, so the README's commands cannot drift
-from the CLI and no dry-run refusal turns a valid command away."""
+from the CLI and no dry-run refusal turns a valid command away; and each
+gives the same output with its options read from a --config file."""
 
+import argparse
 import shlex
 from pathlib import Path
 
@@ -28,3 +30,39 @@ def test_readme_command_exits_0(line, tmp_path, capsys):
 @pytest.mark.parametrize("line", _cli_lines())
 def test_readme_command_dry_run_exits_0(line, capsys):
     assert cli.run(shlex.split(line)[1:] + ["--dry-run"]) == 0
+
+
+def _required_options(command: str) -> set[str]:
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {o for a in sub.choices[command]._actions if a.required for o in a.option_strings}
+
+
+def _without_timestamp(report: str) -> str:
+    return "".join(line for line in report.splitlines(True)
+                   if not line.startswith('  "timestamp": '))
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_config_file_gives_the_flags_run(line, tmp_path, capsys):
+    """Every option that need not be a flag, moved into a --config file,
+    gives the same stdout and report, with and without --dry-run."""
+    report = tmp_path / "report"
+    argv = shlex.split(line)[1:] + ["--seed", "3", "--threads", "2", "--output", str(report)]
+    required = _required_options(argv[0])
+    flags, keys = argv[:1], [f"command = {argv[0]}\n"]
+    for option, value in zip(argv[1::2], argv[2::2]):
+        if option in required:
+            flags += [option, value]
+        else:
+            keys.append(f"{option[2:].replace('-', '_')} = {value}\n")
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(keys))
+    for dry in ([], ["--dry-run"]):
+        outputs = []
+        for args in (argv, flags + ["--config", str(config)]):
+            report.unlink(missing_ok=True)
+            assert cli.run(args + dry) == 0
+            written = _without_timestamp(report.read_text()) if report.exists() else None
+            outputs.append((capsys.readouterr(), written))
+        assert outputs[0] == outputs[1]
+        assert (outputs[0][1] is None) == bool(dry)

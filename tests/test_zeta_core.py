@@ -127,6 +127,18 @@ class TestChi:
         with pytest.raises(PoleOfGammaFactor, match=r"pole at s = \(2\+0j\)"):
             zc.chi(2.0)
 
+    def test_simple_zero_at_0(self):
+        def mp_chi(s):
+            return 2 ** s * mpmath.pi ** (s - 1) * mpmath.sin(mpmath.pi * s / 2) * mpmath.gamma(1 - s)
+
+        assert mp_chi(0) == 0
+        assert zc.chi(0.0) == 0j and zc.chi(-0.0) == 0j
+        # chi(s) ~ s near its zero, and chi is continuous there
+        for s in (1e-9, -1e-9j, 1e-3 + 1e-3j):
+            assert abs(zc.chi(s) - complex(mp_chi(s))) < 1e-12 * abs(s)
+        with pytest.raises(OutOfDomain, match=r"undefined at s = 0j"):
+            zc.log_chi(0)
+
     def test_conjugation(self):
         s = 0.3 + 40j
         assert zc.chi(s.conjugate()) == zc.chi(s).conjugate()
