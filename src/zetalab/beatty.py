@@ -19,9 +19,14 @@ Floors come in two kinds.
   2^23, where ulp(n alpha) exceeds FLOOR_GUARD and the guard certifies
   nothing.
 
-sigma_alpha takes one int (pure Python arithmetic, no numpy) or an int
-array (vectorised), and finds the class of n in O(1): m = floor((n+1)/alpha)
-Beatty terms of alpha are <= n, and n is one of them iff m > floor(n/alpha).
+sigma_alpha takes one int or an int array (vectorised), and finds the
+class of n in O(1): m = floor((n+1)/alpha) Beatty terms of alpha are <= n,
+and n is one of them iff m > floor(n/alpha).  A named pair answers one int
+from its swap table, sigma(0..L-1) filled by the exact array path: a call
+below _TABLE_FIRST = 4096 builds the first 4096 entries, a call with
+L <= n < 2L doubles L, up to _TABLE_CAP = 2^20 entries (8 MB of int64), and
+every other n takes pure Python integer arithmetic.  A literal pair answers
+one int by the array path.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ FLOOR_GUARD = 1e-9
 LITERAL_RANGE = 2.0 ** 23  # ulp(x) > FLOOR_GUARD from here on
 _CHUNK = 1 << 17  # multipliers per pass of _beatty_values
 _ROOT_TOL = 1e-9  # largest |root - alpha| exclusion_scan counts as a witness
+_TABLE_FIRST = 1 << 12  # entries of a named pair's first swap table
+_TABLE_CAP = 1 << 20  # entries of its largest, 8 MB as int64
 
 # 30-digit surrogates for the named irrationals (floats carry ~17 digits;
 # the literals keep the source of truth explicit).
@@ -97,9 +104,10 @@ class BeattyPair:
     alpha: float
     alpha_prime: float
     # (1/alpha, alpha, alpha') as surds when both floats stand for surds,
-    # and their (p, D, r) flat, for the scalar swap
+    # their (p, D, r) flat, for the scalar swap, and its table sigma(0..L-1)
     surds: Optional[tuple[Surd, Surd, Surd]] = field(init=False, repr=False, compare=False)
     _swap_ints: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _swap_table: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.alpha > 1.0 and self.alpha_prime > 1.0):
@@ -113,6 +121,7 @@ class BeattyPair:
             ints = tuple(k for s in exact for k in (s.p, s.D, s.r))
         object.__setattr__(self, "surds", exact)
         object.__setattr__(self, "_swap_ints", ints)
+        object.__setattr__(self, "_swap_table", None if exact is None else np.zeros(0, np.int64))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "BeattyPair":
@@ -295,11 +304,20 @@ def _sigma_array(pair: BeattyPair, n: np.ndarray) -> np.ndarray:
 def sigma_alpha(pair: BeattyPair, n):
     """The swap permutation: floor(m alpha) <-> floor(m alpha').
 
-    n is an int, answered with Python int arithmetic alone, or an int
-    array, answered with an int64 array.  m = floor((n + 1) / alpha) terms
-    of the alpha sequence are <= n, and n is the m-th iff m > floor(n /
-    alpha); then sigma(n) = floor(m alpha').  Otherwise n is the (n - m)-th
-    term of the alpha' sequence and sigma(n) = floor((n - m) alpha)."""
+    n is an int, answered with an int, or an int array, answered with an
+    int64 array.  m = floor((n + 1) / alpha) terms of the alpha sequence
+    are <= n, and n is the m-th iff m > floor(n / alpha); then sigma(n) =
+    floor(m alpha').  Otherwise n is the (n - m)-th term of the alpha'
+    sequence and sigma(n) = floor((n - m) alpha).
+
+    A named pair reads one int from its swap table when n < L, the
+    table's size; doubles the table when n < 2L <= 2^20 (builds 4096
+    entries when n < 4096 and the table is empty); and otherwise answers
+    with Python int arithmetic alone.  So a scan costs O(1) per call
+    amortised, and past the first 4096 entries a call builds at most as
+    many entries as the table already holds.  A literal pair answers one
+    int by the array path and holds no table, as a table block could raise
+    for an n no caller asked about."""
     if type(n) is not int:
         if isinstance(n, np.ndarray):
             if n.size and n.min() < 1:
@@ -311,6 +329,17 @@ def sigma_alpha(pair: BeattyPair, n):
     ints = pair._swap_ints
     if ints is None:
         return int(_sigma_array(pair, np.array([n]))[0])
+    table = pair._swap_table
+    if n < table.size:
+        return table.item(n)
+    size = 2 * table.size or _TABLE_FIRST
+    if n < size <= _TABLE_CAP:
+        # publish a new, complete array; never extend the shared one in
+        # place, so a concurrent caller reads a whole table, old or new,
+        # and a race costs at most a duplicate build
+        table = np.concatenate((table, _sigma_array(pair, np.arange(table.size, size))))
+        object.__setattr__(pair, "_swap_table", table)
+        return table.item(n)
     # Surd.floor written out, as callers map this over single ints by the 1e5
     ip, iD, ir, ap, aD, ar, bp, bD, br = ints
     n1 = n + 1

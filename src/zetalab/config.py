@@ -43,9 +43,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def config_roundtrip(path) -> ExperimentConfig:
-    """Parse the config file at `path`."""
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    """Parse the UTF-8 config file at `path`; a file that cannot be opened
+    or decoded is refused with a ParseError naming the path and the reason."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {str(path)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode config file {str(path)!r} as UTF-8: {exc}") from exc
+    return parse_config_text(text)
 
 
 def warn_unknown_keys(cfg: ExperimentConfig, known: set[str]) -> None:

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +326,96 @@ class TestSwapArithmetic:
         with pytest.raises(ValueError):
             bt.sigma_alpha(pair, np.array([3, 0]))
         assert bt.sigma_alpha(pair, np.array([], dtype=np.int64)).size == 0
+
+
+class TestSwapTable:
+    """A named pair answers a scalar n from its table sigma(0..L-1), filled
+    by the array path, and so is checked against the exact definition."""
+
+    @pytest.mark.parametrize("name", sorted(bt.NAMED_IRRATIONALS))
+    def test_growth_steps_and_the_cap(self, name):
+        pair = bt.BeattyPair.from_alpha(bt.NAMED_IRRATIONALS[name])
+
+        def call(n, size):  # sigma(n), then the table size it leaves
+            assert bt.sigma_alpha(pair, n) == _swap_reference(pair, n)
+            assert pair._swap_table.size == size
+
+        call(1, bt._TABLE_FIRST)
+        L = bt._TABLE_FIRST
+        while 2 * L <= bt._TABLE_CAP:
+            call(L - 1, L)
+            call(L, 2 * L)  # L <= n < 2L doubles the table
+            call(2 * L - 1, 2 * L)
+            if 2 * L < bt._TABLE_CAP:
+                call(4 * L, 2 * L)  # n >= 2 (2L): the integer path
+            L *= 2
+        assert L == bt._TABLE_CAP
+        call(bt._TABLE_CAP - 1, bt._TABLE_CAP)
+        call(bt._TABLE_CAP, bt._TABLE_CAP)  # the cap: the integer path
+        call(10 ** 9, bt._TABLE_CAP)
+        table = pair._swap_table
+        assert table.dtype == np.int64
+        assert table[1:3001].tolist() == [_swap_reference(pair, n) for n in range(1, 3001)]
+
+    def test_a_large_first_call_builds_no_table(self):
+        pair = bt.BeattyPair.from_alpha(bt.GOLDEN)
+        assert bt.sigma_alpha(pair, 500_000) == _swap_reference(pair, 500_000)
+        assert pair._swap_table.size == 0
+        assert bt.sigma_alpha(pair, bt._TABLE_FIRST) == _swap_reference(pair, bt._TABLE_FIRST)
+        assert pair._swap_table.size == 0
+        assert bt.sigma_alpha(pair, bt._TABLE_FIRST - 1) == _swap_reference(pair, bt._TABLE_FIRST - 1)
+        assert pair._swap_table.size == bt._TABLE_FIRST
+
+    def test_a_literal_pair_has_no_table(self):
+        literal = bt.BeattyPair.from_alpha(math.nextafter(bt.GOLDEN, 2.0))
+        named = bt.BeattyPair.from_alpha(bt.GOLDEN)
+        for n in (1, 777, bt._TABLE_FIRST, 10 ** 5):
+            assert bt.sigma_alpha(literal, n) == bt.sigma_alpha(named, n)
+        assert literal._swap_table is None
+
+    def test_the_table_is_not_part_of_the_value(self):
+        grown, fresh = bt.BeattyPair.from_alpha(bt.SQRT3), bt.BeattyPair.from_alpha(bt.SQRT3)
+        for n in range(1, 3 * bt._TABLE_FIRST):
+            bt.sigma_alpha(grown, n)
+        assert grown._swap_table.size == 4 * bt._TABLE_FIRST
+        assert grown == fresh
+        assert hash(grown) == hash(fresh)
+        assert repr(grown) == repr(fresh)
+        assert len({grown, fresh}) == 1
+
+    def test_threads_grow_the_table_safely(self):
+        # six threads on two cores, switching often, each mapping sigma
+        # over its own range of one pair, the ranges overlapping, while
+        # the table doubles from nothing to 2^16 or 2^17 entries under them
+        starts = [1 + 10_000 * i for i in range(6)]
+        width = 50_000
+        reference = [_swap_reference(bt.BeattyPair.from_alpha(bt.GOLDEN), n)
+                     for n in range(1, starts[-1] + width)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                pair = bt.BeattyPair.from_alpha(bt.GOLDEN)
+                results = {}
+
+                def scan(start):
+                    results[start] = [bt.sigma_alpha(pair, n) for n in range(start, start + width)]
+
+                threads = [threading.Thread(target=scan, args=(start,)) for start in starts]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for start in starts:
+                    assert results[start] == reference[start - 1 : start - 1 + width]
+                # the table published last is whole: a thread whose range
+                # ends below 2^16 may publish its 2^16 entries after 2^17
+                table = pair._swap_table
+                assert table.size in (1 << 16, 1 << 17)
+                assert table[1:].tolist()[: len(reference)] == reference[: table.size - 1]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # The scalar exclusion scan the vectorised one replaced, kept as the

@@ -206,6 +206,22 @@ class TestExitCodes:
         assert out == ""
         assert run_cli(capsys, *argv, "--dry-run") == (code, out, err)
 
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "cannot read config file '{path}': No such file or directory"),
+        (lambda path: path.mkdir(), "cannot read config file '{path}': Is a directory"),
+        (lambda path: path.write_bytes(b"command = zeta\n# caf\xe9\n"),
+         "cannot decode config file '{path}' as UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_file_is_2(self, tmp_path, capsys, make, reason):
+        path = tmp_path / "run.cfg"
+        make(path)
+        argv = ("zeta", "--re", "2", "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: " + reason.format(path=path))
+        assert out == ""
+        assert run_cli(capsys, *argv, "--dry-run") == (code, out, err)
+
     def test_every_subcommand_has_a_command_and_a_refusal_case(self):
         """A new subcommand needs a _COMMANDS entry, which serves both the
         run and the dry-run, and a case in the refusal lists above."""
