@@ -44,7 +44,6 @@ from .euler_product import (
 )
 from .shift_search import (
     HitDensityReport,
-    ShiftHit,
     TargetDisk,
     VerticalGrid,
     corollary_sis_density,

@@ -25,15 +25,14 @@ and n is one of them iff m > floor(n/alpha).  A named pair answers one int
 from its swap table, sigma(0..L-1) filled by the exact array path: a call
 below _TABLE_FIRST = 4096 builds the first 4096 entries, a call with
 L <= n < 2L doubles L, up to _TABLE_CAP = 2^20 entries (8 MB of int64), and
-every other n takes pure Python integer arithmetic.  A literal pair answers
-one int by the array path.
+every other n takes the surds' exact Surd.floor.  A literal pair answers one
+int by the array path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from math import isqrt
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -104,9 +103,8 @@ class BeattyPair:
     alpha: float
     alpha_prime: float
     # (1/alpha, alpha, alpha') as surds when both floats stand for surds,
-    # their (p, D, r) flat, for the scalar swap, and its table sigma(0..L-1)
+    # and the scalar swap's table sigma(0..L-1)
     surds: Optional[tuple[Surd, Surd, Surd]] = field(init=False, repr=False, compare=False)
-    _swap_ints: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _swap_table: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,12 +113,10 @@ class BeattyPair:
         if abs(1.0 / self.alpha + 1.0 / self.alpha_prime - 1.0) > 1e-14:
             raise ValueError("1/alpha + 1/alpha' must equal 1")
         named = _NAMED_PAIRS.get(self.alpha)
-        exact = ints = None
+        exact = None
         if named is not None and named[1].value == self.alpha_prime:
             exact = (named[0].reciprocal(), *named)
-            ints = tuple(k for s in exact for k in (s.p, s.D, s.r))
         object.__setattr__(self, "surds", exact)
-        object.__setattr__(self, "_swap_ints", ints)
         object.__setattr__(self, "_swap_table", None if exact is None else np.zeros(0, np.int64))
 
     @classmethod
@@ -313,11 +309,11 @@ def sigma_alpha(pair: BeattyPair, n):
     A named pair reads one int from its swap table when n < L, the
     table's size; doubles the table when n < 2L <= 2^20 (builds 4096
     entries when n < 4096 and the table is empty); and otherwise answers
-    with Python int arithmetic alone.  So a scan costs O(1) per call
-    amortised, and past the first 4096 entries a call builds at most as
-    many entries as the table already holds.  A literal pair answers one
-    int by the array path and holds no table, as a table block could raise
-    for an n no caller asked about."""
+    with three exact Surd.floor calls on the pair's surds.  So a scan
+    costs O(1) per call amortised, and past the first 4096 entries a call
+    builds at most as many entries as the table already holds.  A literal
+    pair answers one int by the array path and holds no table, as a table
+    block could raise for an n no caller asked about."""
     if type(n) is not int:
         if isinstance(n, np.ndarray):
             if n.size and n.min() < 1:
@@ -326,8 +322,7 @@ def sigma_alpha(pair: BeattyPair, n):
         n = int(n)  # a numpy integer would overflow below
     if n < 1:
         raise ValueError("n >= 1 required")
-    ints = pair._swap_ints
-    if ints is None:
+    if pair.surds is None:
         return int(_sigma_array(pair, np.array([n]))[0])
     table = pair._swap_table
     if n < table.size:
@@ -340,14 +335,9 @@ def sigma_alpha(pair: BeattyPair, n):
         table = np.concatenate((table, _sigma_array(pair, np.arange(table.size, size))))
         object.__setattr__(pair, "_swap_table", table)
         return table.item(n)
-    # Surd.floor written out, as callers map this over single ints by the 1e5
-    ip, iD, ir, ap, aD, ar, bp, bD, br = ints
-    n1 = n + 1
-    m = (n1 * ip + isqrt(iD * n1 * n1)) // ir
-    if m > (n * ip + isqrt(iD * n * n)) // ir:
-        return (m * bp + isqrt(bD * m * m)) // br
-    k = n - m
-    return (k * ap + isqrt(aD * k * k)) // ar
+    inverse, a, b = pair.surds
+    m = inverse.floor(n + 1)
+    return b.floor(m) if m > inverse.floor(n) else a.floor(n - m)
 
 
 @dataclass(frozen=True)

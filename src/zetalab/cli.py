@@ -45,9 +45,10 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _write_report(cfg: ExperimentConfig, results: dict, csv_rows: list | None) -> None:
+def _write_report(cfg: ExperimentConfig, results: dict, csv_lines: list | None) -> None:
     """Print the results; write the report to the output and in the format
-    that cfg records."""
+    that cfg records.  csv_lines are the CSV report's lines, each ending in
+    a newline."""
     output = cfg.params.get("output")
     report = {
         "config": cfg.as_dict(),
@@ -57,19 +58,12 @@ def _write_report(cfg: ExperimentConfig, results: dict, csv_rows: list | None) -
     if output:
         if cfg.params["format"] == "csv":
             with open(output, "w", newline="") as fh:
-                lines = [",".join([_csv_cell(c) for c in row]) + "\n" for row in csv_rows]
-                fh.write("".join(lines))
+                fh.write("".join(csv_lines))
         else:
             with open(output, "w") as fh:
                 json.dump(report, fh, sort_keys=True, indent=2, default=str)
                 fh.write("\n")
     print(json.dumps(results, sort_keys=True, default=str))
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -270,9 +264,8 @@ def _beatty(opt):
         "overlaps": int(rep.overlaps.size),
         "gaps": int(rep.gaps.size),
         "is_partition": rep.is_partition,
-    }, [("value", "class")] + [(int(v), "overlap") for v in rep.overlaps] + [
-        (int(v), "gap") for v in rep.gaps
-    ]
+    }, ["value,class\n", *(f"{v},overlap\n" for v in rep.overlaps.tolist()),
+        *(f"{v},gap\n" for v in rep.gaps.tolist())]
 
 
 def _weyl(opt):
@@ -295,8 +288,8 @@ def _weyl(opt):
     if opt.dry_run:
         return {"estimated_evaluations": 0}
     rep = sum_fn(*args)
-    rows = [("N", "magnitude")] + list(rep.trajectory)
-    return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, rows
+    lines = ["N,magnitude\n", *(f"{n},{m:.17g}\n" for n, m in rep.trajectory)]
+    return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, lines
 
 
 def _meansquare(opt):
@@ -311,11 +304,12 @@ def _meansquare(opt):
 def _limit_theorem(opt):
     level = euler_product.TruncationLevel.of(opt.m)
     s0 = complex(opt.sigma, 0.0)
+    args = level, opt.h, s0, opt.N, opt.trials, opt.seed
     if opt.dry_run:
-        euler_product.check_limit_theorem(opt.h, s0, opt.N, opt.trials)
+        euler_product.check_limit_theorem(*args)
         return {"estimated_evaluations": 0,
                 "estimated_euler_factors": level.m * (opt.N + opt.trials)}
-    rep = euler_product.empirical_limit_theorem(level, opt.h, s0, opt.N, opt.trials, opt.seed)
+    rep = euler_product.empirical_limit_theorem(*args)
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None
 
@@ -325,8 +319,9 @@ def _hits(opt):
             shift_search.TargetDisk(a=complex(opt.a_re, opt.a_im), epsilon=opt.eps), opt.N)
     if opt.dry_run:
         return _line_estimate(args, shift_search.disk_hit_lines)
-    hits, rep = shift_search.scan_disk_hits(*args)
-    return asdict(rep), [("n", "max_dev")] + [(h.n, h.max_dev) for h in hits]
+    n, max_dev, rep = shift_search.scan_disk_hits(*args)
+    rows = (f"{k},{d:.17g}\n" for k, d in zip(n.tolist(), max_dev.tolist()))
+    return asdict(rep), ["n,max_dev\n", *rows]
 
 
 def _pair_scan(scan: str, *line_builders: str):

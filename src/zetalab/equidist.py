@@ -2,11 +2,12 @@
 conditions of a shift sequence.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
-Neumaier compensation across chunks, so runs up to 1e8 terms keep full
-double accuracy.  weyl_sum allocates its chunk buffers once and works in
-them in place.  The joint Beatty sum takes its floors from
-beatty.beatty_terms: exact for the named pairs at any N, and for a literal
-alpha only while N max(alpha, alpha') stays below 2^23.
+and math.fsum, correctly rounded, of the chunk sums at each checkpoint,
+so runs up to 1e8 terms keep full double accuracy.  weyl_sum allocates
+its chunk buffers once and works in them in place.  The joint Beatty sum
+takes its floors from beatty.beatty_terms: exact for the named pairs at
+any N, and for a literal alpha only while N max(alpha, alpha') stays below
+2^23.
 
 The joint sum costs O(1) per tile of w = _TILE indices, not per index.  A
 tile's terms depend on its start n_s only through the fractions {n_s alpha}
@@ -35,34 +36,6 @@ _CHUNK = 1 << 17
 _TILE = 1 << 8  # terms per tile of the joint Beatty sum
 _MIN_GAP = 0.05  # smallest gap x_{n+1} - x_n a shift sequence may have
 _LINEAR_BOUND = 100.0  # largest x_n / n a shift sequence may reach
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator for complex partial sums."""
-
-    def __init__(self):
-        self._sum = 0.0 + 0.0j
-        self._comp = 0.0 + 0.0j
-
-    def add(self, value: complex) -> None:
-        s = self._sum
-        new_re, comp_re = _neumaier_step(s.real, self._comp.real, value.real)
-        new_im, comp_im = _neumaier_step(s.imag, self._comp.imag, value.imag)
-        self._sum = complex(new_re, new_im)
-        self._comp = complex(comp_re, comp_im)
-
-    @property
-    def value(self) -> complex:
-        return self._sum + self._comp
-
-
-def _neumaier_step(s: float, comp: float, x: float) -> tuple[float, float]:
-    t = s + x
-    if abs(s) >= abs(x):
-        comp += (s - t) + x
-    else:
-        comp += (x - t) + s
-    return t, comp
 
 
 @dataclass(frozen=True)
@@ -117,20 +90,23 @@ def _accumulate_phases(chunk_sum: Callable[[int, int], complex], N: int) -> Weyl
     """Sum the terms n = 1..N with power-of-two checkpoints.
     chunk_sum(lo, count) returns the sum of the terms at the indices
     lo + 1, ..., lo + count; no chunk crosses a checkpoint."""
-    acc = CompensatedSum()
-    trajectory = []
+    sums, trajectory = [], []
+
+    def magnitude(n: int) -> float:  # |S_n| / n, S_n rounded once from the chunk sums
+        return abs(complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))) / n
+
     next_checkpoint = 1
     done = 0
     while done < N:
         count = min(_CHUNK, next_checkpoint - done, N - done)
-        acc.add(complex(chunk_sum(done, count)))
+        sums.append(complex(chunk_sum(done, count)))
         done += count
         if done == next_checkpoint:
-            trajectory.append((done, abs(acc.value) / done))
+            trajectory.append((done, magnitude(done)))
             next_checkpoint *= 2
-    if not trajectory or trajectory[-1][0] != N:
-        trajectory.append((N, abs(acc.value) / N))
-    return WeylReport(N=N, sum_magnitude=min(abs(acc.value) / N, 1.0), trajectory=trajectory)
+    if trajectory[-1][0] != N:
+        trajectory.append((N, magnitude(N)))
+    return WeylReport(N=N, sum_magnitude=min(trajectory[-1][1], 1.0), trajectory=trajectory)
 
 
 def check_weyl_sum(freq: float, N: int) -> None:

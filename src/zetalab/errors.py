@@ -54,10 +54,6 @@ class PointOnBoundary(ZetaLabError):
     """Bergman bound requested at a point on (or outside) the rectangle boundary."""
 
 
-class DomainOverflow(ZetaLabError):
-    """A shift scan would leave the certified evaluation range."""
-
-
 class VanishingTarget(ZetaLabError):
     """A universality target constant is zero (non-vanishing hypothesis)."""
 

@@ -227,9 +227,10 @@ class LimitTheoremReport:
     ks_log_abs: float
 
 
-def check_limit_theorem(h: float, s0: complex, N: int, trials: int) -> None:
-    """Refuse what empirical_limit_theorem refuses, before it draws its
-    sample."""
+def check_limit_theorem(level: TruncationLevel, h: float, s0: complex, N: int, trials: int,
+                        seed: int) -> None:
+    """Refuse what empirical_limit_theorem cannot compute, before it draws
+    its sample: its largest phase h N log p_m must be finite."""
     if not (0.5 < complex(s0).real < 1.0):
         raise ValueError("Re s0 must lie in (1/2, 1)")
     if not 0.0 < h < math.inf:
@@ -238,6 +239,11 @@ def check_limit_theorem(h: float, s0: complex, N: int, trials: int) -> None:
         raise ValueError(f"N must be at least 1, got {N}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not math.isfinite(h * N * float(level.log_primes[-1])):
+        raise ValueError(f"h * N * log p_m must be finite, got h = {h}, N = {N}, "
+                         f"p_m = {int(level.primes[-1])}")
 
 
 def empirical_limit_theorem(
@@ -253,7 +259,7 @@ def empirical_limit_theorem(
     an independent uniform unit phase, via KS distances of the Re, Im and
     log-modulus marginals."""
     s0 = complex(s0)
-    check_limit_theorem(h, s0, N, trials)
+    check_limit_theorem(level, h, s0, N, trials, seed)
     shifts = h * np.arange(1, N + 1, dtype=np.float64)
     shifted = _zeta_m_on_shifts(level, s0, shifts)
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ equation."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import zeta_core
 from .beatty import BeattyPair, beatty_terms, sigma_alpha
-from .errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
+from .errors import ChiBoundUnavailable, VanishingTarget
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -44,13 +45,9 @@ class TargetDisk:
     epsilon: float
 
     def __post_init__(self):
+        if not cmath.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a}")
         _require_positive("epsilon", self.epsilon)
-
-
-@dataclass(frozen=True)
-class ShiftHit:
-    n: int
-    max_dev: float
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,6 @@ def disk_hit_lines(grid: VerticalGrid, disk: TargetDisk, N: int) -> list[zeta_co
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.5, 1.0)
-    t_top = abs(grid.s.imag) + grid.h * (N + grid.l - 1)
-    if t_top > zeta_core.T_MAX:
-        raise DomainOverflow(
-            f"scan reaches t = {t_top}, beyond certified t_max = {zeta_core.T_MAX}")
     return [(grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))]
 
 
@@ -93,21 +86,19 @@ def scan_disk_hits(
     grid: VerticalGrid,
     disk: TargetDisk,
     N: int,
-) -> tuple[list[ShiftHit], HitDensityReport]:
+) -> tuple[np.ndarray, np.ndarray, HitDensityReport]:
     """All n <= N with |zeta(grid point + i h n) - a| < epsilon for every
-    grid point, plus a density report."""
+    grid point, ascending, the largest such deviation of each, and a
+    density report."""
     (line,) = disk_hit_lines(grid, disk, N)
     dev = np.abs(zeta_core.zeta_on_line(*line) - disk.a)
     hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
-    # row n - 1 of the window view is dev[n - 1 : n - 1 + l]: one gather and
-    # one reduction for all hits, then plain Python floats
-    rows = np.lib.stride_tricks.sliding_window_view(dev, grid.l)[hit_indices - 1]
-    hits = [ShiftHit(n, max_dev)
-            for n, max_dev in zip(hit_indices.tolist(), rows.max(axis=1).tolist())]
+    # row n - 1 of the window view is dev[n - 1 : n - 1 + l]
+    max_dev = np.lib.stride_tricks.sliding_window_view(dev, grid.l)[hit_indices - 1].max(axis=1)
     report = HitDensityReport(
         N=N,
-        hits=len(hits),
-        density=len(hits) / N,
+        hits=hit_indices.size,
+        density=hit_indices.size / N,
         first_hits=tuple(int(n) for n in hit_indices[:10]),
         params={
             "s": str(grid.s),
@@ -117,7 +108,7 @@ def scan_disk_hits(
             "epsilon": disk.epsilon,
         },
     )
-    return hits, report
+    return hit_indices, max_dev, report
 
 
 def _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
@@ -129,8 +120,9 @@ def _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
         raise ValueError(f"N must be at least 1, got {N}")
     if 0 in targets:
         raise VanishingTarget("constant targets must be nonzero")
-    for name, value in (("t1", t1), ("t2", t2), ("delta1", delta1), ("delta2", delta2)):
-        if not math.isfinite(value):
+    for name, value in (("t1", t1), ("t2", t2), ("delta1", delta1), ("delta2", delta2),
+                        ("a1", targets[0]), ("a2", targets[1])):
+        if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     _require_positive("epsilon", epsilon)
     m1, m2 = multipliers(np.arange(1, N + 1))
@@ -251,9 +243,6 @@ def flip_lines(grid: VerticalGrid, r: float, c: float, N: int, t0: float) -> lis
     grid.require_strip(0.0, 0.5)
     if grid.s.imag < t0:
         raise ChiBoundUnavailable(f"scan starts at t = {grid.s.imag}, below certified t0 = {t0}")
-    t_top = grid.s.imag + grid.h * (N + grid.l - 1)
-    if t_top > zeta_core.T_MAX:
-        raise DomainOverflow(f"scan reaches t = {t_top} beyond t_max = {zeta_core.T_MAX}")
     m = np.arange(1, N + grid.l)
     return [(1.0 - grid.s.real, grid.s.imag, grid.h, m), (grid.s.real, grid.s.imag, grid.h, m)]
 

@@ -162,11 +162,11 @@ def test_criterion_10_disk_hits():
     start = time.time()
     grid = ss.VerticalGrid(s=0.75 + 0j, h=1.0, l=1)
     disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.6)
-    hits1, rep1 = ss.scan_disk_hits(grid, disk, 10 ** 4)
-    hits2, rep2 = ss.scan_disk_hits(grid, disk, 2 * 10 ** 4)
+    hits1, _, rep1 = ss.scan_disk_hits(grid, disk, 10 ** 4)
+    _, _, rep2 = ss.scan_disk_hits(grid, disk, 2 * 10 ** 4)
     ok = rep1.hits > 0 and rep2.hits >= rep1.hits
-    for h in hits1:  # every stored hit re-verifies from scratch
-        s = grid.s + 1j * grid.h * h.n
+    for n in hits1.tolist():  # every stored hit re-verifies from scratch
+        s = grid.s + 1j * grid.h * n
         ok = ok and abs(zc.zeta(s) - disk.a) < disk.epsilon
     _report(10, f"disk hits ({rep1.hits} at N=10^4, {rep2.hits} at N=2*10^4)", ok,
             time.time() - start, 120.0)

@@ -347,11 +347,11 @@ class TestSwapTable:
             call(L, 2 * L)  # L <= n < 2L doubles the table
             call(2 * L - 1, 2 * L)
             if 2 * L < bt._TABLE_CAP:
-                call(4 * L, 2 * L)  # n >= 2 (2L): the integer path
+                call(4 * L, 2 * L)  # n >= 2 (2L): the surds' Surd.floor
             L *= 2
         assert L == bt._TABLE_CAP
         call(bt._TABLE_CAP - 1, bt._TABLE_CAP)
-        call(bt._TABLE_CAP, bt._TABLE_CAP)  # the cap: the integer path
+        call(bt._TABLE_CAP, bt._TABLE_CAP)  # the cap: the surds' Surd.floor
         call(10 ** 9, bt._TABLE_CAP)
         table = pair._swap_table
         assert table.dtype == np.int64

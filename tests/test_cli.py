@@ -166,6 +166,22 @@ BAD_PARAMETER = [
     (["bergman", "--f", "zeta", "--x0", "0.55", "--x1", "1.45", "--y0", "-0.5", "--y1", "0.5",
       "--z-re", "0.75", "--z-im", "0.2"],
      "Rectangle(x0=0.55, x1=1.45, y0=-0.5, y1=0.5) comes within 1e-12 of the pole of zeta at 1"),
+    # non-finite targets, which no disk of finite radius holds
+    *[([*HITS[:-4], flag, value, "--eps", "0.5", "--N", "10"], f"a must be finite, got {a}")
+      for flag, value, a in (("--a-re", "nan", "(nan+0j)"), ("--a-im", "inf", "(1+infj)"))],
+    *[([cmd, "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+        flag, value, "--eps", "0.5", "--N", "10"], message)
+      for cmd, flag, value, message in (
+          ("joint-hits", "--a1-re", "nan", "a1 must be finite, got (nan+0j)"),
+          ("sis", "--a2-re", "inf", "a2 must be finite, got (inf+0j)"),
+      )],
+    # the scan's first height past t_max, named by the kernel's strip check
+    (["hits", "--sigma", "0.75", "--im0", "29995", "--h", "1", "--l", "1", "--a-re", "1",
+      "--eps", "0.6", "--N", "10"], "grid point (0.75+30001j) outside the certified strip"),
+    (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "10", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["limit-theorem", "--m", "5", "--h", "1e308", "--N", "10", "--trials", "10"],
+     "h * N * log p_m must be finite, got h = 1e+308, N = 10, p_m = 11"),
 ]
 
 
@@ -303,6 +319,19 @@ class TestCommands:
         assert code == 0
         assert payload["hits"] >= 1
         assert 0.0 < payload["density"] <= 1.0
+
+    def test_hits_scan_reaches_down_to_minus_t_max(self, tmp_path, capsys):
+        # heights -29994 .. -29985 lie inside |Im s| <= t_max, though
+        # |im0| + h N exceeds it
+        argv = ["hits", "--sigma", "0.75", "--im0", "-29995", "--h", "1", "--l", "1",
+                "--a-re", "1", "--eps", "0.6", "--N", "10"]
+        path = tmp_path / "hits.csv"
+        assert run_cli(capsys, *argv, "--output", str(path), "--format", "csv")[0] == 0
+        assert run_cli(capsys, *argv, "--dry-run")[0] == 0
+        dev = np.abs(zc.zeta_on_line(0.75, -29995.0, 1.0, np.arange(1, 11)) - 1.0).tolist()
+        lines = [f"{n},{d:.17g}\n" for n, d in enumerate(dev, 1) if d < 0.6]
+        assert lines
+        assert path.read_text() == "".join(["n,max_dev\n", *lines])
 
     def test_meansquare_ignores_threads(self, tmp_path, capsys, monkeypatch):
         argv = ["meansquare", "--sigma", "0.8", "--m", "50", "--N", "900", "--shift-step", "1.5"]

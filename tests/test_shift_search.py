@@ -8,7 +8,7 @@ from zetalab import shift_search as ss
 from zetalab.cli import run
 from zetalab import zeta_core as zc
 from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
-from zetalab.errors import ChiBoundUnavailable, DomainOverflow, VanishingTarget
+from zetalab.errors import ChiBoundUnavailable, OutOfDomain, VanishingTarget
 
 
 class TestVerticalGrid:
@@ -29,14 +29,14 @@ class TestScanDiskHits:
     def test_hits_verified_directly(self):
         grid = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=2)
         disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.6)
-        hits, rep = ss.scan_disk_hits(grid, disk, 2000)
-        assert rep.hits == len(hits)
+        hits, max_dev, rep = ss.scan_disk_hits(grid, disk, 2000)
+        assert rep.hits == hits.size == max_dev.size
         assert 0.0 < rep.density < 1.0
         # recompute a sample of hits from scratch, one scalar zeta per grid point
-        for h in hits[:5]:
-            devs = [abs(zc.zeta(grid.s + 1j * grid.h * (h.n + k)) - disk.a) for k in range(grid.l)]
+        for n, dev in zip(hits[:5].tolist(), max_dev[:5].tolist()):
+            devs = [abs(zc.zeta(grid.s + 1j * grid.h * (n + k)) - disk.a) for k in range(grid.l)]
             assert max(devs) < disk.epsilon
-            assert abs(h.max_dev - max(devs)) < 1e-10
+            assert abs(dev - max(devs)) < 1e-10
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_hits_match_per_hit_reference(self, l):
@@ -48,56 +48,55 @@ class TestScanDiskHits:
         values = zc.zeta_on_line(0.75, 10.3, 0.7, np.arange(1, N + l))
         dev = np.abs(values - disk.a)
         reference = [
-            ss.ShiftHit(n=n, max_dev=max(float(dev[n - 1 + k]) for k in range(l)))
+            (n, max(float(dev[n - 1 + k]) for k in range(l)))
             for n in range(1, N + 1)
             if all(dev[n - 1 + k] < disk.epsilon for k in range(l))
         ]
-        hits, rep = ss.scan_disk_hits(grid, disk, N)
+        hits, max_dev, rep = ss.scan_disk_hits(grid, disk, N)
         assert len(reference) > 10
-        assert hits == reference
-        assert all(type(h.n) is int and type(h.max_dev) is float for h in hits)
+        assert list(zip(hits.tolist(), max_dev.tolist())) == reference
         assert rep.hits == len(reference)
-        assert rep.first_hits == tuple(h.n for h in reference[:10])
+        assert rep.first_hits == tuple(n for n, _ in reference[:10])
 
     def test_sliding_window_consistency(self):
         # an l = 2 hit at n requires l = 1 hits at n and n + 1
         grid1 = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1)
         grid2 = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=2)
         disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.6)
-        hits1, _ = ss.scan_disk_hits(grid1, disk, 1001)
-        hits2, _ = ss.scan_disk_hits(grid2, disk, 1000)
-        singles = {h.n for h in hits1}
-        for h in hits2:
-            assert h.n in singles and (h.n + 1) in singles
+        hits1, _, _ = ss.scan_disk_hits(grid1, disk, 1001)
+        hits2, _, _ = ss.scan_disk_hits(grid2, disk, 1000)
+        singles = set(hits1.tolist())
+        for n in hits2.tolist():
+            assert n in singles and (n + 1) in singles
 
     def test_threads_deterministic(self):
         # one thread: a rerun gives the same hits
         grid = ss.VerticalGrid(s=0.75 + 5j, h=0.7, l=2)
         disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.5)
-        hits1, rep1 = ss.scan_disk_hits(grid, disk, 1500)
-        hits2, rep2 = ss.scan_disk_hits(grid, disk, 1500)
-        assert hits1 == hits2
+        hits1, dev1, rep1 = ss.scan_disk_hits(grid, disk, 1500)
+        hits2, dev2, rep2 = ss.scan_disk_hits(grid, disk, 1500)
+        assert np.array_equal(hits1, hits2) and np.array_equal(dev1, dev2)
         assert rep1 == rep2
 
     def test_strip_and_domain_guards(self):
         disk = ss.TargetDisk(a=1.0, epsilon=0.5)
         with pytest.raises(ValueError):
             ss.scan_disk_hits(ss.VerticalGrid(s=1.2 + 10j, h=1.0, l=1), disk, 10)
-        with pytest.raises(DomainOverflow):
+        # the kernel's strip check names the first height past t_max
+        with pytest.raises(OutOfDomain, match=r"grid point \(0.75\+30001j\) outside"):
             ss.scan_disk_hits(ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1), disk, 10 ** 6)
 
     def test_csv_and_json(self, tmp_path, capsys):
         grid = ss.VerticalGrid(s=0.75 + 10j, h=1.0, l=1)
         disk = ss.TargetDisk(a=1.0 + 0j, epsilon=0.5)
-        hits, rep = ss.scan_disk_hits(grid, disk, 500)
+        hits, max_dev, rep = ss.scan_disk_hits(grid, disk, 500)
         argv = ["hits", "--sigma", "0.75", "--im0", "10", "--h", "1", "--l", "1",
                 "--a-re", "1", "--eps", "0.5", "--N", "500"]
         path = tmp_path / "hits.csv"
         assert run(argv + ["--output", str(path), "--format", "csv"]) == 0
-        assert len(hits) > 1
-        assert path.read_text() == "".join(
-            ["n,max_dev\n"] + [f"{h.n},{h.max_dev:.17g}\n" for h in hits]
-        )
+        assert hits.size > 1
+        lines = [f"{n},{dev:.17g}\n" for n, dev in zip(hits.tolist(), max_dev.tolist())]
+        assert path.read_text() == "".join(["n,max_dev\n", *lines])
         path = tmp_path / "hits.json"
         assert run(argv + ["--output", str(path)]) == 0
         payload = json.loads(path.read_text())["results"]
