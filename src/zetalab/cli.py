@@ -297,7 +297,7 @@ def _meansquare(opt):
     args = level, opt.sigma, opt.shift_step * np.arange(1, opt.N + 1), opt.N
     if opt.dry_run:
         return {**_line_estimate(args, euler_product.mean_square_lines),
-                "estimated_euler_factors": opt.N * level.m}
+                "estimated_euler_sources": euler_product.euler_sources(level, opt.sigma)[0].size}
     return asdict(euler_product.mean_square_discrete(*args)), None
 
 
@@ -308,7 +308,8 @@ def _limit_theorem(opt):
     if opt.dry_run:
         euler_product.check_limit_theorem(*args)
         return {"estimated_evaluations": 0,
-                "estimated_euler_factors": level.m * (opt.N + opt.trials)}
+                "estimated_euler_sources": euler_product.euler_sources(level, s0.real)[0].size,
+                "estimated_euler_factors": level.m * opt.trials}  # the random model's
     rep = euler_product.empirical_limit_theorem(*args)
     return {**asdict(rep), "s0": {"re": rep.s0.real, "im": rep.s0.imag},
             "note": "finitely many phases only; truncated surrogate of the limit law"}, None

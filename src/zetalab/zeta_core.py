@@ -9,11 +9,10 @@ smallest N >= 20 for which Backlund's bound on the remainder,
 0.6|t| at Re s = -0.9.  The corrections follow from N^{-s} by the ratio of
 consecutive terms, one exp per point.  The scalar `zeta` sums the N powers
 n^{-s} directly; `zeta_grid` reaches them by a recurrence along the points
-that restarts exactly every 64 points; the same power rows give the Euler
-products of euler_product.  Both kernels lose about eps |t| log n of phase
-in the term n^{-s}, so the error grows with |t|, and left of the critical
-line with the size of the terms.  Measured against mpmath at 30 digits, the
-error relative to max(1, |zeta|) stays below
+that restarts exactly every 64 points.  Both kernels lose about
+eps |t| log n of phase in the term n^{-s}, so the error grows with |t|, and
+left of the critical line with the size of the terms.  Measured against
+mpmath at 30 digits, the error relative to max(1, |zeta|) stays below
 
     Re s          |t| <= 1e4   |t| <= 3e4
     [1, 40]       5e-12        2e-11
@@ -97,7 +96,10 @@ errs by 1e-9 at t = 1, 3e-10 at t = 6).  The phase of a_n exp(-i k x_n)
 loses about eps (|t_c| + |t - t_c|) log n, as the recurrence does.
 Against mpmath at 30 digits the NUFFT branch stays inside the table above;
 the largest values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
-1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10.
+1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10.  The transform itself (_type1:
+spread, FFT, deconvolution) takes any logs and an optional scale per
+source; euler_product sums its log Euler products on lattice shifts with
+it, sources p^{-k s}/k at nodes delta k log p.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ _STRIP = f"the certified strip {SIGMA_MIN} <= Re s <= {SIGMA_MAX}, |Im s| <= {T_
 
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
 _LINE_BLOCK = 512  # most requested heights per zeta_grid block of zeta_on_line
-_BLOCK_ELEMS = 4_000_000  # working values per column slice of _power_rows
+_BLOCK_ELEMS = 4_000_000  # working values per column slice of _partial_sums
 _GRID_BLOCK = 1 << 15  # most points per tile of a product grid: the tail's temporaries stay in L2
 _CORRECTION_COST = 12  # a tail correction costs about as much as this many product-grid terms
 
@@ -162,6 +164,13 @@ _BERNOULLI = (
     2577687858367.0 / 6,
 )
 _EM_K = len(_BERNOULLI) - 1  # corrections of zeta, the recurrence and the NUFFT tail
+# (2j - 1, 2j, B_2j, B_2(j-1) (2j + 1)(2j + 2)) for j = 1 .. _EM_K - 1: the
+# constants of _em_tail's step from T_j to T_{j+1}, each the float that the
+# step's expression would form
+_EM_STEPS = tuple(
+    (2 * j - 1.0, 2 * j, _BERNOULLI[j], _BERNOULLI[j - 1] * (2 * j + 1) * (2 * j + 2))
+    for j in range(1, _EM_K)
+)
 _EM_TOL = 1e-13  # bound on the Euler-Maclaurin remainder, absolute
 
 # Lanczos approximation, g = 7, 9 coefficients (right half-plane).
@@ -231,9 +240,8 @@ def _em_tail(s, power, n: int, k: int = _EM_K):
     beyond N^{-s} is taken."""
     term = power * s * (_BERNOULLI[0] / (2 * n))
     tail = power * (n / (s - 1) - 0.5) + term
-    for j in range(1, k):
-        ratio = _BERNOULLI[j] / (_BERNOULLI[j - 1] * (2 * j + 1) * (2 * j + 2) * n * n)
-        term = term * ((s + (2 * j - 1)) * (s + 2 * j)) * ratio
+    for a, b, num, den in _EM_STEPS[: k - 1]:
+        term = term * ((s + a) * (s + b)) * (num / (den * n * n))
         tail = tail + term
     return tail
 
@@ -275,22 +283,21 @@ def _powers(s: np.ndarray, logs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _power_rows(s: np.ndarray, logs: np.ndarray):
-    """Yield (points, rows) with rows[i, j] = exp(-s[points[i]] logs[c + j]),
-    one column slice c of logs after another, until every point of the 1-D
-    array s has met every column.
+def _partial_sums(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """sum_{n <= N} n^{-s} for every point of the 1-D array s, N = logs.size.
 
     The points are cut into tiles of _RESTART consecutive points.  A tile's
-    first row is exact; each later row is the one before times
-    exp(-(s_k - s_{k-1}) log), with one such step row per distinct
+    first row n^{-s} is exact; each later row is the one before times
+    exp(-(s_k - s_{k-1}) log n), with one such step row per distinct
     consecutive difference as stored, so a progression pays a complex
-    multiply per entry instead of an exp.  All tiles advance together.  The
-    slices are cut so that the rows, step rows and gather buffer of a slice
-    hold at most _BLOCK_ELEMS values; the three buffers are reused, so
-    each yielded rows array is overwritten by the next step.
+    multiply per term instead of an exp.  All tiles advance together, one
+    column slice of logs after another; the slices are cut so that the
+    rows, step rows and gather buffer of a slice hold at most _BLOCK_ELEMS
+    values, and the three buffers are reused from slice to slice.
     """
+    out = np.zeros(s.size, dtype=np.complex128)
     if s.size == 0:
-        return
+        return out
     first = np.arange(0, s.size, _RESTART)
     # positions 1.._RESTART-1 of every tile; those past the end repeat the
     # last point and are never swept
@@ -306,7 +313,7 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
         row, steps, gather = (b[: n * cols.size].reshape(n, cols.size) for b, n in zip(bufs, n_rows))
         _powers(s[first], cols, row)
         _powers(diffs, cols, steps)
-        yield first, row
+        out[first] += row.sum(axis=1)
         for j in range(1, min(_RESTART, s.size)):
             k = first.size if j < last else first.size - 1
             g = step_of[:k, j - 1]
@@ -314,15 +321,7 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
                 row[:k] *= steps[g[0]]
             else:
                 row[:k] *= np.take(steps, g, axis=0, out=gather[:k])
-            yield first[:k] + j, row[:k]
-
-
-def _partial_sums(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """sum_{n <= N} n^{-s} for every point of the 1-D array s, N = logs.size,
-    accumulated over the rows of _power_rows."""
-    out = np.zeros(s.size, dtype=np.complex128)
-    for points, rows in _power_rows(s, logs):
-        out[points] += rows.sum(axis=1)
+            out[first[:k] + j] += row[:k].sum(axis=1)
     return out
 
 
@@ -432,12 +431,13 @@ def zeta_grid(s_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float) -> np.ndarray:
-    """The sources n^{-s_c}, n = 1..logs.size, each placed at its node
-    delta log n mod 2 pi and smeared by the periodic Gaussian
-    exp(-x^2 / (4 tau)) over the 2 _SPREAD nearest of `size` equispaced
-    points of [0, 2 pi) (size a power of two).  Sources go in chunks of
-    _SPREAD_CHUNK that share one set of buffers."""
+def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float,
+            scale: np.ndarray | None = None) -> np.ndarray:
+    """The sources exp(-s_c L), L = logs[j], times scale[j] when a scale is
+    given, each placed at its node delta L mod 2 pi and smeared by the
+    periodic Gaussian exp(-x^2 / (4 tau)) over the 2 _SPREAD nearest of
+    `size` equispaced points of [0, 2 pi) (size a power of two).  Sources go
+    in chunks of _SPREAD_CHUNK that share one set of buffers."""
     offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
     step = 2.0 * pi / size
     rows = min(_SPREAD_CHUNK, logs.size)
@@ -449,6 +449,8 @@ def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float)
         chunk = logs[c : c + rows]
         k = chunk.size
         source = np.exp(-s_c * chunk)
+        if scale is not None:
+            source *= scale[c : c + rows]
         pos = np.mod(delta * chunk, 2.0 * pi) / step
         near = np.floor(pos)
         # distance in grid steps from each node to its 2 _SPREAD grid points
@@ -464,18 +466,32 @@ def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float)
     return re + 1j * im
 
 
-def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n_terms: int) -> np.ndarray:
-    """zeta(sigma + i (t0 + delta m)) for m = lo .. lo + count - 1 with
-    n_terms Euler-Maclaurin terms, the partial sums by one type-1 NUFFT
-    about the centre height t_c (module docstring)."""
+def _type1(anchor: complex, delta: float, logs: np.ndarray, lo: int, count: int,
+           scale: np.ndarray | None = None) -> np.ndarray:
+    """sum_j scale_j exp(-(anchor + i delta m) logs_j) for m = lo .. lo +
+    count - 1 (scale_j = 1 when no scale is given), by one type-1 NUFFT
+    about the centre m_c = lo + count // 2: the sources exp(-s_c logs_j),
+    s_c = anchor + i delta m_c, are spread (_spread), one FFT sums them over
+    the K modes k = m - m_c (K the power of two at or above count), and
+    deconvolution by sqrt(pi / tau) exp(k^2 tau) undoes the Gaussian
+    (module docstring).  The gridding adds an absolute error of at most
+    kappa sum_j |scale_j exp(-Re(anchor) logs_j)|."""
     modes = 1 << (count - 1).bit_length()
     size = _OVERSAMPLE * modes
     tau = pi * _SPREAD / (modes * modes * _OVERSAMPLE * (_OVERSAMPLE - 0.5))
     centre = lo + count // 2
-    logs = _logs(n_terms)
-    grid = np.fft.fft(_spread(sigma + 1j * (t0 + delta * centre), delta, logs, size, tau))
+    s_c = anchor.real + 1j * (anchor.imag + delta * centre)
+    grid = np.fft.fft(_spread(s_c, delta, logs, size, tau, scale))
     k = np.arange(lo - centre, lo - centre + count)
-    partial = grid[k % size] * (math.sqrt(pi / tau) / size * np.exp(tau * k * k))
+    return grid[k % size] * (math.sqrt(pi / tau) / size * np.exp(tau * k * k))
+
+
+def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n_terms: int) -> np.ndarray:
+    """zeta(sigma + i (t0 + delta m)) for m = lo .. lo + count - 1 with
+    n_terms Euler-Maclaurin terms, the partial sums by one type-1 NUFFT
+    about the centre height t_c (_type1)."""
+    logs = _logs(n_terms)
+    partial = _type1(complex(sigma, t0), delta, logs, lo, count)
     s = sigma + 1j * (t0 + delta * (lo + np.arange(count)))
     return partial + _em_tail(s, np.exp(-s * logs[-1]), n_terms)
 

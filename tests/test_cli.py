@@ -2,6 +2,10 @@ import argparse
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,8 +184,9 @@ BAD_PARAMETER = [
       "--eps", "0.6", "--N", "10"], "grid point (0.75+30001j) outside the certified strip"),
     (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "10", "--seed", "-1"],
      "seed must be non-negative, got -1"),
-    (["limit-theorem", "--m", "5", "--h", "1e308", "--N", "10", "--trials", "10"],
-     "h * N * log p_m must be finite, got h = 1e+308, N = 10, p_m = 11"),
+    *[(["limit-theorem", "--m", "5", "--h", h, "--N", "10", "--trials", "10"],
+       f"h * N * log p_m must be below 2^52, got h = {float(h)}, N = 10, p_m = 11")
+      for h in ("1e308", "1e300")],
 ]
 
 
@@ -384,19 +389,33 @@ class TestDryRunAndReports:
         assert payload["config"]["command"] == "hits"
         assert "estimated_euler_factors" not in payload
 
-    def test_dry_run_counts_euler_factors(self, capsys):
-        code, out, _ = run_cli(capsys, "meansquare", "--sigma", "0.9", "--m", "10000",
-                               "--N", "500", "--shift-step", "2", "--dry-run")
-        payload = json.loads(out.strip())
-        assert code == 0
-        assert payload["estimated_evaluations"] == 500
-        assert payload["estimated_euler_factors"] == 500 * 10_000
-        code, out, _ = run_cli(capsys, "limit-theorem", "--m", "200", "--h", "1.5",
-                               "--N", "10000", "--trials", "3000", "--dry-run")
-        payload = json.loads(out.strip())
-        assert code == 0
-        assert payload["estimated_evaluations"] == 0  # products only, no zeta
-        assert payload["estimated_euler_factors"] == 200 * (10_000 + 3000)
+    def test_dry_run_counts_euler_factors(self, capsys, monkeypatch):
+        # the lattice products count their sources, as the run spreads them;
+        # only the random model still forms factors, m x trials
+        spread = []
+        transform = zc._type1
+
+        def counting_type1(anchor, delta, logs, lo, count, scale=None):
+            if scale is not None:  # an Euler product, not a zeta segment
+                spread.append(logs.size)
+            return transform(anchor, delta, logs, lo, count, scale)
+
+        monkeypatch.setattr(zc, "_type1", counting_type1)
+        for argv, evaluations, sources, factors in (
+            (["meansquare", "--sigma", "0.9", "--m", "10000", "--N", "500", "--shift-step", "2"],
+             500, 42_176, None),
+            (["limit-theorem", "--m", "200", "--h", "1.5", "--N", "10000", "--trials", "3000"],
+             0, 1788, 200 * 3000),
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--dry-run")
+            payload = json.loads(out.strip())
+            assert code == 0
+            assert payload["estimated_evaluations"] == evaluations
+            assert payload["estimated_euler_sources"] == sources
+            assert payload.get("estimated_euler_factors") == factors
+            spread.clear()
+            assert run_cli(capsys, *argv)[0] == 0
+            assert spread == [sources]
 
     @pytest.mark.parametrize("argv", [
         ["hits", "--sigma", "0.6", "--im0", "100.3", "--h", "0.7", "--l", "2",
@@ -694,3 +713,14 @@ def test_unknown_config_key_warns(tmp_path, capsys, caplog):
     assert json.loads(report.read_text())["config"] == {
         "command": "zeta", "format": "json", "im": 0.0, "output": str(report), "re": 2.0,
         "seed": 0}
+
+
+def test_zeta_command_leaves_numpy_fft_unloaded():
+    # the set-up a one-off command pays: importing zetalab and one scalar
+    # zeta load no numpy.fft, which only the NUFFT transforms use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, zetalab\nfrom zetalab import cli\ncli.run(['zeta', '--re', '2'])\n"
+            "print('numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

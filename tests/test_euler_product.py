@@ -29,8 +29,9 @@ def _mp_zeta_m(primes, s):
 
 
 def _product_at(level, s):
-    """The truncated product at s, as the shifted products compute it."""
-    return ep._zeta_m_on_shifts(level, s, np.zeros(1))[0]
+    """The truncated product at s, as the shifted products compute it: the
+    first point of the lattice anchored at s - i."""
+    return ep._zeta_m_on_shifts(level, s - 1j, 1.0, 1)[0]
 
 
 def _random_sample(*args):
@@ -43,7 +44,7 @@ def _random_sample(*args):
 
 
 def _outer_zeta_m(level, s0, shifts):
-    """The N x m exp/log outer product that the power-row recurrence replaced."""
+    """The N x m exp/log outer product of the factors at s0 + i x, x in shifts."""
     lp = level.log_primes
     factors = 1.0 - np.exp(-1j * np.outer(shifts, lp)) * np.exp(-complex(s0) * lp)[None, :]
     return np.exp(-np.log(factors).sum(axis=1))
@@ -87,7 +88,7 @@ class TestRandomPhase:
         tau, s = 3.7, 0.8 + 1j
         factors = 1.0 - np.exp(-1j * tau * lvl.log_primes) * np.exp(-s * lvl.log_primes)
         twisted = np.exp(-ep._log_product(factors, s.real))
-        assert abs(twisted - ep._zeta_m_on_shifts(lvl, s, np.array([tau]))[0]) < 1e-12
+        assert abs(twisted - ep._zeta_m_on_shifts(lvl, s, tau, 1)[0]) < 1e-12
 
     def test_seeded_regression_anchor(self):
         # frozen after the first run; guards the RNG stream and the product
@@ -102,66 +103,99 @@ class TestRandomPhase:
 
 
 class TestZetaMOnShifts:
-    # restart-tile edges (_RESTART = 64) and the last point
-    EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 150, 199)
-
-    def _max_rel_to_mpmath(self, m, s0, shifts):
+    def _max_rel_to_mpmath(self, m, s0, h, N):
+        """The largest relative error against mpmath at s0 + i h n over the
+        first three n, the centre of the transform's modes, the last two
+        and ten between."""
         lvl = ep.TruncationLevel.of(m)
-        got = ep._zeta_m_on_shifts(lvl, s0, shifts)
-        assert got.shape == shifts.shape
+        got = ep._zeta_m_on_shifts(lvl, s0, h, N)
+        assert got.shape == (N,)
+        at = {0, 1, 2, N // 2 - 1, N // 2, N - 2, N - 1, *np.linspace(0, N - 1, 10).astype(int)}
         errs = []
-        for i in self.EDGES:
-            ref = _mp_zeta_m(lvl.primes, complex(s0) + 1j * shifts[i])
+        for i in sorted(i for i in at if 0 <= i < N):
+            ref = _mp_zeta_m(lvl.primes, complex(s0) + 1j * h * (i + 1))
             errs.append(abs(got[i] - ref) / abs(ref))
         return max(errs)
 
-    # bounds about 4x the largest relative errors measured (1.8e-13 for
-    # shifts below 1.2e3, 2.7e-12 near 9e3; the outer product measured the
-    # same); the phase of p^{-ix} loses about eps x log p
+    # the bounds that the power-row recurrence met, 1e-12 for shifts below
+    # 1.2e3 and 1e-11 near 9e3; the NUFFT measured at most 7.8e-13 (sigma
+    # 0.51, N = 1024) and 5.4e-12, the recurrence 3.2e-13 and 2.6e-12.  The
+    # phase of a source p^{-k s}/k loses about eps h (n_c + |n - n_c|) k log p
+    # about the transform's centre n_c
     def test_progression_against_mpmath(self):
-        shifts = 1000.0 + 0.7 * np.arange(200)
-        assert self._max_rel_to_mpmath(300, 0.75, shifts) < 1e-12
+        assert self._max_rel_to_mpmath(300, 0.75 + 999.3j, 0.7, 200) < 1e-12
 
     def test_high_progression_against_mpmath(self):
-        shifts = 9000.0 + math.sqrt(2.0) * np.arange(200)
-        assert self._max_rel_to_mpmath(300, 0.6, shifts) < 1e-11
+        assert self._max_rel_to_mpmath(300, complex(0.6, 9000.0 - math.sqrt(2.0)),
+                                       math.sqrt(2.0), 200) < 1e-11
 
-    def test_irregular_shifts_against_mpmath(self):
-        shifts = np.sort(np.random.default_rng(1).uniform(0.0, 500.0, 200))
-        assert self._max_rel_to_mpmath(300, 0.8, shifts) < 1e-12
+    @pytest.mark.parametrize("sigma", [0.51, 0.75, 0.9])
+    @pytest.mark.parametrize("N", [1, 2, 3, 500, 1024, 1025])
+    def test_lattice_against_mpmath(self, sigma, N):
+        # 1024 modes at N = 1024 and 2048 at N = 1025; shifts up to 1.13e3
+        assert self._max_rel_to_mpmath(300, sigma, 1.1, N) < 1e-12
 
     def test_anchor_off_the_real_axis_against_mpmath(self):
-        shifts = 3.0 * np.arange(1, 201)
-        assert self._max_rel_to_mpmath(300, 0.8 + 0.5j, shifts) < 1e-12
+        assert self._max_rel_to_mpmath(300, 0.8 + 0.5j, 3.0, 200) < 1e-12
 
     def test_resonant_step_freezes_the_product(self):
         # m = 1, h = 2 pi / log 2: every 2^{-i n h} is 1, so zeta_1 is constant
-        shifts = TWO_PI_OVER_LOG2 * np.arange(1, 201)
-        got = ep._zeta_m_on_shifts(ep.TruncationLevel.of(1), 0.75, shifts)
+        got = ep._zeta_m_on_shifts(ep.TruncationLevel.of(1), 0.75, TWO_PI_OVER_LOG2, 200)
         frozen = 1.0 / (1.0 - 2.0 ** -0.75)
         assert np.max(np.abs(got - frozen)) / frozen < 1e-12
-        assert self._max_rel_to_mpmath(1, 0.75, shifts) < 1e-12
+        assert self._max_rel_to_mpmath(1, 0.75, TWO_PI_OVER_LOG2, 200) < 1e-12
 
     @pytest.mark.parametrize("s0, shifts", [
         (0.9, 3.0 * np.arange(1, 301)),
-        (0.75, np.sort(np.random.default_rng(2).uniform(1.0, 900.0, 300))),
+        (0.75, 2.9 * np.arange(1, 301)),
         (0.8 + 0.5j, 2.0 * np.arange(1, 301)),
     ])
     def test_matches_outer_product(self, s0, shifts):
         lvl = ep.TruncationLevel.of(2000)
         ref = _outer_zeta_m(lvl, s0, shifts)
-        got = ep._zeta_m_on_shifts(lvl, s0, shifts)
+        got = ep._zeta_m_on_shifts(lvl, s0, shifts[0], shifts.size)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
 
     def test_column_slices_match_outer_product(self, monkeypatch):
-        # a small budget cuts the primes into many slices, each with its own
-        # chunked products and a short last slice
+        # a small chunk spreads the 6e3 sources in many passes, the last
+        # one short
         lvl = ep.TruncationLevel.of(1000)
         shifts = 2.0 * np.arange(1, 201)
         ref = _outer_zeta_m(lvl, 0.75, shifts)
-        monkeypatch.setattr(zc, "_BLOCK_ELEMS", 3000)
-        got = ep._zeta_m_on_shifts(lvl, 0.75, shifts)
+        monkeypatch.setattr(zc, "_SPREAD_CHUNK", 700)
+        got = ep._zeta_m_on_shifts(lvl, 0.75, 2.0, 200)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11
+
+    @pytest.mark.parametrize("sigma", [0.51, 0.75, 0.9, 3.0])
+    def test_truncation_within_budget(self, sigma):
+        # K_p, each prime's term count, read back from the sources; the
+        # tail bounds sum to at most the budget, K_p - 1 terms would not
+        # do, and the tails summed in mpmath agree
+        lvl = ep.TruncationLevel.of(100)
+        logs, scales = ep.euler_sources(lvl, sigma)
+        prime = np.searchsorted(lvl.log_primes, logs * scales - 1e-9)  # k log p / k = log p
+        terms = np.bincount(prime, minlength=lvl.m)
+        assert terms.sum() == logs.size and terms.min() >= 1
+        x = np.exp(-sigma * lvl.log_primes)
+
+        def tail_bound(k):
+            return x ** (k + 1) / ((k + 1) * (1.0 - x))
+
+        floor = ep._LOG_BUDGET / lvl.m
+        assert tail_bound(terms).sum() <= ep._LOG_BUDGET
+        assert np.all(tail_bound(terms) <= floor)
+        assert np.all((tail_bound(terms - 1) > floor) | (terms == 1))
+        with mpmath.workdps(40):
+            tails = [-mpmath.log(1 - mpmath.power(int(p), -sigma))
+                     - mpmath.fsum(mpmath.power(int(p), -k * sigma) / k for k in range(1, int(K) + 1))
+                     for p, K in zip(lvl.primes, terms)]
+            assert 0 < mpmath.fsum(tails) <= ep._LOG_BUDGET
+
+    @pytest.mark.parametrize("sigma", [0.5, 1e-300, 0.0, math.nan])
+    def test_sources_refuse_re_s_up_to_one_half(self, sigma):
+        # K_p grows like 1 / sigma; at 1e-300, p^{-sigma} rounds to 1
+        with pytest.raises(ValueError, match=r"Re s > 1/2"):
+            ep.euler_sources(ep.TruncationLevel.of(5), sigma)
 
     @pytest.mark.parametrize("sigma, m", [(-0.5, 100), (0.0, 100), (0.02, 5000),
                                           (0.75, 5000), (3.0, 5000)])
@@ -203,6 +237,12 @@ class TestMeanSquare:
         large = ep.mean_square_discrete(ep.TruncationLevel.of(200), 0.75, shifts, 200)
         assert small.value > large.value
         assert small.mode == "pointwise"
+
+    def test_grid_anchor_at_re_one_half_refused(self, monkeypatch):
+        monkeypatch.setattr(zc, "zeta_on_line", None)  # refused before any zeta
+        with pytest.raises(ValueError, match="Re s > 1/2"):
+            ep.mean_square_discrete(ep.TruncationLevel.of(5), 0.75, np.arange(1.0, 11.0), 10,
+                                    grid=np.array([0.75 + 0j, 0.5 + 1j]))
 
     def test_sup_mode_dominates_pointwise(self):
         shifts = np.arange(1, 101, dtype=np.float64)

@@ -70,6 +70,29 @@ class TestZeta:
             b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
         assert zc._BERNOULLI == tuple(float(b[2 * k]) for k in range(1, 18))
 
+    @pytest.mark.parametrize("k", range(1, zc._EM_K + 1))
+    def test_em_tail_bit_identical_to_its_loop(self, k):
+        # _em_tail's step constants come from a table; the loop that forms
+        # them on every step, as frozen here, must give the same bits
+        def loop_tail(s, power, n, k):
+            term = power * s * (zc._BERNOULLI[0] / (2 * n))
+            tail = power * (n / (s - 1) - 0.5) + term
+            for j in range(1, k):
+                ratio = zc._BERNOULLI[j] / (zc._BERNOULLI[j - 1] * (2 * j + 1) * (2 * j + 2) * n * n)
+                term = term * ((s + (2 * j - 1)) * (s + 2 * j)) * ratio
+                tail = tail + term
+            return tail
+
+        rng = np.random.default_rng(k)
+        s = rng.uniform(-0.99, 40.0, 64) + 1j * rng.uniform(-3e4, 3e4, 64)
+        for n in (20, 33, 1234, 12_000):
+            power = np.exp(-s * math.log(n))
+            assert zc._em_tail(s, power, n, k).tobytes() == loop_tail(s, power, n, k).tobytes()
+            for z, p in zip(s[:8].tolist(), power[:8].tolist()):
+                got, want = zc._em_tail(z, p, n, k), loop_tail(z, p, n, k)
+                assert type(got) is complex
+                assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
     @given(
         sigma=st.floats(-0.5, 3.0),
         t=st.floats(2.0, 1000.0),
