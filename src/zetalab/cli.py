@@ -237,8 +237,8 @@ def _uniqueness(opt):
     p1 = dirichlet.Progression(opt.t1, opt.delta1)
     p2 = dirichlet.Progression(opt.t2, opt.delta2)
     limits = opt.n_max, opt.m_max, opt.tol
-    dirichlet.check_uniqueness_bound(*limits)
-    if opt.dry_run:
+    if opt.dry_run:  # the run refuses the same in uniqueness_bound
+        dirichlet.check_uniqueness_bound(*limits)
         return {"estimated_evaluations": 0}
     cert = dirichlet.uniqueness_bound(f, f, p1, p2, perm, *limits)
     if cert is None:
@@ -275,7 +275,7 @@ def _weyl(opt):
         beta = opt.beta
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta}")
-        equidist.check_weyl_sum(opt.freq, opt.N)
+        check = functools.partial(equidist.check_weyl_sum, opt.freq, opt.N)
         sum_fn, args = equidist.weyl_sum, (lambda n: n * beta, opt.freq, opt.N)
     else:
         if opt.alpha is None:
@@ -283,9 +283,10 @@ def _weyl(opt):
         pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha))
         freq = equidist.FrequencyVector(_parse_weights(opt.m1), _parse_weights(opt.m2),
                                         opt.delta1, opt.delta2)
-        equidist.check_joint_beatty_weyl(pair, opt.t1, opt.t2, opt.N)
+        check = functools.partial(equidist.check_joint_beatty_weyl, pair, opt.t1, opt.t2, opt.N)
         sum_fn, args = equidist.joint_beatty_weyl, (pair, opt.t1, opt.t2, freq, opt.N)
-    if opt.dry_run:
+    if opt.dry_run:  # the run refuses the same, first thing in the sum
+        check()
         return {"estimated_evaluations": 0}
     rep = sum_fn(*args)
     lines = ["N,magnitude\n", *(f"{n},{m:.17g}\n" for n, m in rep.trajectory)]
@@ -342,11 +343,11 @@ def _pair_scan(scan: str, *line_builders: str):
 def _flip(opt):
     if not 0.0 < opt.c < math.inf:  # before the scan, which would blame the certificate
         raise ValueError(f"c must be finite and positive, got {opt.c}")
-    chi_rep = zeta_core.chi_lower_bound_check(opt.sigma, opt.c, (2.0, opt.t_start), 500)
-    if chi_rep.t0 is None:
+    t0 = zeta_core.chi_lower_bound_check(opt.sigma, opt.c, (2.0, opt.t_start), 500)
+    if t0 is None:
         raise ZetaLabError(f"|chi| >= {opt.c} not certified below t = {opt.t_start}")
     grid = shift_search.VerticalGrid(s=complex(opt.sigma, opt.t_start), h=opt.h, l=opt.l)
-    args = grid, opt.r, opt.c, opt.N, chi_rep.t0
+    args = grid, opt.r, opt.c, opt.N, t0
     if opt.dry_run:
         return _line_estimate(args, shift_search.flip_lines)
     rep = shift_search.left_half_flip(*args)

@@ -1,11 +1,12 @@
 """Bounded-coefficient Dirichlet series on vertical arithmetic progressions:
 the coefficient difference phi_n(m), the minimal nonzero index mu, the
 per-n bound b_n = 1 + 2 B mu / |phi_n(mu)| and the uniqueness certificate
-built from a finite scan."""
+built from a finite scan.  phi_n is computed in one place, `_phis`, over
+index arrays: find_mu decides mu on its blocks and phi_n is the one-index
+case, so the phi_n(mu) a certificate reports is the value that decided mu."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,20 +28,12 @@ class BoundedCoeffFn:
     scans skip them; nothing checks it against eval, so the scans trust it.
     Both are numpy-style: given an int64 array of indices they answer
     elementwise (eval may answer with one scalar for every index), which is
-    how the scans call them.
+    how `values` and `nonzero_mask` call them.
     """
 
-    eval: Callable[[int], complex]
+    eval: Callable[[np.ndarray], np.ndarray]
     bound_B: float
-    support_hint: Optional[Callable[[int], bool]] = None
-
-    def __call__(self, m: int) -> complex:
-        value = complex(self.eval(m))
-        if abs(value) > self.bound_B * (1.0 + 1e-12):
-            raise ValueError(
-                f"|f({m})| = {abs(value)} exceeds declared bound {self.bound_B}"
-            )
-        return value
+    support_hint: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def values(self, m: np.ndarray) -> np.ndarray:
         """f over an int64 index array, every value checked against the bound."""
@@ -53,11 +46,8 @@ class BoundedCoeffFn:
             )
         return v
 
-    def maybe_nonzero(self, m: int) -> bool:
-        return self.support_hint is None or self.support_hint(m)
-
     def nonzero_mask(self, m: np.ndarray) -> np.ndarray:
-        """maybe_nonzero over an int64 index array."""
+        """False where support_hint marks f(m) as 0, over an int64 index array."""
         if self.support_hint is None:
             return np.ones(m.shape, dtype=bool)
         return np.asarray(self.support_hint(m), dtype=bool)
@@ -127,27 +117,16 @@ def dirichlet_eval(f: BoundedCoeffFn, s: complex, n_terms: int) -> tuple[complex
     """Partial sum of sum f(m) m^{-s} with a rigorous tail bound
     B * n_terms^(1 - Re s) / (Re s - 1)."""
     s = complex(s)
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     if s.real <= 1.0:
         raise DivergentRegion(f"Re s = {s.real} <= 1: no absolute convergence")
     m = np.arange(1, n_terms + 1)
-    logs = np.log(m.astype(np.float64))
     if f.support_hint is not None:
         m = m[f.nonzero_mask(m)]
-        logs = logs[m - 1]
-    total = complex((f.values(m) * np.exp(-s * logs)).sum()) if m.size else 0.0 + 0.0j
+    total = complex((f.values(m) * np.exp(-s * np.log(m.astype(np.float64)))).sum())
     tail = f.bound_B * n_terms ** (1.0 - s.real) / (s.real - 1.0)
     return total, tail
-
-
-def _unit_power(m: int, theta: float) -> complex:
-    """m^{-i theta} = exp(-i theta log m), branch-unambiguous for m >= 1."""
-    return cmath.exp(-1j * theta * math.log(m))
-
-
-def _phi(f1: BoundedCoeffFn, f2: BoundedCoeffFn, theta1: float, theta2: float, m: int) -> complex:
-    a = f1(m) * _unit_power(m, theta1) if f1.maybe_nonzero(m) else 0.0
-    b = f2(m) * _unit_power(m, theta2) if f2.maybe_nonzero(m) else 0.0
-    return a - b
 
 
 def phi_n(
@@ -162,14 +141,18 @@ def phi_n(
     """phi_n(m) = f1(m) m^{-i(t1 + d1 n)} - f2(m) m^{-i(t2 + d2 sigma(n))}."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    return _phi(f1, f2, p1.shift(n), p2.shift(sigma(n)), m)
+    return complex(_phis(f1, f2, p1.shift(n), p2.shift(sigma(n)), np.array([m]))[0])
 
 
-def _unit_powers(f: BoundedCoeffFn, m: np.ndarray, live: np.ndarray, logs: np.ndarray,
-                 theta: float) -> np.ndarray:
-    """f(m) m^{-i theta} over an index array, 0 where `live` marks f as 0."""
+def _phis(f1: BoundedCoeffFn, f2: BoundedCoeffFn, theta1: float, theta2: float,
+          m: np.ndarray) -> np.ndarray:
+    """f1(m) m^{-i theta1} - f2(m) m^{-i theta2} over an int64 index array,
+    a term 0 where its support hint marks f as 0."""
+    logs = np.log(m.astype(np.float64))
+    live1, live2 = f1.nonzero_mask(m), f2.nonzero_mask(m)
     out = np.zeros(m.size, dtype=np.complex128)
-    out[live] = f.values(m[live]) * np.exp(-1j * theta * logs[live])
+    out[live1] = f1.values(m[live1]) * np.exp(-1j * theta1 * logs[live1])
+    out[live2] -= f2.values(m[live2]) * np.exp(-1j * theta2 * logs[live2])
     return out
 
 
@@ -193,39 +176,28 @@ def find_mu(
     m_max: int,
     tol: float = DEFAULT_TOL,
 ) -> Optional[int]:
-    """Smallest m <= m_max with |phi_n(m)| > tol; None if all vanish.
+    """Smallest m <= m_max with |phi_n(m)| > tol + 16 eps |theta| log(m + 1),
+    |theta| = |t1 + d1 n| + |t2 + d2 sigma(n)|; None if there is none.
 
     The zero test widens with the phase magnitude: exp(-i theta log m) is
     computed with absolute error ~ |theta log m| eps, so a fixed tol would
     misread roundoff as a nonzero coefficient on long progressions.
 
-    m is searched in numpy blocks of growing size.  numpy's log and exp may
-    differ from math's and cmath's by a few ulps, which moves a term
-    f(m) m^{-i theta} by at most B eps (|theta| log m + 2), well inside
-    `slack`.  So every m whose block value clears guard - slack is settled
-    by the scalar phi_n, in order, and no other m can pass the scalar test:
-    mu and phi_n(mu) are those of the one-m-at-a-time scan."""
+    One array pass: m is searched in blocks of growing size, skipping the
+    indices where both support hints mark f as 0, and the first m of a
+    block whose |phi_n(m)| clears the guard is mu."""
     check_uniqueness_bound(1, m_max, tol)  # a scan of one n
     eps = math.ulp(1.0)
     theta1, theta2 = p1.shift(n), p2.shift(sigma(n))
     phases = abs(theta1) + abs(theta2)
-    bound = max(f1.bound_B, f2.bound_B)
     start, block = 1, 256
     while start <= m_max:
         m = np.arange(start, min(start + block, m_max + 1))
-        live1, live2 = f1.nonzero_mask(m), f2.nonzero_mask(m)
-        live = live1 | live2
-        m, live1, live2 = m[live], live1[live], live2[live]
-        logs = np.log(m.astype(np.float64))
-        phi = np.abs(
-            _unit_powers(f1, m, live1, logs, theta1) - _unit_powers(f2, m, live2, logs, theta2)
-        )
-        log_next = np.log((m + 1).astype(np.float64))
-        guard = tol + 16.0 * eps * phases * log_next
-        slack = 4.0 * bound * eps * (phases * log_next + 1.0)
-        for k in m[phi > guard - slack].tolist():
-            if abs(_phi(f1, f2, theta1, theta2, k)) > tol + 16.0 * eps * phases * math.log(k + 1):
-                return k
+        m = m[f1.nonzero_mask(m) | f2.nonzero_mask(m)]
+        phi = np.abs(_phis(f1, f2, theta1, theta2, m))
+        over = phi > tol + 16.0 * eps * phases * np.log((m + 1).astype(np.float64))
+        if over.any():
+            return int(m[np.argmax(over)])
         start += block
         block = min(8 * block, 1 << 16)
     return None

@@ -106,7 +106,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -686,39 +685,21 @@ def hardy_z(t: float) -> float:
     return value.real
 
 
-@dataclass(frozen=True)
-class ChiBoundReport:
-    """Scan of |chi(sigma + it)| over an even t-grid."""
-
-    t_grid: np.ndarray
-    abs_chi: np.ndarray
-    t0: float | None  # first grid t from which |chi| >= c holds onward
-
-
 def chi_lower_bound_check(
     sigma: float,
     c: float,
     t_range: tuple[float, float],
     steps: int,
-) -> ChiBoundReport:
-    """Certify |chi(sigma + it)| >= c on a grid."""
+) -> float | None:
+    """Certify |chi(sigma + it)| >= c on an even t-grid: return the first
+    grid t from which it holds at every later grid point, or None."""
     if not (0.0 < sigma < 0.5):
         raise OutOfDomain(f"sigma must lie in (0, 1/2), got {sigma}")
     lo, hi = t_range
     if not 2.0 <= lo < hi <= T_MAX:
         raise OutOfDomain(f"t_range {t_range} not inside [2, {T_MAX}]")
     t_grid = np.linspace(lo, hi, steps)
-    log_abs = np.array([log_chi(sigma + 1j * t).real for t in t_grid])
-    abs_chi = np.exp(log_abs)
-    ok = abs_chi >= c
-    t0 = None
-    # last index before which the condition fails somewhere
+    ok = np.exp([log_chi(sigma + 1j * t).real for t in t_grid]) >= c
     holds_onward = np.logical_and.accumulate(ok[::-1])[::-1]
     idx = np.nonzero(holds_onward)[0]
-    if idx.size:
-        t0 = float(t_grid[idx[0]])
-    return ChiBoundReport(
-        t_grid=t_grid,
-        abs_chi=abs_chi,
-        t0=t0,
-    )
+    return float(t_grid[idx[0]]) if idx.size else None

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zetalab import cli
 from zetalab import config as cf
+from zetalab import equidist as eq
 from zetalab import euler_product as ep
 from zetalab import zeta_core as zc
 from zetalab.cli import build_parser, run
@@ -314,6 +315,19 @@ class TestCommands:
         payload = json.loads(out.strip().splitlines()[-1])
         assert code == 0
         assert payload["magnitude"] < 1e-3
+
+    def test_literal_weyl_run_checks_each_floor_once(self, capsys, monkeypatch):
+        calls, check = [], eq.check_floors
+
+        def counting(alpha, m_top):
+            calls.append(alpha)
+            return check(alpha, m_top)
+
+        monkeypatch.setattr(eq, "check_floors", counting)
+        code, _, _ = run_cli(capsys, "weyl", "--mode", "beatty", "--alpha", "1.3247179572447",
+                             "--m1", "2:1", "--N", "100000")
+        assert code == 0
+        assert len(calls) == 2  # alpha's floors, then alpha''s
 
     def test_hits_scan(self, capsys):
         code, out, _ = run_cli(

@@ -167,9 +167,9 @@ class TestSisDensity:
 
 class TestLeftHalfFlip:
     def test_predictions_confirmed(self):
-        rep0 = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 3000.0), 1500)
-        grid = ss.VerticalGrid(s=0.3 + 1j * max(50.0, rep0.t0 + 1), h=1.0, l=1)
-        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=1000, t0=rep0.t0)
+        t0 = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 3000.0), 1500)
+        grid = ss.VerticalGrid(s=0.3 + 1j * max(50.0, t0 + 1), h=1.0, l=1)
+        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=1000, t0=t0)
         assert len(rep.predicted_hits) > 0
         assert rep.disagreements == ()
         assert set(rep.confirmed_hits) == set(rep.predicted_hits)
