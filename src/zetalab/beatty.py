@@ -316,7 +316,9 @@ def sigma_alpha(pair: BeattyPair, n):
     block could raise for an n no caller asked about."""
     if type(n) is not int:
         if isinstance(n, np.ndarray):
-            if n.size and n.min() < 1:
+            if not n.size:
+                return np.empty(n.shape, dtype=np.int64)
+            if n.min() < 1:
                 raise ValueError("n >= 1 required")
             return _sigma_array(pair, n)
         n = int(n)  # a numpy integer would overflow below

@@ -23,7 +23,7 @@ from .config import ExperimentConfig, config_roundtrip, warn_unknown_keys
 from .errors import ParseError, PoleAt1, ZetaLabError
 
 USAGE_ERROR = 64
-_CSV_COMMANDS = ("hits", "beatty", "weyl")  # every other command writes JSON only
+_CSV_COMMANDS = ("hits", "beatty", "weyl", "joint-weyl")  # every other command writes JSON only
 _NOT_OPTIONS = ("command", "config", "dry_run")  # no config file key sets these
 _NOT_RECORDED = (*_NOT_OPTIONS, "threads")
 
@@ -35,10 +35,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _resolve_alpha(text: str) -> float:
-    if text in beatty_mod.NAMED_IRRATIONALS:
-        return beatty_mod.NAMED_IRRATIONALS[text]
-    return float(text)
+def _beatty_pair(alpha: str) -> beatty_mod.BeattyPair:
+    """The pair of a named irrational (golden, sqrt2, sqrt3) or of a literal alpha."""
+    return beatty_mod.BeattyPair.from_alpha(beatty_mod.NAMED_IRRATIONALS.get(alpha) or float(alpha))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -48,28 +47,23 @@ def _fmt_complex(z: complex) -> str:
 def _write_report(cfg: ExperimentConfig, results: dict, csv_lines: list | None) -> None:
     """Print the results; write the report to the output and in the format
     that cfg records.  csv_lines are the CSV report's lines, each ending in
-    a newline."""
+    a newline, or None where the parser offers no --format csv."""
     output = cfg.params.get("output")
-    report = {
-        "config": cfg.as_dict(),
-        "results": results,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
     if output:
         if cfg.params["format"] == "csv":
-            with open(output, "w", newline="") as fh:
-                fh.write("".join(csv_lines))
+            text = "".join(csv_lines)
         else:
-            with open(output, "w") as fh:
-                json.dump(report, fh, sort_keys=True, indent=2, default=str)
-                fh.write("\n")
+            report = {"config": cfg.as_dict(), "results": results,
+                      "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+            text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+        with open(output, "w", newline="") as fh:  # "\n" line ends on every platform
+            fh.write(text)
     print(json.dumps(results, sort_keys=True, default=str))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--output", help="report path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: every command runs on one thread")
     p.add_argument("--dry-run", action="store_true",
@@ -104,11 +98,13 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
     p.add_argument("--check", type=int, required=True, help="partition bound n_max")
 
-    p = sub.add_parser("weyl", help="Weyl sum decay")
-    p.add_argument("--mode", choices=("linear", "beatty"), default="linear")
-    p.add_argument("--beta", type=float, help="x_n = n beta (linear mode)")
+    p = sub.add_parser("weyl", help="Weyl sum decay of x_n = n beta")
+    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--freq", type=float, default=1.0)
-    p.add_argument("--alpha", help="Beatty mode: golden|sqrt2|sqrt3 or literal")
+    p.add_argument("--N", type=int, required=True)
+
+    p = sub.add_parser("joint-weyl", help="joint Beatty Weyl sum decay")
+    p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
     p.add_argument("--m1", default="", help="prime:weight[,prime:weight...]")
     p.add_argument("--m2", default="")
     p.add_argument("--t1", type=float, default=0.0)
@@ -129,6 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.75)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("hits", help="disk-hit scan on a vertical grid")
     p.add_argument("--sigma", type=float, required=True)
@@ -175,8 +172,8 @@ def build_parser() -> _Parser:
     p.add_argument("--z-re", type=float, required=True)
     p.add_argument("--z-im", type=float, required=True)
 
-    for p in sub.choices.values():
-        _add_common(p)
+    for name, p in sub.choices.items():
+        _add_common(p, ("json", "csv") if name in _CSV_COMMANDS else ("json",))
     return parser
 
 
@@ -239,7 +236,10 @@ def _uniqueness(opt):
     limits = opt.n_max, opt.m_max, opt.tol
     if opt.dry_run:  # the run refuses the same in uniqueness_bound
         dirichlet.check_uniqueness_bound(*limits)
-        return {"estimated_evaluations": 0}
+        # phi at every m <= m_max for each n, or at the powers of two that
+        # pow2's support hint leaves; a scan that finds mu stops sooner
+        per_n = opt.m_max.bit_length() if opt.coeffs == "pow2" else opt.m_max
+        return {"estimated_evaluations": 0, "estimated_phi_evaluations": opt.n_max * per_n}
     cert = dirichlet.uniqueness_bound(f, f, p1, p2, perm, *limits)
     if cert is None:
         return {"certificate": None}, None
@@ -252,7 +252,7 @@ def _uniqueness(opt):
 
 
 def _beatty(opt):
-    pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha))
+    pair = _beatty_pair(opt.alpha)
     if opt.dry_run:
         beatty_mod.check_rayleigh_partition(pair, opt.check)
         return {"estimated_evaluations": 0}
@@ -268,29 +268,29 @@ def _beatty(opt):
         *(f"{v},gap\n" for v in rep.gaps.tolist())]
 
 
-def _weyl(opt):
-    if opt.mode == "linear":
-        if opt.beta is None:
-            raise ValueError("weyl --mode linear requires --beta")
-        beta = opt.beta
-        if not math.isfinite(beta):
-            raise ValueError(f"beta must be finite, got {beta}")
-        check = functools.partial(equidist.check_weyl_sum, opt.freq, opt.N)
-        sum_fn, args = equidist.weyl_sum, (lambda n: n * beta, opt.freq, opt.N)
-    else:
-        if opt.alpha is None:
-            raise ValueError("weyl --mode beatty requires --alpha")
-        pair = beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha))
-        freq = equidist.FrequencyVector(_parse_weights(opt.m1), _parse_weights(opt.m2),
-                                        opt.delta1, opt.delta2)
-        check = functools.partial(equidist.check_joint_beatty_weyl, pair, opt.t1, opt.t2, opt.N)
-        sum_fn, args = equidist.joint_beatty_weyl, (pair, opt.t1, opt.t2, freq, opt.N)
-    if opt.dry_run:  # the run refuses the same, first thing in the sum
-        check()
-        return {"estimated_evaluations": 0}
-    rep = sum_fn(*args)
+def _weyl_report(rep) -> tuple[dict, list]:
     lines = ["N,magnitude\n", *(f"{n},{m:.17g}\n" for n, m in rep.trajectory)]
     return {"N": rep.N, "magnitude": rep.sum_magnitude, "trajectory": rep.trajectory}, lines
+
+
+def _weyl(opt):
+    beta = opt.beta
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if opt.dry_run:  # the run refuses the same, first thing in the sum
+        equidist.check_weyl_sum(opt.freq, opt.N)
+        return {"estimated_evaluations": 0}
+    return _weyl_report(equidist.weyl_sum(lambda n: n * beta, opt.freq, opt.N))
+
+
+def _joint_weyl(opt):
+    pair = _beatty_pair(opt.alpha)
+    freq = equidist.FrequencyVector(_parse_weights(opt.m1), _parse_weights(opt.m2),
+                                    opt.delta1, opt.delta2)
+    if opt.dry_run:  # the run refuses the same, first thing in the sum
+        equidist.check_joint_beatty_weyl(pair, opt.t1, opt.t2, opt.N)
+        return {"estimated_evaluations": 0}
+    return _weyl_report(equidist.joint_beatty_weyl(pair, opt.t1, opt.t2, freq, opt.N))
 
 
 def _meansquare(opt):
@@ -331,8 +331,8 @@ def _pair_scan(scan: str, *line_builders: str):
     it evaluates zeta on, looked up by name at each call, so that a wrapper
     set on the module attribute sees the call."""
     def command(opt):
-        args = (beatty_mod.BeattyPair.from_alpha(_resolve_alpha(opt.alpha)),
-                opt.t1, opt.t2, opt.delta1, opt.delta2, np.array([complex(opt.s_re, opt.s_im)]),
+        args = (_beatty_pair(opt.alpha), opt.t1, opt.t2, opt.delta1, opt.delta2,
+                np.array([complex(opt.s_re, opt.s_im)]),
                 (complex(opt.a1_re, opt.a1_im), complex(opt.a2_re, opt.a2_im)), opt.eps, opt.N)
         if opt.dry_run:
             return _line_estimate(args, *(getattr(shift_search, b) for b in line_builders))
@@ -381,7 +381,7 @@ def _bergman(opt):
 # estimate, or runs and returns (results, CSV rows or None)
 _COMMANDS = {
     "zeta": _zeta, "chi": _chi, "ztheta": _ztheta, "uniqueness": _uniqueness,
-    "beatty": _beatty, "weyl": _weyl, "meansquare": _meansquare,
+    "beatty": _beatty, "weyl": _weyl, "joint-weyl": _joint_weyl, "meansquare": _meansquare,
     "limit-theorem": _limit_theorem, "hits": _hits, "flip": _flip, "bergman": _bergman,
     "joint-hits": _pair_scan("joint_beatty_hits", "joint_beatty_lines"),
     "sis": _pair_scan("corollary_sis_density", "sis_lines", "joint_beatty_lines"),
@@ -415,9 +415,6 @@ def run(argv: list[str]) -> int:
     try:
         if args.config:
             args = _with_config(parser, args, argv)
-        if args.format == "csv" and args.command not in _CSV_COMMANDS:
-            parser.error(f"{args.command} has no CSV report "
-                         f"(only {', '.join(_CSV_COMMANDS)} have one)")
         out = _COMMANDS[args.command](args)
         cfg = ExperimentConfig(args.command, {
             k: v for k, v in vars(args).items() if k not in _NOT_RECORDED and v is not None})

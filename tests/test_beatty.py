@@ -133,6 +133,12 @@ class TestSigmaAlpha:
         with pytest.raises(ValueError):
             bt.sigma_alpha(pair, 0)
 
+    @pytest.mark.parametrize("alpha", [bt.GOLDEN, 1.7], ids=["named", "literal"])
+    def test_empty_array_gives_empty_array(self, alpha):
+        # a literal pair once reduced nf.max() over the empty array and raised
+        images = bt.sigma_alpha(bt.BeattyPair.from_alpha(alpha), np.array([], dtype=np.int64))
+        assert images.dtype == np.int64 and images.shape == (0,)
+
 
 class TestExclusionScan:
     def test_cbrt2_passes(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from zetalab import cli
 from zetalab import config as cf
+from zetalab import dirichlet
 from zetalab import equidist as eq
 from zetalab import euler_product as ep
 from zetalab import zeta_core as zc
@@ -64,6 +65,15 @@ def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
     return work
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {o: a for a in parser._actions for o in a.option_strings}
+
+
 def _no_zeta(s):
     raise AssertionError("evaluated before the report format was checked")
 
@@ -83,8 +93,8 @@ ZERO_SIZE = [
       "--N", "0"], "N"),
     (["limit-theorem", "--m", "0", "--h", "1", "--N", "10", "--trials", "10"], "m"),
     *[(["meansquare", "--sigma", "0.75", "--m", m, "--N", "10"], "m") for m in ("0", "-3")],
-    (["weyl", "--mode", "linear", "--beta", "1.5", "--N", "0"], "N"),
-    (["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "0"], "N"),
+    (["weyl", "--beta", "1.5", "--N", "0"], "N"),
+    (["joint-weyl", "--alpha", "golden", "--m1", "2:1", "--N", "0"], "N"),
     (["beatty", "--alpha", "golden", "--check", "0"], "n_max"),
     *[(["uniqueness", "--delta1", "1", "--delta2", "2", flag, "0"], name)
       for flag, name in (("--n-max", "n_max"), ("--m-max", "m_max"))],
@@ -94,23 +104,22 @@ ZERO_SIZE = [
 BAD_PARAMETER = [
     *[(["bergman", "--f", "s", "--z-re", "0.75", "--z-im", "0.5", "--step", step],
        "step must be finite and positive") for step in ("0", "-1", "inf", "nan")],
-    (["weyl", "--N", "100"], "weyl --mode linear requires --beta"),
+    (["weyl", "--beta", "1.5", "--freq", "0", "--N", "10"], "freq must be finite and nonzero"),
     *[(argv, "alpha must be finite and exceed 1") for argv in (
         ["beatty", "--alpha", "1", "--check", "10"],
-        ["weyl", "--mode", "beatty", "--alpha", "1.0", "--m1", "2:1", "--N", "10"],
+        ["joint-weyl", "--alpha", "1.0", "--m1", "2:1", "--N", "10"],
         *[[cmd, "--alpha", "1.0", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
            "--eps", "0.5", "--N", "10"] for cmd in ("sis", "joint-hits")],
     )],
-    *[(["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10",
-        flag, value], message) for flag, value, message in (
+    *[(["joint-weyl", "--alpha", "golden", "--m1", "2:1", "--N", "10", flag, value], message)
+      for flag, value, message in (
         ("--delta1", "nan", "delta1 must be finite and positive"),
         ("--delta2", "inf", "delta2 must be finite and positive"),
         ("--t1", "inf", "t1 must be finite"),
         ("--t2", "nan", "t2 must be finite"),
     )],
-    (["weyl", "--mode", "linear", "--beta", "1.5", "--freq", "nan", "--N", "10"],
-     "freq must be finite and nonzero"),
-    (["weyl", "--mode", "linear", "--beta", "inf", "--N", "10"], "beta must be finite"),
+    (["weyl", "--beta", "1.5", "--freq", "nan", "--N", "10"], "freq must be finite and nonzero"),
+    (["weyl", "--beta", "inf", "--N", "10"], "beta must be finite"),
     *[(["bergman", "--f", f, "--z-re", "0.75", "--z-im", "0.5", "--step", "1e-320", *dry],
        "step 1e-320 gives an infinite number of grid cells")
       for f, dry in (("s", []), ("zeta", ["--dry-run"]))],
@@ -135,8 +144,7 @@ BAD_PARAMETER = [
      "z = (nan+0.5j) is not strictly inside"),
     (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "10", "--shift-step", "nan"],
      "shift sequence must be finite, got x_1 = nan"),
-    (["weyl", "--mode", "beatty", "--m1", "2:1", "--N", "10"],
-     "weyl --mode beatty requires --alpha"),
+    (["joint-weyl", "--alpha", "golden", "--N", "10"], "at least one weight must be nonzero"),
     *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
       for t in ("nan", "inf")],
     (["uniqueness", "--delta1", "inf", "--delta2", "1", "--n-max", "1", "--m-max", "10"],
@@ -159,7 +167,7 @@ BAD_PARAMETER = [
     (["ztheta", "--t", "5e4"], "s = (0.5+50000j) outside the certified strip"),
     *[(argv, "21 * 2.428571428571429 is within 1e-09 of an integer") for argv in (
         ["beatty", "--alpha", "1.7", "--check", "100"],
-        ["weyl", "--mode", "beatty", "--alpha", "1.7", "--m1", "2:1", "--N", "100000"],
+        ["joint-weyl", "--alpha", "1.7", "--m1", "2:1", "--N", "100000"],
     )],
     (["uniqueness", "--delta1", "1", "--delta2", "2", "--swap", "0,5", "--n-max", "6"],
      "swap expects two positive integers n1,n2, got '0,5'"),
@@ -247,10 +255,37 @@ class TestExitCodes:
     def test_every_subcommand_has_a_command_and_a_refusal_case(self):
         """A new subcommand needs a _COMMANDS entry, which serves both the
         run and the dry-run, and a case in the refusal lists above."""
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         refused = {argv[0] for argv, _ in ZERO_SIZE + BAD_PARAMETER}
-        assert set(sub.choices) == set(cli._COMMANDS)
-        assert set(sub.choices) <= refused
+        assert set(_subcommands()) == set(cli._COMMANDS)
+        assert set(_subcommands()) <= refused
+
+    def test_seed_only_where_a_seed_is_drawn(self, capsys):
+        # limit-theorem's random model is the one thing a seed reaches
+        assert [name for name, p in _subcommands().items() if "--seed" in _options(p)] == [
+            "limit-theorem"]
+        for dry in ([], ["--dry-run"]):
+            with pytest.raises(SystemExit) as exc:
+                run([*HITS, "--seed", "1", *dry])
+            assert exc.value.code == 64
+            assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_csv_format_only_where_a_csv_report_is(self):
+        formats = {name: tuple(_options(p)["--format"].choices)
+                   for name, p in _subcommands().items()}
+        assert {name for name, f in formats.items() if f == ("json", "csv")} == {
+            "hits", "beatty", "weyl", "joint-weyl"}
+        assert set(formats.values()) == {("json", "csv"), ("json",)}
+
+    @pytest.mark.parametrize("argv, option", [
+        (["weyl", "--N", "100"], "--beta"),
+        (["joint-weyl", "--m1", "2:1", "--N", "10"], "--alpha"),
+    ])
+    def test_weyl_sum_parameter_is_required(self, capsys, argv, option):
+        for dry in ([], ["--dry-run"]):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, *dry])
+            assert exc.value.code == 64
+            assert f"the following arguments are required: {option}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
     def test_flip_refuses_c_before_the_chi_scan(self, capsys, monkeypatch, c):
@@ -309,8 +344,7 @@ class TestCommands:
 
     def test_weyl_linear(self, capsys):
         code, out, _ = run_cli(
-            capsys, "weyl", "--mode", "linear", "--beta", "1.4142135623730951",
-            "--N", "4096",
+            capsys, "weyl", "--beta", "1.4142135623730951", "--N", "4096",
         )
         payload = json.loads(out.strip().splitlines()[-1])
         assert code == 0
@@ -324,10 +358,29 @@ class TestCommands:
             return check(alpha, m_top)
 
         monkeypatch.setattr(eq, "check_floors", counting)
-        code, _, _ = run_cli(capsys, "weyl", "--mode", "beatty", "--alpha", "1.3247179572447",
-                             "--m1", "2:1", "--N", "100000")
+        code, _, _ = run_cli(capsys, "joint-weyl", "--alpha", "1.3247179572447", "--m1", "2:1",
+                             "--N", "100000")
         assert code == 0
         assert len(calls) == 2  # alpha's floors, then alpha''s
+
+    def test_weyl_sums_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a wrapper set on the module attribute sees the command's call
+        calls = []
+
+        def spy(name):
+            original = getattr(eq, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("weyl_sum", "joint_beatty_weyl"):
+            monkeypatch.setattr(eq, name, spy(name))
+        assert run_cli(capsys, "weyl", "--beta", "1.5", "--N", "100")[0] == 0
+        assert run_cli(capsys, "joint-weyl", "--alpha", "golden", "--m1", "2:1",
+                       "--N", "100")[0] == 0
+        assert calls == ["weyl_sum", "joint_beatty_weyl"]
 
     def test_hits_scan(self, capsys):
         code, out, _ = run_cli(
@@ -455,7 +508,7 @@ class TestDryRunAndReports:
         ["uniqueness", "--delta1", "1", "--delta2", "2", "--n-max", "3", "--m-max", "50"],
         ["beatty", "--alpha", "golden", "--check", "1000"],
         ["weyl", "--beta", "1.4142135623730951", "--N", "1000"],
-        ["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "1000"],
+        ["joint-weyl", "--alpha", "golden", "--m1", "2:1", "--N", "1000"],
         ["hits", "--sigma", "0.6", "--im0", "100.3", "--h", "0.7", "--l", "3",
          "--a-re", "1", "--eps", "0.5", "--N", "300"],
         ["joint-hits", "--alpha", "golden", "--t1", "40", "--s-re", "0.75",
@@ -509,14 +562,14 @@ class TestDryRunAndReports:
         *[["limit-theorem", "--m", m, "--h", h, "--N", n, "--trials", trials]
           for m, h, n, trials in (("5", "nan", "10", "10"), ("0", "1", "10", "10"),
                                   ("5", "1", "0", "10"), ("5", "1", "10", "0"))],
-        ["weyl", "--N", "100"],
-        *[["weyl", "--mode", "linear", *flags] for flags in (
+        ["weyl", "--beta", "1.5", "--freq", "0", "--N", "10"],
+        *[["weyl", *flags] for flags in (
             ["--beta", "inf", "--N", "10"], ["--beta", "1.5", "--freq", "nan", "--N", "10"],
             ["--beta", "1.5", "--N", "0"])],
-        *[["weyl", "--mode", "beatty", *flags] for flags in (
-            ["--m1", "2:1", "--N", "10"], ["--alpha", "1.0", "--m1", "2:1", "--N", "10"],
+        *[["joint-weyl", *flags] for flags in (
+            ["--alpha", "golden", "--N", "10"], ["--alpha", "1.0", "--m1", "2:1", "--N", "10"],
             ["--alpha", "golden", "--m1", "2:1", "--N", "0"])],
-        *[["weyl", "--mode", "beatty", "--alpha", "golden", "--m1", "2:1", "--N", "10", flag, value]
+        *[["joint-weyl", "--alpha", "golden", "--m1", "2:1", "--N", "10", flag, value]
           for flag, value in (("--delta1", "nan"), ("--delta2", "inf"), ("--t1", "inf"),
                               ("--t2", "nan"))],
     ])
@@ -524,6 +577,31 @@ class TestDryRunAndReports:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
         assert run_cli(capsys, *argv, "--dry-run") == (code, "", err)
+
+    @pytest.mark.parametrize("flags, counted", [
+        (["--delta2", "1", "--m-max", "5000"], 15_000),  # no certificate: every m of every n
+        (["--delta2", "1", "--m-max", "10000", "--coeffs", "pow2"], 42),  # 14 powers of two
+        (["--delta2", "2", "--m-max", "1000"], 771),  # 3 x 256 in find_mu, 3 phi_n calls
+    ])
+    def test_uniqueness_dry_run_bounds_phi_evaluations(self, capsys, monkeypatch, flags, counted):
+        argv = ["uniqueness", "--delta1", "1", "--n-max", "3", *flags]
+        code, out, _ = run_cli(capsys, *argv, "--dry-run")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["estimated_evaluations"] == 0  # no zeta value
+        estimate = payload["estimated_phi_evaluations"]
+        seen, phis = [], dirichlet._phis
+
+        def spy(f1, f2, theta1, theta2, m):
+            seen.append(m.size)
+            return phis(f1, f2, theta1, theta2, m)
+
+        monkeypatch.setattr(dirichlet, "_phis", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sum(seen) == counted <= estimate
+        if json.loads(out)["certificate"] is None:  # the scan ran to m_max
+            assert counted == estimate
 
     def test_bergman_dry_run_builds_no_grid(self, capsys, monkeypatch):
         argv = ["bergman", "--f", "zeta", "--z-re", "0.75", "--z-im", "0.5", "--dry-run"]
@@ -585,7 +663,7 @@ class TestDryRunAndReports:
             run(["zeta", "--re", "2", "--format", "csv", "--output", str(out)])
         assert exc.value.code == 64
         captured = capsys.readouterr()
-        assert "zeta has no CSV report" in captured.err
+        assert "argument --format: invalid choice: 'csv'" in captured.err
         assert captured.out == "" and not out.exists()
 
 
@@ -631,7 +709,7 @@ class TestConfigFile:
             run(["zeta", "--re", "2", "--config", str(cfg)])
         assert exc.value.code == 64  # a usage error, as for the flag
         captured = capsys.readouterr()
-        assert "zeta has no CSV report" in captured.err
+        assert "argument --format: invalid choice: 'csv'" in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
@@ -645,7 +723,8 @@ class TestConfigFile:
         (UNIQUENESS, "coeffs", "--coeffs", "pow3"),
         (UNIQUENESS, "n_max", "--n-max", "2.5"),
         (["zeta", "--re", "2"], "format", "--format", "xml"),
-        (["weyl", "--beta", "1.5", "--N", "10"], "mode", "--mode", "linaer"),
+        (["limit-theorem", "--m", "5", "--h", "1", "--N", "10", "--trials", "10"], "seed", "--seed",
+         "1.5"),
     ])
     def test_bad_file_value_is_the_flags_usage_error(self, tmp_path, capsys, argv, key,
                                                      option, value):
@@ -714,19 +793,19 @@ class TestConfigParsing:
 
 
 def test_unknown_config_key_warns(tmp_path, capsys, caplog):
-    # and so do `dry_run` and `config`, which no config key sets; none is recorded
+    # and so do `dry_run` and `config`, which no config key sets, and `seed`,
+    # which only limit-theorem reads; none is recorded
     cfg, report = tmp_path / "exp.cfg", tmp_path / "r.json"
     cfg.write_text(f"command = zeta\nre = 2\nbogus_key = 1\ndry_run = true\nconfig = {cfg}\n"
-                   f"threads = 2\noutput = {report}\n")
+                   f"seed = 1\nthreads = 2\noutput = {report}\n")
     with caplog.at_level(logging.WARNING, logger="zetalab"):
         code, out, _ = run_cli(capsys, "zeta", "--re", "2", "--config", str(cfg))
     assert code == 0 and "dry_run" not in out  # the run, not a dry-run
     warned = " ".join(rec.getMessage() for rec in caplog.records)
-    assert all(repr(key) in warned for key in ("bogus_key", "dry_run", "config"))
+    assert all(repr(key) in warned for key in ("bogus_key", "dry_run", "config", "seed"))
     assert "threads" not in warned  # accepted, as the flag is
     assert json.loads(report.read_text())["config"] == {
-        "command": "zeta", "format": "json", "im": 0.0, "output": str(report), "re": 2.0,
-        "seed": 0}
+        "command": "zeta", "format": "json", "im": 0.0, "output": str(report), "re": 2.0}
 
 
 def test_zeta_command_leaves_numpy_fft_unloaded():

@@ -282,7 +282,7 @@ def test_literal_alpha_refusals_name_the_first_bad_product(capsys, argv, message
     # a literal alpha's floors are checked before anything is summed,
     # alpha's first: alpha' = 302.0000000000081 of the first case is
     # within the guard at n = 1 already
-    assert run(["weyl", "--mode", "beatty", "--m1", "2:1", *argv]) == 2
+    assert run(["joint-weyl", "--m1", "2:1", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
 

@@ -1,7 +1,8 @@
 """Every `zetalab ...` line of README's CLI block runs through cli.run and
 exits 0, with and without --dry-run, so the README's commands cannot drift
-from the CLI and no dry-run refusal turns a valid command away; and each
-gives the same output with its options read from a --config file."""
+from the CLI and no dry-run refusal turns a valid command away; each gives
+the same output with its options read from a --config file; and each
+command reads every option its subcommand accepts."""
 
 import argparse
 import shlex
@@ -32,9 +33,13 @@ def test_readme_command_dry_run_exits_0(line, capsys):
     assert cli.run(shlex.split(line)[1:] + ["--dry-run"]) == 0
 
 
-def _required_options(command: str) -> set[str]:
+def _actions(command: str) -> list[argparse.Action]:
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {o for a in sub.choices[command]._actions if a.required for o in a.option_strings}
+    return sub.choices[command]._actions
+
+
+def _required_options(command: str) -> set[str]:
+    return {o for a in _actions(command) if a.required for o in a.option_strings}
 
 
 def _without_timestamp(report: str) -> str:
@@ -47,7 +52,9 @@ def test_config_file_gives_the_flags_run(line, tmp_path, capsys):
     """Every option that need not be a flag, moved into a --config file,
     gives the same stdout and report, with and without --dry-run."""
     report = tmp_path / "report"
-    argv = shlex.split(line)[1:] + ["--seed", "3", "--threads", "2", "--output", str(report)]
+    argv = shlex.split(line)[1:] + ["--threads", "2", "--output", str(report)]
+    if any("--seed" in a.option_strings for a in _actions(argv[0])):
+        argv += ["--seed", "3"]
     required = _required_options(argv[0])
     flags, keys = argv[:1], [f"command = {argv[0]}\n"]
     for option, value in zip(argv[1::2], argv[2::2]):
@@ -66,3 +73,29 @@ def test_config_file_gives_the_flags_run(line, tmp_path, capsys):
             outputs.append((capsys.readouterr(), written))
         assert outputs[0] == outputs[1]
         assert (outputs[0][1] is None) == bool(dry)
+
+
+# read by run and _write_report, or (threads) accepted and ignored
+_READ_OUTSIDE_COMMANDS = {"threads", "output", "format", "dry_run", "config", "command"}
+
+
+class _ReadRecorder:
+    """Stands in for the parsed Namespace and records each attribute read."""
+
+    def __init__(self, args: argparse.Namespace):
+        self._args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_every_accepted_option_is_read(line, capsys):
+    """No subcommand accepts an option that its command leaves unread, so
+    no flag is taken and then has no effect."""
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    args.dry_run = True
+    recorder = _ReadRecorder(args)
+    cli._COMMANDS[args.command](recorder)
+    assert set(vars(args)) - _READ_OUTSIDE_COMMANDS - recorder.read == set()
