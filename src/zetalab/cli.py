@@ -1,6 +1,9 @@
 """Batch command-line surface: every experiment behind a subcommand with
 reproducible configuration and machine-readable reports.
 
+Each command function imports the modules it runs, beyond zeta_core,
+when called, so that a process loads only its own command's modules.
+
 Exit codes: 0 success, 1 internal error, 2 precondition/domain error,
 64 usage error.
 """
@@ -17,8 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import beatty as beatty_mod
-from . import dirichlet, equidist, euler_product, shift_search, zeta_core
+from . import zeta_core
 from .config import ExperimentConfig, config_roundtrip, warn_unknown_keys
 from .errors import ParseError, PoleAt1, ZetaLabError
 
@@ -35,9 +37,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _beatty_pair(alpha: str) -> beatty_mod.BeattyPair:
+def _beatty_pair(alpha: str):
     """The pair of a named irrational (golden, sqrt2, sqrt3) or of a literal alpha."""
-    return beatty_mod.BeattyPair.from_alpha(beatty_mod.NAMED_IRRATIONALS.get(alpha) or float(alpha))
+    from . import beatty
+    return beatty.BeattyPair.from_alpha(beatty.NAMED_IRRATIONALS.get(alpha) or float(alpha))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -59,6 +62,31 @@ def _write_report(cfg: ExperimentConfig, results: dict, csv_lines: list | None) 
         with open(output, "w", newline="") as fh:  # "\n" line ends on every platform
             fh.write(text)
     print(json.dumps(results, sort_keys=True, default=str))
+
+
+class _Weights(str):
+    """A --m1/--m2 value: the text as given, which reports record, with its
+    prime -> weight map in .weights."""
+
+    weights: dict[int, int]
+
+
+def _weights(text: str) -> _Weights:
+    """prime:weight[,prime:weight...], a bare prime weighing 1; a malformed
+    entry or a repeated prime is the option's usage error, naming the entry."""
+    out = _Weights(text)
+    out.weights = {}
+    for item in text.split(",") if text else ():
+        prime, _, weight = item.partition(":")
+        try:
+            p, w = int(prime), int(weight) if weight else 1
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid entry {item!r}: expected prime:weight with integers") from None
+        if p in out.weights:
+            raise argparse.ArgumentTypeError(f"invalid entry {item!r}: prime {p} repeated")
+        out.weights[p] = w
+    return out
 
 
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -90,7 +118,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta2", type=float, required=True)
     p.add_argument("--n-max", type=int, default=50)
     p.add_argument("--m-max", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=dirichlet.DEFAULT_TOL)
+    p.add_argument("--tol", type=float)
     p.add_argument("--coeffs", choices=("zeta", "pow2"), default="zeta")
     p.add_argument("--swap", help="n1,n2 for a transposition permutation")
 
@@ -105,8 +133,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("joint-weyl", help="joint Beatty Weyl sum decay")
     p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
-    p.add_argument("--m1", default="", help="prime:weight[,prime:weight...]")
-    p.add_argument("--m2", default="")
+    p.add_argument("--m1", type=_weights, default="", help="prime:weight[,prime:weight...]")
+    p.add_argument("--m2", type=_weights, default="")
     p.add_argument("--t1", type=float, default=0.0)
     p.add_argument("--t2", type=float, default=0.0)
     p.add_argument("--delta1", type=float, default=1.0)
@@ -177,16 +205,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_weights(text: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        prime, _, weight = item.partition(":")
-        out[int(prime)] = int(weight) if weight else 1
-    return out
-
-
 def _line_estimate(args: tuple, *line_builders) -> dict:
     """The zeta values and terms of the lines the run's scans evaluate zeta
     on, taken in the run's order, so that the first refusal is the run's."""
@@ -221,6 +239,9 @@ def _ztheta(opt):
 
 
 def _uniqueness(opt):
+    from . import dirichlet
+    if opt.tol is None:  # set on opt, so that the report records the tol used
+        opt.tol = dirichlet.DEFAULT_TOL
     f = dirichlet.power_of_two_indicator() if opt.coeffs == "pow2" else dirichlet.constant_one()
     perm = dirichlet.identity_permutation()
     if opt.swap:
@@ -252,11 +273,12 @@ def _uniqueness(opt):
 
 
 def _beatty(opt):
+    from . import beatty
     pair = _beatty_pair(opt.alpha)
     if opt.dry_run:
-        beatty_mod.check_rayleigh_partition(pair, opt.check)
+        beatty.check_rayleigh_partition(pair, opt.check)
         return {"estimated_evaluations": 0}
-    rep = beatty_mod.rayleigh_partition_check(pair, opt.check)
+    rep = beatty.rayleigh_partition_check(pair, opt.check)
     return {
         "n_max": rep.n_max,
         "count_alpha": rep.count_alpha,
@@ -274,6 +296,7 @@ def _weyl_report(rep) -> tuple[dict, list]:
 
 
 def _weyl(opt):
+    from . import equidist
     beta = opt.beta
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
@@ -284,9 +307,9 @@ def _weyl(opt):
 
 
 def _joint_weyl(opt):
+    from . import equidist
     pair = _beatty_pair(opt.alpha)
-    freq = equidist.FrequencyVector(_parse_weights(opt.m1), _parse_weights(opt.m2),
-                                    opt.delta1, opt.delta2)
+    freq = equidist.FrequencyVector(opt.m1.weights, opt.m2.weights, opt.delta1, opt.delta2)
     if opt.dry_run:  # the run refuses the same, first thing in the sum
         equidist.check_joint_beatty_weyl(pair, opt.t1, opt.t2, opt.N)
         return {"estimated_evaluations": 0}
@@ -294,6 +317,7 @@ def _joint_weyl(opt):
 
 
 def _meansquare(opt):
+    from . import euler_product
     level = euler_product.TruncationLevel.of(opt.m)
     args = level, opt.sigma, opt.shift_step * np.arange(1, opt.N + 1), opt.N
     if opt.dry_run:
@@ -303,6 +327,7 @@ def _meansquare(opt):
 
 
 def _limit_theorem(opt):
+    from . import euler_product
     level = euler_product.TruncationLevel.of(opt.m)
     s0 = complex(opt.sigma, 0.0)
     args = level, opt.h, s0, opt.N, opt.trials, opt.seed
@@ -317,6 +342,7 @@ def _limit_theorem(opt):
 
 
 def _hits(opt):
+    from . import shift_search
     args = (shift_search.VerticalGrid(s=complex(opt.sigma, opt.im0), h=opt.h, l=opt.l),
             shift_search.TargetDisk(a=complex(opt.a_re, opt.a_im), epsilon=opt.eps), opt.N)
     if opt.dry_run:
@@ -331,6 +357,7 @@ def _pair_scan(scan: str, *line_builders: str):
     it evaluates zeta on, looked up by name at each call, so that a wrapper
     set on the module attribute sees the call."""
     def command(opt):
+        from . import shift_search
         args = (_beatty_pair(opt.alpha), opt.t1, opt.t2, opt.delta1, opt.delta2,
                 np.array([complex(opt.s_re, opt.s_im)]),
                 (complex(opt.a1_re, opt.a1_im), complex(opt.a2_re, opt.a2_im)), opt.eps, opt.N)
@@ -341,6 +368,7 @@ def _pair_scan(scan: str, *line_builders: str):
 
 
 def _flip(opt):
+    from . import shift_search
     if not 0.0 < opt.c < math.inf:  # before the scan, which would blame the certificate
         raise ValueError(f"c must be finite and positive, got {opt.c}")
     t0 = zeta_core.chi_lower_bound_check(opt.sigma, opt.c, (2.0, opt.t_start), 500)
@@ -356,6 +384,7 @@ def _flip(opt):
 
 
 def _bergman(opt):
+    from . import euler_product
     rect, z = euler_product.Rectangle(opt.x0, opt.x1, opt.y0, opt.y1), complex(opt.z_re, opt.z_im)
     nx, ny = rect.grid_shape(opt.step)
     if opt.f == "zeta":  # Bergman's bound needs f holomorphic on the closed rectangle

@@ -5,12 +5,9 @@ CLI passes it as `--option=value` through the option's own parser."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-
-log = logging.getLogger("zetalab")
 
 
 @dataclass
@@ -56,6 +53,7 @@ def config_roundtrip(path) -> ExperimentConfig:
 
 
 def warn_unknown_keys(cfg: ExperimentConfig, known: set[str]) -> None:
+    import logging  # here, not at the top: a run without --config never loads it
     for key in cfg.params:
         if key not in known:
-            log.warning("unknown config key %r ignored", key)
+            logging.getLogger("zetalab").warning("unknown config key %r ignored", key)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .beatty import BeattyPair, beatty_terms, check_floors
 from .errors import AmbiguousFloor, HypothesisViolation
+from .primes import is_prime
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
@@ -49,6 +50,10 @@ class FrequencyVector:
     delta2: float
 
     def __post_init__(self):
+        for name, primes in (("primes1", self.primes1), ("primes2", self.primes2)):
+            for p in primes:
+                if not is_prime(p):
+                    raise ValueError(f"{name} key {p} is not a prime")
         if not any(self.primes1.values()) and not any(self.primes2.values()):
             raise ValueError("at least one weight must be nonzero")
         for name, delta in (("delta1", self.delta1), ("delta2", self.delta2)):

@@ -2,10 +2,6 @@ import argparse
 import json
 import logging
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +192,15 @@ BAD_PARAMETER = [
     *[(["limit-theorem", "--m", "5", "--h", h, "--N", "10", "--trials", "10"],
        f"h * N * log p_m must be below 2^52, got h = {float(h)}, N = 10, p_m = 11")
       for h in ("1e308", "1e300")],
+    # a weight's key must be a prime: 4:1 would give 2:2's sum, 1:1 a zero
+    # frequency, and -3:1 the logarithm of a negative number
+    *[(["joint-weyl", "--alpha", "golden", f"--{option}={value}", "--N", "10"], message)
+      for option, value, message in (
+          ("m1", "4:1", "primes1 key 4 is not a prime"),
+          ("m1", "1:1", "primes1 key 1 is not a prime"),
+          ("m1", "-3:1", "primes1 key -3 is not a prime"),
+          ("m2", "2:1,9:2", "primes2 key 9 is not a prime"),
+      )],
 ]
 
 
@@ -298,6 +303,27 @@ class TestExitCodes:
         assert code == 2
         assert f"error: c must be finite and positive, got {float(c)}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--m1", "2:x", "invalid entry '2:x': expected prime:weight with integers"),
+        ("--m2", "3:1,x:2", "invalid entry 'x:2': expected prime:weight with integers"),
+        ("--m1", "2:1,", "invalid entry '': expected prime:weight with integers"),
+        ("--m1", "2:1,2:3", "invalid entry '2:3': prime 2 repeated"),
+        ("--m2", "5,3:1,5:2", "invalid entry '5:2': prime 5 repeated"),
+    ])
+    def test_malformed_weights_are_usage_errors(self, tmp_path, capsys, option, value, message):
+        """From a flag and from a config file alike, naming the option and the entry."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"command = joint-weyl\n{option[2:]} = {value}\n")
+        argv = ["joint-weyl", "--alpha", "golden", "--N", "10"]
+        for args in ([*argv, f"{option}={value}"], [*argv, "--config", str(cfg)]):
+            for dry in ([], ["--dry-run"]):
+                with pytest.raises(SystemExit) as exc:
+                    run([*args, *dry])
+                assert exc.value.code == 64
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.endswith(f"error: argument {option}: {message}\n")
 
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--re", "2")
@@ -618,6 +644,16 @@ class TestDryRunAndReports:
         assert code == 0
         assert json.loads(out.strip())["estimated_evaluations"] == 4 * 10**8 * 10**9 + 1
 
+    @pytest.mark.parametrize("flags, tol", [
+        ([], dirichlet.DEFAULT_TOL), (["--tol", "1e-10"], 1e-10)])
+    def test_uniqueness_report_records_the_tol_used(self, tmp_path, capsys, flags, tol):
+        report = tmp_path / "u.json"
+        for dry in ([], ["--dry-run"]):
+            code, out, _ = run_cli(capsys, *UNIQUENESS, *flags, "--output", str(report), *dry)
+            assert code == 0
+        assert json.loads(report.read_text())["config"]["tol"] == tol
+        assert json.loads(out)["config"]["tol"] == tol  # the dry-run's
+
     def test_json_report_is_deterministic_modulo_timestamp(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -806,14 +842,3 @@ def test_unknown_config_key_warns(tmp_path, capsys, caplog):
     assert "threads" not in warned  # accepted, as the flag is
     assert json.loads(report.read_text())["config"] == {
         "command": "zeta", "format": "json", "im": 0.0, "output": str(report), "re": 2.0}
-
-
-def test_zeta_command_leaves_numpy_fft_unloaded():
-    # the set-up a one-off command pays: importing zetalab and one scalar
-    # zeta load no numpy.fft, which only the NUFFT transforms use
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, zetalab\nfrom zetalab import cli\ncli.run(['zeta', '--re', '2'])\n"
-            "print('numpy.fft' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"

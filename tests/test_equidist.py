@@ -26,6 +26,17 @@ class TestFrequencyVector:
         with pytest.raises(ValueError):
             eq.FrequencyVector(primes1={2: 1}, primes2={}, delta1=0.0, delta2=1.0)
 
+    @pytest.mark.parametrize("primes1, primes2, message", [
+        ({4: 1}, {}, "primes1 key 4 is not a prime"),
+        ({1: 1}, {}, "primes1 key 1 is not a prime"),
+        ({-3: 1}, {}, "primes1 key -3 is not a prime"),
+        ({0: 0}, {2: 1}, "primes1 key 0 is not a prime"),
+        ({2: 1}, {3: 1, 15: 2}, "primes2 key 15 is not a prime"),
+    ])
+    def test_non_prime_key_refused(self, primes1, primes2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eq.FrequencyVector(primes1=primes1, primes2=primes2, delta1=1.0, delta2=1.0)
+
 
 class TestWeylSum:
     def test_irrational_rotation_decays(self):

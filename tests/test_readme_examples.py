@@ -1,11 +1,15 @@
 """Every `zetalab ...` line of README's CLI block runs through cli.run and
 exits 0, with and without --dry-run, so the README's commands cannot drift
 from the CLI and no dry-run refusal turns a valid command away; each gives
-the same output with its options read from a --config file; and each
+the same output in a fresh interpreter, which has imported only what the
+command imports, and with its options read from a --config file; and each
 command reads every option its subcommand accepts."""
 
 import argparse
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from zetalab import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def _cli_lines() -> list[str]:
@@ -24,8 +29,20 @@ def _cli_lines() -> list[str]:
 
 @pytest.mark.parametrize("line", _cli_lines())
 def test_readme_command_exits_0(line, tmp_path, capsys):
-    argv = shlex.split(line)[1:]
-    assert cli.run(argv + ["--output", str(tmp_path / "report")]) == 0
+    """In process, and then in a fresh interpreter with the same stdout
+    and report: a command that finds a module loaded only because other
+    tests imported it fails there."""
+    report = tmp_path / "report"
+    argv = shlex.split(line)[1:] + ["--output", str(report)]
+    assert cli.run(argv) == 0
+    outputs = [(capsys.readouterr().out, _without_timestamp(report.read_text()))]
+    report.unlink()
+    code = "import sys\nfrom zetalab import cli\nsys.exit(cli.run(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outputs.append((proc.stdout, _without_timestamp(report.read_text())))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("line", _cli_lines())
