@@ -25,8 +25,13 @@ and n is one of them iff m > floor(n/alpha).  A named pair answers one int
 from its swap table, sigma(0..L-1) filled by the exact array path: a call
 below _TABLE_FIRST = 4096 builds the first 4096 entries, a call with
 L <= n < 2L doubles L, up to _TABLE_CAP = 2^20 entries (8 MB of int64), and
-every other n takes the surds' exact Surd.floor.  A literal pair answers one
-int by the array path.
+every other n takes the surds' exact Surd.floor.  A doubling copies the old
+entries into a table of the new size and fills the rest in blocks of _CHUNK
+entries.  A literal pair answers one int by the array path.
+
+rayleigh_partition_check streams both Beatty sequences through one flag
+byte per integer 0..n_max, so it holds n_max + 1 bytes plus its chunk
+buffers, never the sequences themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import AmbiguousFloor, Unclassifiable
 
 FLOOR_GUARD = 1e-9
 LITERAL_RANGE = 2.0 ** 23  # ulp(x) > FLOOR_GUARD from here on
-_CHUNK = 1 << 17  # multipliers per pass of _beatty_values
+_CHUNK = 1 << 17  # multipliers per pass of _floor_chunks, entries per block of a table
 _ROOT_TOL = 1e-9  # largest |root - alpha| exclusion_scan counts as a witness
 _TABLE_FIRST = 1 << 12  # entries of a named pair's first swap table
 _TABLE_CAP = 1 << 20  # entries of its largest, 8 MB as int64
@@ -183,14 +188,14 @@ def beatty_terms(
 
 
 def _floor_chunks(alpha: float, m_top: int):
-    """(start, floor(m alpha) for m = start + 1, ...) over m = 1..m_top, by
-    beatty_terms, in chunks whose work arrays stay in cache and are reused."""
+    """floor(m alpha) over m = 1..m_top in ascending chunks, by beatty_terms,
+    whose work arrays stay in cache and are reused."""
     offsets = np.arange(1.0, _CHUNK + 1.0)
     m, out, scratch = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK)
     for start in range(0, m_top, _CHUNK):
         c = min(_CHUNK, m_top - start)
         np.add(offsets[:c], start, out=m[:c])
-        yield start, beatty_terms(alpha, m[:c], out[:c], scratch[:c])
+        yield beatty_terms(alpha, m[:c], out[:c], scratch[:c])
 
 
 def check_floors(alpha: float, m_top: int) -> None:
@@ -203,14 +208,6 @@ def check_floors(alpha: float, m_top: int) -> None:
 
 def _m_top(alpha: float, n_max: int) -> int:
     return int(n_max / alpha) + 2  # every m with floor(m alpha) <= n_max, and one more
-
-
-def _beatty_values(alpha: float, n_max: int) -> np.ndarray:
-    """floor(m alpha) for all m with floor(m alpha) <= n_max."""
-    vals = np.empty(_m_top(alpha, n_max), dtype=np.int64)
-    for start, floors in _floor_chunks(alpha, vals.size):
-        vals[start : start + floors.size] = floors
-    return vals[: np.searchsorted(vals, n_max, side="right")]  # vals ascend
 
 
 @dataclass(frozen=True)
@@ -240,23 +237,33 @@ def check_rayleigh_partition(pair: BeattyPair, n_max: int) -> None:
 
 
 def rayleigh_partition_check(pair: BeattyPair, n_max: int) -> PartitionReport:
-    """Materialise both Beatty sequences up to n_max and report overlaps
-    and gaps (both empty exactly when the two sequences dissect 1..n_max)."""
+    """Flag each floor of alpha, then each floor of alpha', up to n_max, in
+    one bool per integer 0..n_max, and report overlaps (floors of alpha'
+    already flagged) and gaps (integers 1..n_max left unflagged): both
+    empty exactly when the two sequences dissect 1..n_max.
+
+    The floors stream from _floor_chunks in ascending m, alpha's first, so
+    a literal alpha refuses as check_rayleigh_partition does; the check
+    holds n_max + 1 bytes plus the chunk buffers."""
     _check_n_max(n_max)
-    a = _beatty_values(pair.alpha, n_max)
-    b = _beatty_values(pair.alpha_prime, n_max)
-    seen_a = np.zeros(n_max + 1, dtype=bool)
-    seen_b = np.zeros(n_max + 1, dtype=bool)
-    seen_a[a] = True
-    seen_b[b] = True
-    overlaps = np.nonzero(seen_a & seen_b)[0]
-    gaps = np.nonzero(~(seen_a | seen_b))[0][1:]  # drop index 0
+    seen = np.zeros(n_max + 1, dtype=bool)
+    counts, overlaps = [], []
+    for alpha in (pair.alpha, pair.alpha_prime):
+        count = 0
+        for floors in _floor_chunks(alpha, _m_top(alpha, n_max)):
+            k = floors[: np.searchsorted(floors, n_max, side="right")].astype(np.int64)  # floors ascend
+            if counts:  # alpha's floors are all flagged
+                overlaps.append(k[seen[k]])
+            seen[k] = True
+            count += k.size
+        counts.append(count)
+    np.logical_not(seen, out=seen)
     return PartitionReport(
         n_max=n_max,
-        count_alpha=int(a.size),
-        count_alpha_prime=int(b.size),
-        overlaps=overlaps,
-        gaps=gaps,
+        count_alpha=counts[0],
+        count_alpha_prime=counts[1],
+        overlaps=np.concatenate(overlaps),
+        gaps=np.nonzero(seen)[0][1:],  # 0 is no floor
     )
 
 
@@ -311,9 +318,12 @@ def sigma_alpha(pair: BeattyPair, n):
     entries when n < 4096 and the table is empty); and otherwise answers
     with three exact Surd.floor calls on the pair's surds.  So a scan
     costs O(1) per call amortised, and past the first 4096 entries a call
-    builds at most as many entries as the table already holds.  A literal
-    pair answers one int by the array path and holds no table, as a table
-    block could raise for an n no caller asked about."""
+    builds at most as many entries as the table already holds.  A doubling
+    allocates the new table whole, copies the old entries into it and
+    fills the rest in blocks of 2^17 entries, so its temporaries are one
+    block's, not the table's.  A literal pair answers one int by the array
+    path and holds no table, as a table block could raise for an n no
+    caller asked about."""
     if type(n) is not int:
         if isinstance(n, np.ndarray):
             if not n.size:
@@ -331,12 +341,16 @@ def sigma_alpha(pair: BeattyPair, n):
         return table.item(n)
     size = 2 * table.size or _TABLE_FIRST
     if n < size <= _TABLE_CAP:
-        # publish a new, complete array; never extend the shared one in
-        # place, so a concurrent caller reads a whole table, old or new,
-        # and a race costs at most a duplicate build
-        table = np.concatenate((table, _sigma_array(pair, np.arange(table.size, size))))
-        object.__setattr__(pair, "_swap_table", table)
-        return table.item(n)
+        # fill a new array in blocks and publish it only when complete;
+        # never extend the shared one, so a concurrent caller reads a
+        # whole table, old or new, and a race costs at most a duplicate build
+        grown = np.empty(size, np.int64)
+        grown[: table.size] = table
+        for start in range(table.size, size, _CHUNK):
+            block = np.arange(start, min(start + _CHUNK, size))
+            grown[start : start + block.size] = _sigma_array(pair, block)
+        object.__setattr__(pair, "_swap_table", grown)
+        return grown.item(n)
     inverse, a, b = pair.surds
     m = inverse.floor(n + 1)
     return b.floor(m) if m > inverse.floor(n) else a.floor(n - m)

@@ -2,7 +2,8 @@
 reproducible configuration and machine-readable reports.
 
 Each command function imports the modules it runs, beyond zeta_core,
-when called, so that a process loads only its own command's modules.
+when called, so that a process loads only its own command's modules, and
+run builds the subparser of its own command alone.
 
 Exit codes: 0 success, 1 internal error, 2 precondition/domain error,
 64 usage error.
@@ -99,74 +100,77 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--config", help="key = value config file; flags override")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="zetalab")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> its help line, in the order that usage and --help list them
+_HELP = {
+    "zeta": "evaluate zeta(s)", "chi": "evaluate the functional-equation factor",
+    "ztheta": "theta(t) and Hardy Z(t)", "uniqueness": "uniqueness certificate scan",
+    "beatty": "Rayleigh partition check", "weyl": "Weyl sum decay of x_n = n beta",
+    "joint-weyl": "joint Beatty Weyl sum decay",
+    "meansquare": "discrete mean-square approximation",
+    "limit-theorem": "empirical discrete limit theorem",
+    "hits": "disk-hit scan on a vertical grid",
+    "joint-hits": "joint Beatty / swap-permutation hit density",
+    "sis": "joint Beatty / swap-permutation hit density",
+    "flip": "left-half flip via the functional equation",
+    "bergman": "Bergman sup bound on a rectangle",
+}
 
-    for name, what in (("zeta", "zeta(s)"), ("chi", "the functional-equation factor")):
-        p = sub.add_parser(name, help=f"evaluate {what}")
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """The options of command `name`, beyond the common ones."""
+    if name in ("zeta", "chi"):
         p.add_argument("--re", type=float, required=True)
         p.add_argument("--im", type=float, default=0.0)
-
-    p = sub.add_parser("ztheta", help="theta(t) and Hardy Z(t)")
-    p.add_argument("--t", type=float, required=True)
-
-    p = sub.add_parser("uniqueness", help="uniqueness certificate scan")
-    p.add_argument("--t1", type=float, default=0.0)
-    p.add_argument("--t2", type=float, default=0.0)
-    p.add_argument("--delta1", type=float, required=True)
-    p.add_argument("--delta2", type=float, required=True)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--m-max", type=int, default=1000)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--coeffs", choices=("zeta", "pow2"), default="zeta")
-    p.add_argument("--swap", help="n1,n2 for a transposition permutation")
-
-    p = sub.add_parser("beatty", help="Rayleigh partition check")
-    p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
-    p.add_argument("--check", type=int, required=True, help="partition bound n_max")
-
-    p = sub.add_parser("weyl", help="Weyl sum decay of x_n = n beta")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--freq", type=float, default=1.0)
-    p.add_argument("--N", type=int, required=True)
-
-    p = sub.add_parser("joint-weyl", help="joint Beatty Weyl sum decay")
-    p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
-    p.add_argument("--m1", type=_weights, default="", help="prime:weight[,prime:weight...]")
-    p.add_argument("--m2", type=_weights, default="")
-    p.add_argument("--t1", type=float, default=0.0)
-    p.add_argument("--t2", type=float, default=0.0)
-    p.add_argument("--delta1", type=float, default=1.0)
-    p.add_argument("--delta2", type=float, default=1.0)
-    p.add_argument("--N", type=int, required=True)
-
-    p = sub.add_parser("meansquare", help="discrete mean-square approximation")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--shift-step", type=float, default=1.0, help="x_n = step * n")
-
-    p = sub.add_parser("limit-theorem", help="empirical discrete limit theorem")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--sigma", type=float, default=0.75)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("hits", help="disk-hit scan on a vertical grid")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--im0", type=float, default=0.0)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--a-re", type=float, required=True)
-    p.add_argument("--a-im", type=float, default=0.0)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    for name in ("joint-hits", "sis"):
-        p = sub.add_parser(name, help="joint Beatty / swap-permutation hit density")
+    elif name == "ztheta":
+        p.add_argument("--t", type=float, required=True)
+    elif name == "uniqueness":
+        p.add_argument("--t1", type=float, default=0.0)
+        p.add_argument("--t2", type=float, default=0.0)
+        p.add_argument("--delta1", type=float, required=True)
+        p.add_argument("--delta2", type=float, required=True)
+        p.add_argument("--n-max", type=int, default=50)
+        p.add_argument("--m-max", type=int, default=1000)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--coeffs", choices=("zeta", "pow2"), default="zeta")
+        p.add_argument("--swap", help="n1,n2 for a transposition permutation")
+    elif name == "beatty":
+        p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
+        p.add_argument("--check", type=int, required=True, help="partition bound n_max")
+    elif name == "weyl":
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--freq", type=float, default=1.0)
+        p.add_argument("--N", type=int, required=True)
+    elif name == "joint-weyl":
+        p.add_argument("--alpha", required=True, help="golden|sqrt2|sqrt3 or a literal")
+        p.add_argument("--m1", type=_weights, default="", help="prime:weight[,prime:weight...]")
+        p.add_argument("--m2", type=_weights, default="")
+        p.add_argument("--t1", type=float, default=0.0)
+        p.add_argument("--t2", type=float, default=0.0)
+        p.add_argument("--delta1", type=float, default=1.0)
+        p.add_argument("--delta2", type=float, default=1.0)
+        p.add_argument("--N", type=int, required=True)
+    elif name == "meansquare":
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--shift-step", type=float, default=1.0, help="x_n = step * n")
+    elif name == "limit-theorem":
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--sigma", type=float, default=0.75)
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+    elif name == "hits":
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--im0", type=float, default=0.0)
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--a-re", type=float, required=True)
+        p.add_argument("--a-im", type=float, default=0.0)
+        p.add_argument("--eps", type=float, required=True)
+        p.add_argument("--N", type=int, required=True)
+    elif name in ("joint-hits", "sis"):
         p.add_argument("--alpha", required=True)
         p.add_argument("--t1", type=float, default=0.0)
         p.add_argument("--t2", type=float, default=0.0)
@@ -180,29 +184,38 @@ def build_parser() -> _Parser:
         p.add_argument("--a2-im", type=float, default=0.0)
         p.add_argument("--eps", type=float, required=True)
         p.add_argument("--N", type=int, required=True)
+    elif name == "flip":
+        p.add_argument("--sigma", type=float, required=True)
+        p.add_argument("--t-start", type=float, required=True)
+        p.add_argument("--h", type=float, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--r", type=float, required=True)
+        p.add_argument("--c", type=float, default=1.0)
+        p.add_argument("--N", type=int, required=True)
+    elif name == "bergman":
+        p.add_argument("--f", choices=("one", "s", "s2", "zeta"), required=True)
+        p.add_argument("--step", type=float, default=1e-2)
+        p.add_argument("--x0", type=float, default=0.55)
+        p.add_argument("--x1", type=float, default=0.95)
+        p.add_argument("--y0", type=float, default=0.05)
+        p.add_argument("--y1", type=float, default=1.05)
+        p.add_argument("--z-re", type=float, required=True)
+        p.add_argument("--z-im", type=float, required=True)
+    _add_common(p, ("json", "csv") if name in _CSV_COMMANDS else ("json",))
 
-    p = sub.add_parser("flip", help="left-half flip via the functional equation")
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t-start", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--N", type=int, required=True)
 
-    p = sub.add_parser("bergman", help="Bergman sup bound on a rectangle")
-    p.add_argument("--f", choices=("one", "s", "s2", "zeta"), required=True)
-    p.add_argument("--step", type=float, default=1e-2)
-    p.add_argument("--x0", type=float, default=0.55)
-    p.add_argument("--x1", type=float, default=0.95)
-    p.add_argument("--y0", type=float, default=0.05)
-    p.add_argument("--y1", type=float, default=1.05)
-    p.add_argument("--z-re", type=float, required=True)
-    p.add_argument("--z-im", type=float, required=True)
-
-    for name, p in sub.choices.items():
-        _add_common(p, ("json", "csv") if name in _CSV_COMMANDS else ("json",))
+def _build(names, metavar: str | None = None) -> _Parser:
+    """The parser with the subparsers of `names`, its command positional
+    shown as `metavar` (argparse's default, the list of names, when None)."""
+    parser = _Parser(prog="zetalab")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_options(sub.add_parser(name, help=_HELP[name]), name)
     return parser
+
+
+def build_parser() -> _Parser:
+    return _build(_HELP)
 
 
 def _line_estimate(args: tuple, *line_builders) -> dict:
@@ -418,10 +431,16 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser run uses, built once per process: parse_args keeps no
-    state between calls."""
-    return build_parser()
+def _parser(command: str | None) -> _Parser:
+    """The parser run uses: the subparser of `command` alone, or every
+    subparser when argv names no command (--help, a typo, nothing).  A lone
+    subparser's usage line names every command, as the full parser's does;
+    only the full parser meets a missing or unknown command, whose errors
+    name the positional "command".  Built once per command and process:
+    parse_args keeps no state between calls."""
+    if command is None:
+        return build_parser()
+    return _build((command,), metavar="{" + ",".join(_HELP) + "}")
 
 
 def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
@@ -439,7 +458,7 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]) -> 
 
 
 def run(argv: list[str]) -> int:
-    parser = _parser()
+    parser = _parser(argv[0] if argv and argv[0] in _HELP else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -31,14 +31,30 @@ def first_n_primes(m: int) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; used to verify truncation levels."""
+    """Miller-Rabin to the bases 2, 3, ..., 41, the first 13 primes, which
+    decides every n below psi_13 = 3317044064679887385961981 exactly
+    (Sorenson and Webster, Math. Comp. 86 (2017)); ValueError at or above
+    it.  Used to verify truncation levels and frequency keys."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    bound = 3317044064679887385961981
+    if n >= bound:
+        raise ValueError(f"is_prime decides n below psi_13 = {bound} only, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True

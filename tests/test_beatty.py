@@ -2,6 +2,8 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +115,93 @@ class TestRayleigh:
         # for any non-resonant alpha the union covers with multiplicity 1
         assert rep.overlaps.size == 0 and rep.gaps.size == 0
         assert rep.count_alpha + rep.count_alpha_prime == 2000
+
+
+# Exact floors of each named pair (alpha, alpha') from integer square
+# roots: floor(n (p + sqrt D) / r) = (n p + isqrt(D n^2)) // r.
+_EXACT_FLOORS = {
+    bt.GOLDEN: (lambda n: (n + math.isqrt(5 * n * n)) // 2,
+                lambda n: (3 * n + math.isqrt(5 * n * n)) // 2),
+    bt.SQRT2: (lambda n: math.isqrt(2 * n * n), lambda n: 2 * n + math.isqrt(2 * n * n)),
+    bt.SQRT3: (lambda n: math.isqrt(3 * n * n), lambda n: (3 * n + math.isqrt(3 * n * n)) // 2),
+}
+
+
+def _partition_reference(pair, n_max):
+    """(count_alpha, count_alpha', overlaps, gaps) by a loop over exact
+    floors: the isqrt forms for a named pair, Fraction floors otherwise."""
+    floors = _EXACT_FLOORS.get(pair.alpha) or tuple(
+        (lambda n, q=Fraction(a): math.floor(n * q)) for a in (pair.alpha, pair.alpha_prime))
+    sequences = []
+    for floor in floors:
+        values, m = [], 1
+        while floor(m) <= n_max:
+            values.append(floor(m))
+            m += 1
+        sequences.append(values)
+    a, b = (set(v) for v in sequences)
+    return (len(sequences[0]), len(sequences[1]), sorted(a & b),
+            [n for n in range(1, n_max + 1) if n not in a and n not in b])
+
+
+class TestRayleighStreaming:
+    """rayleigh_partition_check flags the floors of alpha, then of alpha',
+    in one byte per integer, and reports what a plain loop over exact
+    floors reports."""
+
+    @pytest.mark.parametrize("alpha", sorted(_EXACT_FLOORS))
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 1000, 10 ** 5])
+    def test_named_pairs_match_the_reference(self, alpha, n_max):
+        self._check(bt.BeattyPair.from_alpha(alpha), n_max)
+
+    @pytest.mark.parametrize("alpha, n_max", [
+        (1.5, 10 ** 4),  # rational: 3333 overlaps and 3333 gaps
+        (math.nextafter(bt.GOLDEN, 2.0), 10 ** 5),  # a literal next to golden
+        (2.5, 1000),
+    ])
+    def test_literals_match_the_reference(self, alpha, n_max):
+        rep = self._check(bt.BeattyPair.from_alpha(alpha), n_max)
+        if alpha == 1.5:
+            assert rep.overlaps.size == rep.gaps.size == 3333
+
+    @staticmethod
+    def _check(pair, n_max):
+        rep = bt.rayleigh_partition_check(pair, n_max)
+        count_a, count_b, overlaps, gaps = _partition_reference(pair, n_max)
+        assert (rep.n_max, rep.count_alpha, rep.count_alpha_prime) == (n_max, count_a, count_b)
+        assert type(rep.count_alpha) is int and type(rep.count_alpha_prime) is int
+        assert rep.overlaps.dtype == rep.gaps.dtype == np.int64
+        assert rep.overlaps.tolist() == overlaps
+        assert rep.gaps.tolist() == gaps
+        return rep
+
+    def test_alphas_refusal_comes_first(self):
+        # both sequences of 1.2345 hold a near-integer product below 300001;
+        # alpha's floors are all taken first, as check_rayleigh_partition takes them
+        pair = bt.BeattyPair.from_alpha(1.2345)
+        with pytest.raises(AmbiguousFloor, match=r"^469 \* 5\.264392"):
+            bt.check_floors(pair.alpha_prime, 1000)
+        messages = []
+        for check in (bt.rayleigh_partition_check, bt.check_rayleigh_partition):
+            with pytest.raises(AmbiguousFloor) as exc:
+                check(pair, 300_001)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == "106000 * 1.2345 is within 1e-09 of an integer"
+
+    def test_memory_is_one_flag_byte_per_integer(self):
+        # n_max + 1 flags plus chunk buffers; storing both sequences as
+        # int64 with a flag array for each would take about 42 MiB
+        pair = bt.BeattyPair.from_alpha(bt.GOLDEN)
+        n_max = 4_000_000
+        bt.rayleigh_partition_check(pair, 1000)
+        tracemalloc.start()
+        try:
+            rep = bt.rayleigh_partition_check(pair, n_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.is_partition
+        assert peak <= n_max + 1 + 8 * 2 ** 20
 
 
 class TestSigmaAlpha:
@@ -362,6 +451,26 @@ class TestSwapTable:
         table = pair._swap_table
         assert table.dtype == np.int64
         assert table[1:3001].tolist() == [_swap_reference(pair, n) for n in range(1, 3001)]
+
+    def test_a_doubling_holds_one_block_of_temporaries(self):
+        # 2^19 -> 2^20 entries: the 8 MiB table plus one block's work
+        # arrays; building the whole new half in one pass would take 28 MiB
+        pair = bt.BeattyPair.from_alpha(bt.GOLDEN)
+        bt.sigma_alpha(pair, 1)
+        while pair._swap_table.size < bt._TABLE_CAP // 2:
+            bt.sigma_alpha(pair, pair._swap_table.size)  # L <= n < 2L doubles L
+        size = pair._swap_table.size
+        assert size == 1 << 19
+        tracemalloc.start()
+        try:
+            assert bt.sigma_alpha(pair, size) == _swap_reference(pair, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pair._swap_table.size == 1 << 20
+        assert peak <= 16 * 2 ** 20
+        for n in (1, size - 1, size, size + bt._CHUNK - 1, size + bt._CHUNK, (1 << 20) - 1):
+            assert pair._swap_table.item(n) == _swap_reference(pair, n)
 
     def test_a_large_first_call_builds_no_table(self):
         pair = bt.BeattyPair.from_alpha(bt.GOLDEN)

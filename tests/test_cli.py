@@ -61,9 +61,12 @@ def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
     return work
 
 
+def _subcommands_of(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
+    return _subcommands_of(build_parser())
 
 
 def _options(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
@@ -201,6 +204,9 @@ BAD_PARAMETER = [
           ("m1", "-3:1", "primes1 key -3 is not a prime"),
           ("m2", "2:1,9:2", "primes2 key 9 is not a prime"),
       )],
+    # a key from psi_13 on, beyond the range where is_prime is exact
+    (["joint-weyl", "--alpha", "golden", "--m1", "3317044064679887385961981:1", "--N", "10"],
+     "is_prime decides n below psi_13 = 3317044064679887385961981 only"),
 ]
 
 
@@ -701,6 +707,46 @@ class TestDryRunAndReports:
         captured = capsys.readouterr()
         assert "argument --format: invalid choice: 'csv'" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+class TestParserPerCommand:
+    """run builds the subparser of the command that argv names, alone, and
+    it speaks as the full parser does."""
+
+    def test_run_builds_only_the_named_command(self, capsys):
+        assert run_cli(capsys, "zeta", "--re", "2")[0] == 0
+        assert list(_subcommands_of(cli._parser("zeta"))) == ["zeta"]
+        assert list(_subcommands_of(cli._parser(None))) == list(_subcommands())
+
+    @pytest.mark.parametrize("argv, code, last_line", [
+        ([], 64, "error: the following arguments are required: command"),
+        (["frobnicate"], 64, "error: argument command: invalid choice: 'frobnicate' (choose from"),
+        (["--re", "2"], 64, "error: argument command: invalid choice: '2' (choose from"),
+        (["--help"], 0, ""),
+    ])
+    def test_argv_naming_no_command_meets_the_full_parser(self, capsys, argv, code, last_line):
+        outputs = []
+        for parse in (build_parser().parse_args, run):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outputs.append((exc.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        code_seen, _, err = outputs[0]
+        assert code_seen == code
+        assert (err.splitlines() or [""])[-1].startswith(last_line)
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_one_command_parser_prints_what_the_full_one_prints(self, capsys, name):
+        alone = cli._parser(name)
+        assert alone.format_usage() == build_parser().format_usage()
+        for argv in ([name], [name, "--help"], [name, "--no-such-option", "1"]):
+            outputs = []
+            for parser in (build_parser(), alone):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                outputs.append((exc.value.code, *capsys.readouterr()))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == (0 if "--help" in argv else 64)
 
 
 class TestConfigFile:

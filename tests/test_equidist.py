@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -36,6 +37,13 @@ class TestFrequencyVector:
     def test_non_prime_key_refused(self, primes1, primes2, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             eq.FrequencyVector(primes1=primes1, primes2=primes2, delta1=1.0, delta2=1.0)
+
+    def test_a_15_digit_prime_key_is_checked_at_once(self):
+        # trial division would take 0.7 s on this key, Miller-Rabin well under 1 ms
+        start = time.perf_counter()
+        fv = eq.FrequencyVector(primes1={100000000000031: 1}, primes2={}, delta1=1.0, delta2=1.0)
+        assert time.perf_counter() - start < 0.1
+        assert fv.u1 == math.log(100000000000031) / (2 * math.pi)
 
 
 class TestWeylSum:
