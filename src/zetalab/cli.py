@@ -382,13 +382,8 @@ def _pair_scan(scan: str, *line_builders: str):
 
 def _flip(opt):
     from . import shift_search
-    if not 0.0 < opt.c < math.inf:  # before the scan, which would blame the certificate
-        raise ValueError(f"c must be finite and positive, got {opt.c}")
-    t0 = zeta_core.chi_lower_bound_check(opt.sigma, opt.c, (2.0, opt.t_start), 500)
-    if t0 is None:
-        raise ZetaLabError(f"|chi| >= {opt.c} not certified below t = {opt.t_start}")
-    grid = shift_search.VerticalGrid(s=complex(opt.sigma, opt.t_start), h=opt.h, l=opt.l)
-    args = grid, opt.r, opt.c, opt.N, t0
+    args = (shift_search.VerticalGrid(s=complex(opt.sigma, opt.t_start), h=opt.h, l=opt.l),
+            opt.r, opt.c, opt.N)
     if opt.dry_run:
         return _line_estimate(args, shift_search.flip_lines)
     rep = shift_search.left_half_flip(*args)

@@ -52,7 +52,11 @@ class FrequencyVector:
     def __post_init__(self):
         for name, primes in (("primes1", self.primes1), ("primes2", self.primes2)):
             for p in primes:
-                if not is_prime(p):
+                try:
+                    prime = is_prime(p)
+                except ValueError as exc:  # a key beyond the range is_prime decides
+                    raise ValueError(f"{exc}: {name} key {p} cannot be checked") from None
+                if not prime:
                     raise ValueError(f"{name} key {p} is not a prime")
         if not any(self.primes1.values()) and not any(self.primes2.values()):
             raise ValueError("at least one weight must be nonzero")

@@ -59,7 +59,7 @@ class VanishingTarget(ZetaLabError):
 
 
 class ChiBoundUnavailable(ZetaLabError):
-    """No certified chi lower bound covers the requested t-range."""
+    """The closed-form lower bound on |chi| is below c at the first height it must cover."""
 
 
 class ParseError(ZetaLabError):

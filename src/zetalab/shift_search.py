@@ -13,7 +13,7 @@ import numpy as np
 
 from . import zeta_core
 from .beatty import BeattyPair, beatty_terms, sigma_alpha
-from .errors import ChiBoundUnavailable, VanishingTarget
+from .errors import VanishingTarget
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -231,7 +231,7 @@ class FlipReport:
     params: dict
 
 
-def flip_lines(grid: VerticalGrid, r: float, c: float, N: int, t0: float) -> list[zeta_core.Line]:
+def flip_lines(grid: VerticalGrid, r: float, c: float, N: int) -> list[zeta_core.Line]:
     """The lines on which left_half_flip, given the same arguments,
     evaluates zeta: the mirrored line Re s = 1 - sigma, then the direct
     one, each over m = 1 .. N + l - 1 as in disk_hit_lines; refuses what
@@ -241,24 +241,17 @@ def flip_lines(grid: VerticalGrid, r: float, c: float, N: int, t0: float) -> lis
     _require_positive("r", r)
     _require_positive("c", c)
     grid.require_strip(0.0, 0.5)
-    if grid.s.imag < t0:
-        raise ChiBoundUnavailable(f"scan starts at t = {grid.s.imag}, below certified t0 = {t0}")
+    zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h)  # the first direct height
     m = np.arange(1, N + grid.l)
     return [(1.0 - grid.s.real, grid.s.imag, grid.h, m), (grid.s.real, grid.s.imag, grid.h, m)]
 
 
-def left_half_flip(
-    grid: VerticalGrid,
-    r: float,
-    c: float,
-    N: int,
-    t0: float,
-) -> FlipReport:
+def left_half_flip(grid: VerticalGrid, r: float, c: float, N: int) -> FlipReport:
     """Find n <= N with |zeta(1 - s - i h (n + k - 1))| >= 2 r / c on the
     whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
-    evaluation; c and its onset t0 must come from a chi lower-bound scan
-    for Re s and the scanned t-range."""
-    mirror_line, direct_line = flip_lines(grid, r, c, N, t0)
+    evaluation, as |zeta(s + it)| = |chi| |zeta(1 - s + it)|; params'
+    chi_lower_bound is |chi|'s certified bound b >= c over every height."""
+    mirror_line, direct_line = flip_lines(grid, r, c, N)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
     mirrored = zeta_core.zeta_on_line(*mirror_line)
     predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
@@ -280,6 +273,6 @@ def left_half_flip(
             "l": grid.l,
             "r": r,
             "c": c,
-            "t0": t0,
+            "chi_lower_bound": zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h),
         },
     )

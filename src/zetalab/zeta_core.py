@@ -112,6 +112,7 @@ import numpy as np
 
 from .errors import (
     BelowDomain,
+    ChiBoundUnavailable,
     ImaginaryLeak,
     OutOfDomain,
     PoleAt1,
@@ -685,21 +686,28 @@ def hardy_z(t: float) -> float:
     return value.real
 
 
-def chi_lower_bound_check(
-    sigma: float,
-    c: float,
-    t_range: tuple[float, float],
-    steps: int,
-) -> float | None:
-    """Certify |chi(sigma + it)| >= c on an even t-grid: return the first
-    grid t from which it holds at every later grid point, or None."""
-    if not (0.0 < sigma < 0.5):
+def chi_lower_bound_check(sigma: float, c: float, t: float) -> float:
+    """b = exp(L - 1e-14 (1 + |L|)) <= |chi(sigma + it')| at every t' >= t, or
+    ChiBoundUnavailable if b < c; OutOfDomain unless 0 < sigma < 1/2, t > 0.
+
+        log|chi(sigma + it)| >= L = (1/2 - sigma) log(t / 2 pi) - a^3 / (3 t^2)
+                                    + log(1 - e^(-pi t)) - 1 / (90 t^3),  a = 1 - sigma:
+
+    chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1 - s) with |sin(pi s/2)| >= e^(pi t/2)
+    (1 - e^(-pi t)) / 2, and Stirling's series for log Gamma(z), z = a - it, cut
+    after 1/(12 z), whose real part is >= 0, leaves at most sec^4(ph(z)/2) /
+    (360 |z|^3) <= 1 / (90 t^3) (DLMF 5.11(ii)); the constants collapse to
+    (sigma - 1/2) log 2 pi, and t arctan(a/t) >= a - a^3 / (3 t^2), |z| >= t.
+    Each term of L increases with t.  The allowance covers the rounding of exp
+    and of L's dozen float operations, each within an ulp of |L| + 2."""
+    if not 0.0 < sigma < 0.5:
         raise OutOfDomain(f"sigma must lie in (0, 1/2), got {sigma}")
-    lo, hi = t_range
-    if not 2.0 <= lo < hi <= T_MAX:
-        raise OutOfDomain(f"t_range {t_range} not inside [2, {T_MAX}]")
-    t_grid = np.linspace(lo, hi, steps)
-    ok = np.exp([log_chi(sigma + 1j * t).real for t in t_grid]) >= c
-    holds_onward = np.logical_and.accumulate(ok[::-1])[::-1]
-    idx = np.nonzero(holds_onward)[0]
-    return float(t_grid[idx[0]]) if idx.size else None
+    if not 0.0 < t < math.inf:
+        raise OutOfDomain(f"t must be finite and positive, got {t}")
+    a, u = 1.0 - sigma, 1.0 / t  # powers of u, not of t, which underflow for tiny t
+    log_b = ((0.5 - sigma) * (math.log(t) - LN2PI) - a ** 3 * u * u / 3.0
+             + math.log(-math.expm1(-pi * t)) - u * u * u / 90.0)
+    b = math.exp(log_b - 1e-14 * (1.0 + abs(log_b)))
+    if not b >= c:
+        raise ChiBoundUnavailable(f"|chi| >= {c} not certified at sigma {sigma}, t {t}: b = {b}")
+    return b

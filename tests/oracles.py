@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately do not share an algorithm with the package: zeta comes
-from mpmath at 30 digits, the log-gamma oracle uses Binet's integral
-representation, and the theta oracle is the classical asymptotic series.
+from mpmath at 30 digits, |chi| from mpmath's power, sin and gamma at 40,
+the log-gamma oracle uses Binet's integral representation, and the theta
+oracle is the classical asymptotic series.
 """
 
 import cmath
@@ -18,6 +19,16 @@ def zeta_mpmath(s: complex) -> complex:
     s = complex(s)
     with mpmath.workdps(30):
         return complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+
+
+def chi_abs_mpmath(s: complex) -> mpmath.mpf:
+    """|chi(s)| = |2^s pi^(s-1) sin(pi s/2) Gamma(1 - s)| from mpmath at 40
+    digits, assembled directly rather than in log space."""
+    s = complex(s)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s.real, s.imag)
+        return abs(mpmath.power(2, z) * mpmath.power(mpmath.pi, z - 1)
+                   * mpmath.sin(mpmath.pi * z / 2) * mpmath.gamma(1 - z))
 
 
 def log_gamma_oracle(z: complex) -> complex:

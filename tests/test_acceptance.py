@@ -174,10 +174,8 @@ def test_criterion_10_disk_hits():
 
 def test_criterion_11_left_half_flip():
     start = time.time()
-    t0 = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 200.0), 500)
-    t_start = max(50.0, t0)
-    grid = ss.VerticalGrid(s=complex(0.3, t_start), h=1.0, l=2)
-    rep = ss.left_half_flip(grid, r=1.0, c=1.0, N=10 ** 4, t0=t0)
+    grid = ss.VerticalGrid(s=complex(0.3, 50.0), h=1.0, l=2)
+    rep = ss.left_half_flip(grid, r=1.0, c=1.0, N=10 ** 4)
     ok = len(rep.disagreements) == 0 and len(rep.predicted_hits) > 0
     _report(11, f"flip confirmations ({len(rep.confirmed_hits)} hits, "
                 f"{len(rep.disagreements)} disagreements)", ok,

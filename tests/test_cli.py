@@ -207,6 +207,17 @@ BAD_PARAMETER = [
     # a key from psi_13 on, beyond the range where is_prime is exact
     (["joint-weyl", "--alpha", "golden", "--m1", "3317044064679887385961981:1", "--N", "10"],
      "is_prime decides n below psi_13 = 3317044064679887385961981 only"),
+    # ... and named by its key
+    (["joint-weyl", "--alpha", "golden", "--m1", "3317044064679887385961981:1", "--N", "10"],
+     "is_prime decides n below psi_13 = 3317044064679887385961981 only, got "
+     "3317044064679887385961981: primes1 key 3317044064679887385961981 cannot be checked"),
+    # |chi| >= c is certified in closed form from the first direct height t_start + h on
+    *[(["flip", "--sigma", sigma, "--t-start", t_start, "--h", "1", "--l", "1", "--r", "1",
+        *c, "--N", "10"], message) for sigma, t_start, c, message in (
+        ("0.3", "1", [], "|chi| >= 1.0 not certified at sigma 0.3, t 2.0: b = 0.77"),
+        ("0.45", "100", ["--c", "10"], "|chi| >= 10.0 not certified at sigma 0.45, t 101.0: b = 1.14"),
+        ("0.3", "inf", [], "t must be finite and positive, got inf"),
+    )],
 ]
 
 
@@ -604,6 +615,9 @@ class TestDryRunAndReports:
         *[["joint-weyl", "--alpha", "golden", "--m1", "2:1", "--N", "10", flag, value]
           for flag, value in (("--delta1", "nan"), ("--delta2", "inf"), ("--t1", "inf"),
                               ("--t2", "nan"))],
+        *[["flip", "--sigma", sigma, "--t-start", t_start, "--h", "1", "--l", "1", "--r", "1",
+           *flags, "--N", "10"] for sigma, t_start, flags in (
+            ("0.3", "1", []), ("0.45", "100", ["--c", "10"]), ("0.3", "inf", []))],
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -38,6 +38,16 @@ class TestFrequencyVector:
         with pytest.raises(ValueError, match=f"^{message}$"):
             eq.FrequencyVector(primes1=primes1, primes2=primes2, delta1=1.0, delta2=1.0)
 
+    @pytest.mark.parametrize("primes1, primes2, name", [
+        ({3317044064679887385961981: 1}, {}, "primes1"),
+        ({2: 1}, {3: 1, 3317044064679887385961983: 2}, "primes2"),
+    ])
+    def test_key_beyond_is_prime_refused_by_name(self, primes1, primes2, name):
+        key = max([*primes1, *primes2])
+        with pytest.raises(ValueError, match=f"^is_prime decides n below psi_13 = 3317044064679887385961981 "
+                                             f"only, got {key}: {name} key {key} cannot be checked$"):
+            eq.FrequencyVector(primes1=primes1, primes2=primes2, delta1=1.0, delta2=1.0)
+
     def test_a_15_digit_prime_key_is_checked_at_once(self):
         # trial division would take 0.7 s on this key, Miller-Rabin well under 1 ms
         start = time.perf_counter()

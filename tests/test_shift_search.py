@@ -10,6 +10,8 @@ from zetalab import zeta_core as zc
 from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
 from zetalab.errors import ChiBoundUnavailable, OutOfDomain, VanishingTarget
 
+from oracles import chi_abs_mpmath
+
 
 class TestVerticalGrid:
     def test_strip_check(self):
@@ -167,17 +169,19 @@ class TestSisDensity:
 
 class TestLeftHalfFlip:
     def test_predictions_confirmed(self):
-        t0 = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 3000.0), 1500)
-        grid = ss.VerticalGrid(s=0.3 + 1j * max(50.0, t0 + 1), h=1.0, l=1)
-        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=1000, t0=t0)
+        grid = ss.VerticalGrid(s=0.3 + 50j, h=1.0, l=1)
+        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=1000)
         assert len(rep.predicted_hits) > 0
         assert rep.disagreements == ()
         assert set(rep.confirmed_hits) == set(rep.predicted_hits)
 
-    def test_confirmation_split_matches_pointwise(self):
-        # c = 4 predicts |zeta(s)| > 1 from |zeta(1 - s)| >= 0.5, which often fails
+    def test_confirmation_split_matches_pointwise(self, monkeypatch):
+        # c = 4 is not certified at t ~ 60, where |chi(0.3 + it)| is about 1.6,
+        # so with the certificate stubbed out c = 4 predicts |zeta(s)| > 1 from
+        # |zeta(1 - s)| >= 0.5, which often fails
+        monkeypatch.setattr(zc, "chi_lower_bound_check", lambda sigma, c, t: c)
         grid = ss.VerticalGrid(s=0.3 + 60j, h=1.0, l=2)
-        rep = ss.left_half_flip(grid, r=1.0, c=4.0, N=400, t0=50.0)
+        rep = ss.left_half_flip(grid, r=1.0, c=4.0, N=400)
         confirmed = [
             n for n in rep.predicted_hits
             if all(abs(zc.zeta(grid.s + 1j * grid.h * (n + k))) > 1.0 for k in range(grid.l))
@@ -187,18 +191,22 @@ class TestLeftHalfFlip:
         assert sorted(rep.confirmed_hits + rep.disagreements) == list(rep.predicted_hits)
 
     def test_onset_guard(self):
+        # the first height, t = 3, lies below t = 6.37, where the bound on |chi(0.3 + it)| reaches 1
         grid = ss.VerticalGrid(s=0.3 + 2j, h=1.0, l=1)
-        with pytest.raises(ChiBoundUnavailable):
-            ss.left_half_flip(grid, r=0.1, c=1.0, N=10, t0=50.0)
+        for build in (ss.flip_lines, ss.left_half_flip):
+            with pytest.raises(ChiBoundUnavailable, match="not certified at sigma 0.3, t 3.0"):
+                build(grid, r=0.1, c=1.0, N=10)
+        rep = ss.left_half_flip(ss.VerticalGrid(s=0.3 + 5.4j, h=1.0, l=1), r=0.1, c=1.0, N=10)
+        assert rep.params["chi_lower_bound"] >= 1.0
 
     def test_left_strip_required(self):
         grid = ss.VerticalGrid(s=0.75 + 100j, h=1.0, l=1)
         with pytest.raises(ValueError):
-            ss.left_half_flip(grid, r=0.1, c=1.0, N=10, t0=50.0)
+            ss.left_half_flip(grid, r=0.1, c=1.0, N=10)
 
     def test_json(self, tmp_path, capsys):
         grid = ss.VerticalGrid(s=0.3 + 100j, h=1.0, l=1)
-        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=50, t0=50.0)
+        rep = ss.left_half_flip(grid, r=0.1, c=1.0, N=50)
         path = tmp_path / "flip.json"
         assert run(["flip", "--sigma", "0.3", "--t-start", "100", "--h", "1", "--l", "1",
                     "--r", "0.1", "--N", "50", "--output", str(path)]) == 0
@@ -208,4 +216,19 @@ class TestLeftHalfFlip:
         assert payload["predicted"] == list(rep.predicted_hits)
         assert payload["confirmed"] == list(rep.confirmed_hits)
         assert payload["disagreements"] == list(rep.disagreements)
-        assert payload["params"]["r"] == 0.1 and payload["params"]["t0"] <= 100.0
+        assert payload["params"] == rep.params
+        assert payload["params"]["r"] == 0.1 and payload["params"]["chi_lower_bound"] >= 1.0
+
+    def test_readme_flip_certifies_chi_on_every_height(self, tmp_path, capsys):
+        """README's flip line: the report's chi_lower_bound is at least c and
+        at most mpmath's |chi| at the first, the last and 8 sampled direct
+        heights t_start + h m, m = 1 .. N + l - 1."""
+        path = tmp_path / "flip.json"
+        assert run(["flip", "--sigma", "0.3", "--t-start", "50", "--h", "1", "--l", "2",
+                    "--r", "1", "--N", "10000", "--output", str(path)]) == 0
+        capsys.readouterr()
+        bound = json.loads(path.read_text())["results"]["params"]["chi_lower_bound"]
+        assert bound >= 1.0
+        m = [1, 10_001, *np.random.default_rng(3).integers(2, 10_001, 8).tolist()]
+        for t in 50.0 + 1.0 * np.array(m):
+            assert bound <= chi_abs_mpmath(complex(0.3, t)), t

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zetalab import zeta_core as zc
 from zetalab.errors import (
     BelowDomain,
+    ChiBoundUnavailable,
     ImaginaryLeak,
     OutOfDomain,
     PoleAt1,
@@ -18,7 +19,7 @@ from zetalab.errors import (
     PoleOfGammaFactor,
 )
 
-from oracles import log_gamma_oracle, theta_oracle, zeta_mpmath
+from oracles import chi_abs_mpmath, log_gamma_oracle, theta_oracle, zeta_mpmath
 
 PI = math.pi
 
@@ -236,15 +237,29 @@ class TestHardyZ:
 
 class TestChiLowerBound:
     def test_scan_reports_onset(self):
-        t0 = zc.chi_lower_bound_check(0.25, 2.0, (2.0, 5000.0), 2000)
-        assert t0 is not None
-        # onset is where (t/2pi)^(1/4) reaches 2, near t = 2 pi * 16
-        assert t0 < 2 * PI * 16 * 1.1
-        t = np.linspace(t0, 5000.0, 3000)
-        assert all(zc.log_chi(0.25 + 1j * x).real >= math.log(2.0) for x in t)
+        # the onset of |chi(1/4 + it)| >= 2 is where (t/2pi)^(1/4) reaches 2, near t = 2 pi * 16
+        onset = 2 * PI * 16
+        b = zc.chi_lower_bound_check(0.25, 2.0, 1.1 * onset)
+        assert 2.0 <= b <= chi_abs_mpmath(0.25 + 1.1j * onset)
+        with pytest.raises(ChiBoundUnavailable):
+            zc.chi_lower_bound_check(0.25, 2.0, 0.9 * onset)
 
     def test_large_c_never_reached(self):
-        assert zc.chi_lower_bound_check(0.25, 10.0, (2.0, 500.0), 300) is None
+        # (500 / 2 pi)^(1/4) is about 3: c = 10 is out of reach at t = 500
+        with pytest.raises(ChiBoundUnavailable,
+                           match=r"^\|chi\| >= 10.0 not certified at sigma 0.25, t 500.0: b = 2.9"):
+            zc.chi_lower_bound_check(0.25, 10.0, 500.0)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.3, 0.45])
+    def test_bound_below_mpmath_from_t_on(self, sigma):
+        """b at t is at most |chi| at t and at sampled later heights, on a
+        geometric grid of t from 2 to 10^6 and a few t below 2."""
+        rng = np.random.default_rng(7)
+        for t in [0.05, 0.3, 1.0, 1.7, *np.geomspace(2.0, 1e6, 25)]:
+            b = zc.chi_lower_bound_check(sigma, 1e-300, float(t))
+            later = t * np.exp(rng.uniform(0.0, math.log(10.0), 3))
+            for u in (t, *later):
+                assert b <= chi_abs_mpmath(complex(sigma, u)), (sigma, t, u)
 
     def test_sigma_01_asymptotic(self):
         log_abs = zc.log_chi(0.1 + 200j).real
@@ -257,8 +272,12 @@ class TestChiLowerBound:
         assert np.all(np.abs(log_abs - 0.25 * np.log(t / (2 * PI))) < 0.5 / t)
 
     def test_sigma_validation(self):
-        with pytest.raises(OutOfDomain):
-            zc.chi_lower_bound_check(0.75, 1.0, (2.0, 100.0), 10)
+        for sigma in (0.75, 0.0, 0.5, math.nan):
+            with pytest.raises(OutOfDomain, match=rf"^sigma must lie in \(0, 1/2\), got {sigma}$"):
+                zc.chi_lower_bound_check(sigma, 1.0, 100.0)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(OutOfDomain, match=f"^t must be finite and positive, got {t}$"):
+                zc.chi_lower_bound_check(0.25, 1.0, t)
 
 
 def test_hardy_z_imaginary_leak_guard():

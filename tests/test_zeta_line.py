@@ -263,9 +263,8 @@ def _direct_partial_sums(s, logs):
 def _criterion_10_and_11():
     grid = ss.VerticalGrid(s=0.75 + 0j, h=1.0, l=1)
     hits, max_dev, _ = ss.scan_disk_hits(grid, ss.TargetDisk(a=1.0 + 0j, epsilon=0.6), 10**4)
-    t0 = zc.chi_lower_bound_check(0.3, 1.0, (2.0, 200.0), 500)
-    flip_grid = ss.VerticalGrid(s=complex(0.3, max(50.0, t0)), h=1.0, l=2)
-    flip = ss.left_half_flip(flip_grid, r=1.0, c=1.0, N=10**4, t0=t0)
+    flip_grid = ss.VerticalGrid(s=complex(0.3, 50.0), h=1.0, l=2)
+    flip = ss.left_half_flip(flip_grid, r=1.0, c=1.0, N=10**4)
     return dict(zip(hits.tolist(), max_dev.tolist())), flip
 
 
