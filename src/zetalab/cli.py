@@ -386,9 +386,8 @@ def _flip(opt):
             opt.r, opt.c, opt.N)
     if opt.dry_run:
         return _line_estimate(args, shift_search.flip_lines)
-    rep = shift_search.left_half_flip(*args)
-    return {"N": rep.N, "predicted": rep.predicted_hits, "confirmed": rep.confirmed_hits,
-            "disagreements": rep.disagreements, "params": rep.params}, None
+    rep = asdict(shift_search.left_half_flip(*args))
+    return {"predicted": rep.pop("predicted_hits"), "confirmed": rep.pop("confirmed_hits"), **rep}, None
 
 
 def _bergman(opt):

@@ -79,6 +79,7 @@ def disk_hit_lines(grid: VerticalGrid, disk: TargetDisk, N: int) -> list[zeta_co
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.5, 1.0)
+    zeta_core.check_progression(grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)
     return [(grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))]
 
 
@@ -224,55 +225,53 @@ def corollary_sis_density(
 
 @dataclass(frozen=True)
 class FlipReport:
+    """The predicted n, split by the sign of their certified margin
+    b min |zeta(1 - s)| - r over the grid, and the least b |zeta(1 - s)|
+    over the predicted grids (None when nothing is predicted)."""
+
     N: int
     predicted_hits: tuple[int, ...]
     confirmed_hits: tuple[int, ...]
     disagreements: tuple[int, ...]
+    certified_min_modulus: float | None
     params: dict
 
 
-def flip_lines(grid: VerticalGrid, r: float, c: float, N: int) -> list[zeta_core.Line]:
-    """The lines on which left_half_flip, given the same arguments,
-    evaluates zeta: the mirrored line Re s = 1 - sigma, then the direct
-    one, each over m = 1 .. N + l - 1 as in disk_hit_lines; refuses what
-    the scan refuses."""
+def _flip_line(grid: VerticalGrid, r: float, c: float, N: int) -> tuple[float, zeta_core.Line]:
+    """b >= c, |chi|'s certified bound at every height of the grid, and the
+    mirrored line Re s = 1 - sigma over m = 1 .. N + l - 1 as in
+    disk_hit_lines; refuses what left_half_flip refuses."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     _require_positive("r", r)
     _require_positive("c", c)
     grid.require_strip(0.0, 0.5)
-    zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h)  # the first direct height
-    m = np.arange(1, N + grid.l)
-    return [(1.0 - grid.s.real, grid.s.imag, grid.h, m), (grid.s.real, grid.s.imag, grid.h, m)]
+    b = zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h)  # the first height
+    zeta_core.check_progression(1.0 - grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)
+    return b, (1.0 - grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))
+
+
+def flip_lines(grid: VerticalGrid, r: float, c: float, N: int) -> list[zeta_core.Line]:
+    """The one line on which left_half_flip, given the same arguments,
+    evaluates zeta; refuses what the scan refuses."""
+    return [_flip_line(grid, r, c, N)[1]]
 
 
 def left_half_flip(grid: VerticalGrid, r: float, c: float, N: int) -> FlipReport:
-    """Find n <= N with |zeta(1 - s - i h (n + k - 1))| >= 2 r / c on the
-    whole grid, then verify |zeta(s + i h (n + k - 1))| > r by direct
-    evaluation, as |zeta(s + it)| = |chi| |zeta(1 - s + it)|; params'
-    chi_lower_bound is |chi|'s certified bound b >= c over every height."""
-    mirror_line, direct_line = flip_lines(grid, r, c, N)
+    """Predict the n <= N with |zeta(1 - s - i h (n + k - 1))| >= 2 r / c on
+    the whole grid, and confirm |zeta(s + i h (n + k - 1))| > r from
+    |zeta(s)| = |chi(s)| |zeta(1 - s)| >= b |zeta(1 - s)|, with b >= c, so
+    that a predicted n clears r by at least r.  params' chi_lower_bound is b."""
+    b, line = _flip_line(grid, r, c, N)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = zeta_core.zeta_on_line(*mirror_line)
-    predicted = np.nonzero(_all_of_window(np.abs(mirrored) >= 2.0 * r / c, N, grid.l))[0] + 1
-    # the confirmations run over the whole line too: a NUFFT segment costs
-    # about the same for every height as for the predicted ones it spans.
-    # Below |t| = 512 this sums the recurrence at unpredicted heights as
-    # well, a few ms at most on the strip, and it keeps the dry-run's
-    # count of this line exact without knowing the predictions.
-    direct = zeta_core.zeta_on_line(*direct_line)
-    ok = _all_of_window(np.abs(direct) > r, N, grid.l)[predicted - 1]
+    mirrored = np.abs(zeta_core.zeta_on_line(*line))
+    predicted = np.nonzero(_all_of_window(mirrored >= 2.0 * r / c, N, grid.l))[0] + 1
+    certified = b * np.lib.stride_tricks.sliding_window_view(mirrored, grid.l)[predicted - 1].min(axis=1)
     return FlipReport(
         N=N,
         predicted_hits=tuple(int(n) for n in predicted),
-        confirmed_hits=tuple(int(n) for n in predicted[ok]),
-        disagreements=tuple(int(n) for n in predicted[~ok]),
-        params={
-            "s": str(grid.s),
-            "h": grid.h,
-            "l": grid.l,
-            "r": r,
-            "c": c,
-            "chi_lower_bound": zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h),
-        },
+        confirmed_hits=tuple(int(n) for n in predicted[certified > r]),
+        disagreements=tuple(int(n) for n in predicted[certified <= r]),
+        certified_min_modulus=float(certified.min()) if predicted.size else None,
+        params={"s": str(grid.s), "h": grid.h, "l": grid.l, "r": r, "c": c, "chi_lower_bound": b},
     )

@@ -104,6 +104,7 @@ it, sources p^{-k s}/k at nodes delta k log p.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from math import pi
@@ -338,6 +339,21 @@ def check_points(sigma, t) -> None:
         if pole[i]:
             raise PoleAt1(f"grid point {z} is within {POLE_GUARD} of the pole at 1")
         raise OutOfDomain(f"grid point {z} outside {_STRIP}")
+
+
+def check_progression(sigma: float, t0: float, delta: float, count: int) -> None:
+    """check_points on sigma + i (t0 + delta m), m = 1 .. count, delta > 0,
+    without building the heights.  t rises with m, so if m = 1 is good the
+    first bad m is the first with t > T_MAX or the first with t >= 0 or
+    near the pole, whichever comes first and is bad."""
+    def t(m):
+        return t0 + delta * m  # as numpy forms it from an int64 m
+
+    ms = range(1, count + 1)
+    near = bisect.bisect_left(  # |t| falls while t < 0, so the key holds from one m on
+        ms, True, key=lambda m: t(m) >= 0.0 or np.hypot(sigma - 1.0, t(m)) < POLE_GUARD)
+    above = bisect.bisect_right(ms, T_MAX, key=t)
+    check_points(sigma, np.array([t(ms[i]) for i in sorted({0, near, above}) if i < count]))
 
 
 def _grid_axes(s: np.ndarray):

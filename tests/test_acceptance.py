@@ -173,12 +173,19 @@ def test_criterion_10_disk_hits():
 
 
 def test_criterion_11_left_half_flip():
+    # flip confirms its predictions by the chi certificate alone, so the
+    # direct line Re s = 0.3 is evaluated here, and must clear r = 1 on the
+    # whole grid of every predicted n
     start = time.time()
     grid = ss.VerticalGrid(s=complex(0.3, 50.0), h=1.0, l=2)
     rep = ss.left_half_flip(grid, r=1.0, c=1.0, N=10 ** 4)
-    ok = len(rep.disagreements) == 0 and len(rep.predicted_hits) > 0
+    direct = np.abs(zc.zeta_on_line(0.3, 50.0, 1.0, np.arange(1, 10 ** 4 + 2)))
+    predicted = np.array(rep.predicted_hits)
+    cleared = (direct[predicted - 1] > 1.0) & (direct[predicted] > 1.0)
+    ok = (len(rep.disagreements) == 0 and predicted.size > 0 and bool(cleared.all())
+          and rep.confirmed_hits == rep.predicted_hits)
     _report(11, f"flip confirmations ({len(rep.confirmed_hits)} hits, "
-                f"{len(rep.disagreements)} disagreements)", ok,
+                f"{int((~cleared).sum())} below r on the direct line)", ok,
             time.time() - start, 120.0)
 
 

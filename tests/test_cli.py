@@ -2,6 +2,7 @@ import argparse
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,7 +579,7 @@ class TestDryRunAndReports:
                 "--r", "1", "--N", "1500"]
         code, out, _ = run_cli(capsys, *argv, "--dry-run")
         payload = json.loads(out.strip())
-        assert payload["estimated_evaluations"] == 2 * 1501  # both lines, every height
+        assert payload["estimated_evaluations"] == 1501  # the mirrored line, every height
         work = _count_kernel_work(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
         points, terms = (sum(c) for c in zip(*work))
@@ -623,6 +624,26 @@ class TestDryRunAndReports:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
         assert run_cli(capsys, *argv, "--dry-run") == (code, "", err)
+
+    @pytest.mark.parametrize("argv, point", [
+        (["hits", "--sigma", "0.75", "--im0", "29990", "--h", "1", "--l", "1", "--a-re", "1",
+          "--eps", "0.6"], "(0.75+30001j)"),
+        (["flip", "--sigma", "0.3", "--t-start", "29990", "--h", "1", "--l", "1", "--r", "1"],
+         "(0.7+30001j)"),
+    ])
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_line_leaving_the_strip_is_refused_before_it_is_built(self, capsys, argv, point, dry):
+        # 10^7 heights would take 80 MB for each array built over them
+        err = f"error: grid point {point} outside {zc._STRIP}\n"
+        assert run_cli(capsys, *argv, "--N", "20", *dry) == (2, "", err)  # loads the modules
+        tracemalloc.start()
+        try:
+            refused = run_cli(capsys, *argv, "--N", "10000000", *dry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused == (2, "", err)
+        assert peak < 2**20
 
     @pytest.mark.parametrize("flags, counted", [
         (["--delta2", "1", "--m-max", "5000"], 15_000),  # no certificate: every m of every n

@@ -10,7 +10,7 @@ from zetalab import zeta_core as zc
 from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
 from zetalab.errors import ChiBoundUnavailable, OutOfDomain, VanishingTarget
 
-from oracles import chi_abs_mpmath
+from oracles import chi_abs_mpmath, zeta_mpmath
 
 
 class TestVerticalGrid:
@@ -176,19 +176,28 @@ class TestLeftHalfFlip:
         assert set(rep.confirmed_hits) == set(rep.predicted_hits)
 
     def test_confirmation_split_matches_pointwise(self, monkeypatch):
-        # c = 4 is not certified at t ~ 60, where |chi(0.3 + it)| is about 1.6,
-        # so with the certificate stubbed out c = 4 predicts |zeta(s)| > 1 from
-        # |zeta(1 - s)| >= 0.5, which often fails
-        monkeypatch.setattr(zc, "chi_lower_bound_check", lambda sigma, c, t: c)
+        """The direct line, evaluated here point by point, clears r on every
+        predicted grid; the split follows the sign of b min |zeta(1 - s)| - r."""
         grid = ss.VerticalGrid(s=0.3 + 60j, h=1.0, l=2)
+
+        def least(sigma, n):
+            return min(abs(zc.zeta(complex(sigma, grid.s.imag + grid.h * (n + k))))
+                       for k in range(grid.l))
+
+        rep = ss.left_half_flip(grid, r=1.0, c=1.0, N=400)
+        assert rep.predicted_hits and rep.disagreements == ()
+        assert rep.confirmed_hits == rep.predicted_hits
+        assert all(least(0.3, n) > 1.0 for n in rep.predicted_hits)
+        # b = c / 4 breaks the certificate's b >= c, so that a margin can
+        # fail: c = 4 predicts from |zeta(1 - s)| >= 0.5, and b = 1 needs > 1
+        monkeypatch.setattr(zc, "chi_lower_bound_check", lambda sigma, c, t: c / 4)
         rep = ss.left_half_flip(grid, r=1.0, c=4.0, N=400)
-        confirmed = [
-            n for n in rep.predicted_hits
-            if all(abs(zc.zeta(grid.s + 1j * grid.h * (n + k))) > 1.0 for k in range(grid.l))
-        ]
+        confirmed = tuple(n for n in rep.predicted_hits if least(0.7, n) > 1.0)
         assert rep.disagreements and rep.confirmed_hits
-        assert list(rep.confirmed_hits) == confirmed
+        assert rep.confirmed_hits == confirmed
         assert sorted(rep.confirmed_hits + rep.disagreements) == list(rep.predicted_hits)
+        assert rep.certified_min_modulus == pytest.approx(
+            min(least(0.7, n) for n in rep.predicted_hits), rel=1e-12)
 
     def test_onset_guard(self):
         # the first height, t = 3, lies below t = 6.37, where the bound on |chi(0.3 + it)| reaches 1
@@ -217,6 +226,7 @@ class TestLeftHalfFlip:
         assert payload["confirmed"] == list(rep.confirmed_hits)
         assert payload["disagreements"] == list(rep.disagreements)
         assert payload["params"] == rep.params
+        assert payload["certified_min_modulus"] == rep.certified_min_modulus > 0.1
         assert payload["params"]["r"] == 0.1 and payload["params"]["chi_lower_bound"] >= 1.0
 
     def test_readme_flip_certifies_chi_on_every_height(self, tmp_path, capsys):
@@ -232,3 +242,25 @@ class TestLeftHalfFlip:
         m = [1, 10_001, *np.random.default_rng(3).integers(2, 10_001, 8).tolist()]
         for t in 50.0 + 1.0 * np.array(m):
             assert bound <= chi_abs_mpmath(complex(0.3, t)), t
+
+    def test_readme_flip_certificate_against_mpmath(self):
+        """README's flip line: at the predicted n whose grid holds the least
+        b |zeta(1 - s)| and at 7 sampled others, mpmath's least |zeta(s)| on
+        the grid is at least that n's bound and certified_min_modulus, and
+        exceeds r."""
+        grid = ss.VerticalGrid(s=0.3 + 50j, h=1.0, l=2)
+        rep = ss.left_half_flip(grid, r=1.0, c=1.0, N=10_000)
+        b = rep.params["chi_lower_bound"]
+
+        def heights(n):
+            return grid.s.imag + grid.h * np.arange(n, n + grid.l)
+
+        bound = {n: b * min(abs(zc.zeta(complex(0.7, t))) for t in heights(n))
+                 for n in rep.predicted_hits}
+        assert rep.certified_min_modulus == pytest.approx(min(bound.values()), rel=1e-12)
+        sample = [min(bound, key=bound.get),
+                  *np.random.default_rng(4).choice(rep.predicted_hits, 7, replace=False).tolist()]
+        for n in sample:
+            direct = min(abs(zeta_mpmath(complex(0.3, t))) for t in heights(n))
+            assert max(rep.certified_min_modulus, bound[n]) <= direct, n
+            assert direct > 1.0, n

@@ -469,6 +469,31 @@ def test_progression_checks_points_and_crosses_zero():
     _assert_contract(0.5, -1_000.0 + check, values[check])
 
 
+@pytest.mark.parametrize("sigma, t0, delta, count", [
+    (0.75, 0.5, 1.0, 100),  # inside the strip
+    (0.75, 29_990.0, 1.0, 100),  # leaves it at m = 11
+    (0.75, 29_999.0, 1.0, 1),  # t = T_MAX is inside
+    (0.75, -30_005.0, 1.0, 100),  # enters it at m = 5
+    (50.0, 1.0, 1.0, 3),
+    (0.75, math.inf, 1.0, 5),
+    (0.75, math.nan, 1.0, 5),
+    (1.0 - 1e-13, -5.0, 1.0, 40_000),  # the pole at m = 5 before t = T_MAX
+    (1.0 - 1e-13, -1e-11, 1e-13, 1000),  # a run of m near the pole
+    (1.0 - 1e-13, 0.3, 0.5, 10),  # t steps over 0
+    (1.0 - 2e-12, -3.0, 1.0, 10),  # t = 0, outside the guard disk
+])
+def test_check_progression_names_what_check_points_names(sigma, t0, delta, count):
+    def refusal(check, *args):
+        try:
+            check(*args)
+        except (OutOfDomain, PoleAt1) as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert (refusal(zc.check_progression, sigma, t0, delta, count)
+            == refusal(zc.check_points, sigma, t0 + delta * np.arange(1, count + 1)))
+
+
 def test_progression_working_memory_bounded():
     m = np.arange(1, 2002)
     zc.zeta_on_line(0.6, 28_000.5, 0.5, m[-2:])  # grow the log cache
