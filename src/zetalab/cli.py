@@ -332,6 +332,10 @@ def _joint_weyl(opt):
 def _meansquare(opt):
     from . import euler_product
     level = euler_product.TruncationLevel.of(opt.m)
+    # the shifts' refusals on the first two shifts, then the line's, before all N are built
+    head = min(opt.N, 2)
+    euler_product.mean_square_lines(level, opt.sigma, opt.shift_step * np.arange(1, head + 1), head)
+    zeta_core.check_progression(opt.sigma, 0.0, opt.shift_step, opt.N)
     args = level, opt.sigma, opt.shift_step * np.arange(1, opt.N + 1), opt.N
     if opt.dry_run:
         return {**_line_estimate(args, euler_product.mean_square_lines),

@@ -54,12 +54,11 @@ recurrence).  zeta, the recurrence and the NUFFT tail keep K = 16.
 
 The scans of shift_search and the mean square of euler_product evaluate
 zeta on progressions s_m = sigma + i (t0 + delta m), m an integer, through
-zeta_on_line, which has two branches.  Heights with |t| < 512 go to zeta_grid in ascending
-blocks of at most 512 distinct requested heights.  The rest are cut at
-every |t| = 2^b and at t = 0 into segments of at most 2^15 consecutive m,
-from the first to the last requested m of the band; each segment takes
-the term count N of its largest |t|.  About the segment's centre m_c,
-t_c = t0 + delta m_c, its partial sums are
+zeta_on_line, whose every piece is a NUFFT segment.  The requested heights
+are cut at every |t| = 2^b, b any integer, and at t = 0 into segments of at
+most 2^15 consecutive m, from the first to the last requested m of the
+band; each segment takes the term count N of its largest |t|.  About the
+segment's centre m_c, t_c = t0 + delta m_c, its partial sums are
 
     sum_{n <= N} n^{-s_m} = sum_n a_n exp(-i k x_n),
     a_n = n^{-sigma - i t_c},  x_n = delta log n mod 2 pi,  k = m - m_c,
@@ -72,15 +71,9 @@ nearest points of an R K = 2 K point grid, tau = pi msp / (K^2 R (R - 1/2)),
 then one FFT, then deconvolution by sqrt(pi / tau) exp(k^2 tau); _em_tail
 adds the rest per point.  A segment costs O(N msp + K log K) instead of
 O(N K), so a scan to height H costs O(H log H).  Spreading costs about
-as much as the recurrence over 200 heights whatever the segment's length
-(break-even measured at 190-220 heights for t = 2e4-2.9e4 and fewer
-below, one thread of a 2-vCPU Xeon), so a segment with fewer than 200
-requested heights goes to zeta_grid as one block.  A zeta_grid call pays
-about 64 row steps of numpy overhead whatever its size, so adjacent
-zeta_grid blocks on one side of t = 0 are joined while the joined block
-holds at most 512 requested heights; it takes the term count of its
-largest |t| (heights 3, 6, .. 1500 at Re s 0.9: three blocks of
-170/171/159 heights took 5.7 ms, one of 500 heights 2.2-3.3 ms).  The
+as much as the recurrence over 200 heights whatever the segment's length,
+and a segment of one height pays it too: one height at t = 2.9e4 takes
+about 6.5 ms, the scalar zeta 0.4 ms (one thread of a 2-vCPU Xeon).  The
 gridding adds an absolute error of kappa sum_{n <= N} n^{-sigma}, with
 kappa <= 3.2e-14 measured against the exact transform of the same a_n and
 x_n in extended precision, over 62 segments of the shapes the cuts form
@@ -90,16 +83,19 @@ for Re s >= 1/2 on the strip (sum n^{-1/2} <= 2 sqrt(N), N <= 1.3e4),
 |zeta| grows with the sum, about like (t / 2 pi)^{1/2 - Re s}.  This is
 what fixes the segment rule: a doubling band takes at most about twice the
 terms its lowest height needs, so its sum exceeds that height's own by at
-most 2^{1 - Re s} < 4, and below |t| = 512 |zeta| is not yet large enough
-to absorb the sum at Re s < 0 (one segment over t = 1..513 at Re s = -0.9
-errs by 1e-9 at t = 1, 3e-10 at t = 6).  The phase of a_n exp(-i k x_n)
-loses about eps (|t_c| + |t - t_c|) log n, as the recurrence does.
-Against mpmath at 30 digits the NUFFT branch stays inside the table above;
-the largest values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
-1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10.  The transform itself (_type1:
-spread, FFT, deconvolution) takes any logs and an optional scale per
-source; euler_product sums its log Euler products on lattice shifts with
-it, sources p^{-k s}/k at nodes delta k log p.
+most 2^{1 - Re s} < 4.  As the bands double all the way down to t = 0, a
+low height sums only the few terms (N >= 20) of its own band, where one
+segment over t = 1..513 at Re s = -0.9 would err by 1e-9 at t = 1.  The
+phase of a_n exp(-i k x_n) loses about eps (|t_c| + |t - t_c|) log n, as
+the recurrence does.  Against mpmath at 30 digits the line kernel stays
+inside the table above; the largest values measured are 1.2e-12 / 5.5e-12,
+7.2e-12 / 4.9e-11, 1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10, and below
+|t| = 512 (7005 points on 60 lines, Re s from -0.99 to 40, t from -3 to
+511.5) 9.8e-14, 3.5e-13, 1.3e-12 and 2.7e-12, at most 0.02 of the table.
+The transform itself (_type1: spread, FFT, deconvolution) takes any logs
+and an optional scale per source; euler_product sums its log Euler
+products on lattice shifts with it, sources p^{-k s}/k at nodes
+delta k log p.
 """
 
 from __future__ import annotations
@@ -131,14 +127,11 @@ SIGMA_MIN, SIGMA_MAX, T_MAX = -0.99, 40.0, 30000.0
 _STRIP = f"the certified strip {SIGMA_MIN} <= Re s <= {SIGMA_MAX}, |Im s| <= {T_MAX}"
 
 _RESTART = 64  # points per exact restart of the partial-sum recurrence
-_LINE_BLOCK = 512  # most requested heights per zeta_grid block of zeta_on_line
 _BLOCK_ELEMS = 4_000_000  # working values per column slice of _partial_sums
 _GRID_BLOCK = 1 << 15  # most points per tile of a product grid: the tail's temporaries stay in L2
 _CORRECTION_COST = 12  # a tail correction costs about as much as this many product-grid terms
 
-_NUFFT_FROM = 512.0  # |t| from which zeta_on_line sums by NUFFT
 _SEGMENT_POINTS = 1 << 15  # most consecutive heights in one NUFFT segment
-_NUFFT_MIN_POINTS = 200  # fewest requested heights a NUFFT segment takes; fewer go to zeta_grid
 _OVERSAMPLE = 2  # R: FFT points per output mode
 _SPREAD = 16  # msp: FFT points on each side of a node that its Gaussian reaches
 _SPREAD_CHUNK = 2048  # sources gridded per pass
@@ -519,74 +512,49 @@ def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
     """How zeta_on_line evaluates zeta(sigma + i (t0 + delta m)).
 
     Returns (u, inverse, pieces): u holds the distinct m in ascending
-    order, m = u[inverse], and each piece (i, j, n_terms, dense) covers
-    u[i:j].  Heights with |t| < _NUFFT_FROM go to zeta_grid in blocks of
-    at most _LINE_BLOCK (dense None).  The others are cut at |t| = 2^b and
-    at t = 0; each run of consecutive m from u[i] to u[j - 1], at most
-    _SEGMENT_POINTS of them, is one NUFFT segment, dense = (u[i], count),
-    unless fewer than _NUFFT_MIN_POINTS of its m are requested: then those
-    heights form one zeta_grid block.  A zeta_grid block joins the one
-    before it when the joined block holds at most _LINE_BLOCK heights and
-    does not cross t = 0.  Every piece takes the term count of its largest
-    |t|, as zeta_grid does.  Raises PoleAt1 or OutOfDomain for the first
-    point of m near s = 1 or outside the certified strip."""
+    order, m = u[inverse], and each piece (i, j, n_terms) is one NUFFT
+    segment over the consecutive m from u[i] to u[j - 1] with n_terms
+    Euler-Maclaurin terms, the count of its largest |t|.  The heights are
+    cut at every |t| = 2^b and at t = 0, and each band into runs of at most
+    _SEGMENT_POINTS consecutive m.  Raises PoleAt1 or OutOfDomain for the
+    first point of m near s = 1 or outside the certified strip."""
     m = np.asarray(m, dtype=np.int64)
     check_points(sigma, t0 + delta * m)
     u, inverse = np.unique(m, return_inverse=True)
     t = t0 + delta * u
     top = np.abs(t)
-    band = np.where(top >= _NUFFT_FROM, np.frexp(top)[1], 0) * np.sign(t)
-    cuts = np.flatnonzero(np.diff(band)) + 1
+    cuts = np.flatnonzero((np.diff(np.frexp(top)[1]) != 0) | (np.diff(np.sign(t)) != 0)) + 1
     pieces = []
     for i, end in zip([0, *cuts], [*cuts, u.size]):
         while i < end:
-            dense = None
-            if band[i] == 0:
-                j = min(i + _LINE_BLOCK, end)
-            else:
-                j = i + int(np.searchsorted(u[i:end], u[i] + _SEGMENT_POINTS))
-                if j - i >= _NUFFT_MIN_POINTS:
-                    dense = (int(u[i]), int(u[j - 1] - u[i]) + 1)
-            n_terms = _em_term_count(sigma, float(top[i:j].max()))
-            if dense is None and pieces:
-                # one zeta_grid call with the block before, if the two stay
-                # within _LINE_BLOCK heights on one side of t = 0
-                k, _, prev_terms, prev_dense = pieces[-1]
-                if prev_dense is None and j - k <= _LINE_BLOCK and t[k] * t[j - 1] >= 0:
-                    i, n_terms = k, max(prev_terms, n_terms)
-                    pieces.pop()
-            pieces.append((int(i), int(j), n_terms, dense))
+            j = i + int(np.searchsorted(u[i:end], u[i] + _SEGMENT_POINTS))
+            pieces.append((int(i), int(j), _em_term_count(sigma, float(top[i:j].max()))))
             i = j
     return u, inverse, pieces
 
 
 def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tuple[int, int]:
     """(zeta values computed, terms summed) by zeta_on_line on the same
-    arguments: a zeta_grid block computes its points and sums points times
-    its term count; a NUFFT segment computes its consecutive heights and
+    arguments: a NUFFT segment computes every height of its run of m and
     spreads one source per term.  Refuses what zeta_on_line refuses."""
-    evaluations = terms = 0
-    for i, j, n_terms, dense in _progression_plan(sigma, t0, delta, m)[2]:
-        evaluations += j - i if dense is None else dense[1]
-        terms += (j - i) * n_terms if dense is None else n_terms
-    return evaluations, terms
+    u, _, pieces = _progression_plan(sigma, t0, delta, m)
+    return (sum(int(u[j - 1] - u[i]) + 1 for i, j, _ in pieces),
+            sum(n_terms for _, _, n_terms in pieces))
 
 
 def zeta_on_line(sigma: float, t0: float, delta: float, m: np.ndarray) -> np.ndarray:
     """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any
     order: the line kernel of every scan and of the mean square.
 
-    The pieces of _progression_plan are evaluated in order on the calling
-    thread and merged.  A NUFFT segment computes every height between its
+    The NUFFT segments of _progression_plan are evaluated in order on the
+    calling thread and merged; a segment computes every height between its
     first and last requested m, each once.  Raises PoleAt1 or OutOfDomain
     for the first requested point near s = 1 or outside the certified
     strip."""
     u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
-    t = t0 + delta * u
     values = [
-        zeta_grid(sigma + 1j * t[i:j]) if dense is None
-        else _nufft_segment(sigma, t0, delta, dense[0], dense[1], n_terms)[u[i:j] - dense[0]]
-        for i, j, n_terms, dense in pieces
+        _nufft_segment(sigma, t0, delta, int(u[i]), int(u[j - 1] - u[i]) + 1, n_terms)[u[i:j] - u[i]]
+        for i, j, n_terms in pieces
     ]
     out = np.concatenate(values)[inverse] if values else np.empty(0, dtype=np.complex128)
     if not np.all(np.isfinite(out)):

@@ -630,12 +630,13 @@ class TestDryRunAndReports:
           "--eps", "0.6"], "(0.75+30001j)"),
         (["flip", "--sigma", "0.3", "--t-start", "29990", "--h", "1", "--l", "1", "--r", "1"],
          "(0.7+30001j)"),
+        (["meansquare", "--sigma", "0.75", "--m", "5", "--shift-step", "1"], "(0.75+30001j)"),
     ])
     @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
     def test_line_leaving_the_strip_is_refused_before_it_is_built(self, capsys, argv, point, dry):
-        # 10^7 heights would take 80 MB for each array built over them
+        # 10^7 heights or shifts would take 80 MB for each array built over them
         err = f"error: grid point {point} outside {zc._STRIP}\n"
-        assert run_cli(capsys, *argv, "--N", "20", *dry) == (2, "", err)  # loads the modules
+        assert run_cli(capsys, *argv, "--N", "30001", *dry) == (2, "", err)  # loads the modules
         tracemalloc.start()
         try:
             refused = run_cli(capsys, *argv, "--N", "10000000", *dry)

@@ -1,7 +1,9 @@
 """The partial-sum recurrence in zeta_grid and the line kernel
-zeta_on_line with its NUFFT segments: accuracy against mpmath, determinism
-on rerun and from a cold log cache, working memory, and equivalence of the
-scans with a direct exp-per-term summation."""
+zeta_on_line, whose every piece is a NUFFT segment: the plan's cuts at
+doubling heights and t = 0, accuracy against mpmath from t -> 0 to the top
+of the strip, determinism on rerun and from a cold log cache, working
+memory, and equivalence of the scans with a direct exp-per-term
+summation."""
 
 import math
 import re
@@ -347,78 +349,87 @@ def _assert_contract(sigma, heights, values):
         assert abs(value - exact) / max(1.0, abs(exact)) < _contract(sigma, t), (sigma, t)
 
 
-# the fallback boundary |t| = 512, then the cuts at doubling heights
-_EDGES = [512.0 * 2**b for b in range(6)]
+# the cuts at doubling heights, from the band [0.25, 0.5) up
+_EDGES = [2.0**b for b in range(-1, 15)]
 
 
 def _plan(sigma, t0, delta, m):
-    """(first m, last m, NUFFT or not) for each piece of the progression plan."""
+    """(first m, last m) for each NUFFT segment of the progression plan."""
     u, _, pieces = zc._progression_plan(sigma, t0, delta, np.asarray(m))
-    return [(int(u[i]), int(u[j - 1]), dense is not None) for i, j, _, dense in pieces]
+    return [(int(u[i]), int(u[j - 1])) for i, j, _ in pieces]
 
 
 @pytest.mark.parametrize("sigma", [-0.9, 0.3, 0.5, 0.75, 1.0])
 def test_progression_segment_edges_against_mpmath(sigma):
-    # a line from t = 508 to 16 384 + 74.75: just below and at every edge,
+    # a line from t = 0.25 to 16 384 + 74.75: just below and at every edge,
     # the first and last height of each NUFFT segment and the extreme modes
     # of its transform, up to the last height of a 300-point top segment
     delta = 0.25
-    m = np.arange(round(508.0 / delta), round(_EDGES[-1] / delta) + 300)
+    m = np.arange(1, round(_EDGES[-1] / delta) + 300)
     check = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)] + [m[-1]])
     values = zc.zeta_on_line(sigma, 0.0, delta, m)
     _assert_contract(sigma, delta * check, values[check - m[0]])
 
 
-def test_progression_plan_cuts_at_512_and_doubling_heights():
-    # heights 500 .. 2249.5: a recurrence block below 512, then one NUFFT
-    # segment per band [512, 1024), [1024, 2048), [2048, 2249.5]
+@pytest.mark.parametrize("sigma", [-0.99, -0.5, 0.3, 1.0])
+def test_progression_through_zero_against_mpmath(sigma):
+    # heights -3.01, -2.99, .. 2.99: every band from [2, 4) down to
+    # [2^-7, 2^-6) on both sides of t = 0, each checked at every height
+    heights = -3.01 + 0.02 * np.arange(301)
+    _assert_contract(sigma, heights, zc.zeta_on_line(sigma, -3.01, 0.02, np.arange(301)))
+
+
+def test_progression_plan_cuts_at_doubling_heights():
+    # heights 500 .. 2249.5: one NUFFT segment per band [256, 512),
+    # [512, 1024), [1024, 2048), [2048, 2249.5]
     m = np.arange(1000, 4500)
-    assert _plan(0.75, 0.0, 0.5, m) == [
-        (1000, 1023, False), (1024, 2047, True), (2048, 4095, True), (4096, 4499, True)
-    ]
-    terms = [n for _, _, n, _ in zc._progression_plan(0.75, 0.0, 0.5, m)[2]]
+    assert _plan(0.75, 0.0, 0.5, m) == [(1000, 1023), (1024, 2047), (2048, 4095), (4096, 4499)]
+    terms = [n for _, _, n in zc._progression_plan(0.75, 0.0, 0.5, m)[2]]
     assert terms == [zc._em_term_count(0.75, 0.5 * top) for top in (1023, 2047, 4095, 4499)]
+    # the bands go on doubling down to t -> 0
+    assert _plan(0.75, 0.0, 0.25, np.arange(1, 40)) == [
+        (1, 1), (2, 3), (4, 7), (8, 15), (16, 31), (32, 39)
+    ]
+    # a band longer than _SEGMENT_POINTS heights is cut into runs
+    assert _plan(0.75, 16_384.0, 0.25, np.arange(40_000)) == [(0, 32_767), (32_768, 39_999)]
 
 
-def test_progression_short_segments_go_to_the_recurrence():
-    # the break-even: a band's segment with fewer requested heights than
-    # _NUFFT_MIN_POINTS is one zeta_grid block, counted by requested heights
-    # and not by the span of m they cover
-    k = zc._NUFFT_MIN_POINTS
-    assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4096 + k))[1:] == [(4096, 4095 + k, True)]
-    assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4095 + k))[1:] == [(4096, 4094 + k, False)]
-    assert _plan(0.6, 20_000.0, 0.01, 100 * np.arange(k - 1)) == [(0, 100 * (k - 2), False)]
-    assert _plan(0.6, 20_000.0, 0.01, 100 * np.arange(k)) == [(0, 100 * (k - 1), True)]
-    for count in (k - 1, k):
-        m = 100 * np.arange(count)
+def test_progression_short_segments_stay_on_the_nufft():
+    # a band's segment with few requested heights is still one NUFFT
+    # segment, which computes the whole span of m it covers
+    for k in (199, 200):
+        assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4096 + k))[1:] == [(4096, 4095 + k)]
+        m = 100 * np.arange(k)
+        assert _plan(0.6, 20_000.0, 0.01, m) == [(0, 100 * (k - 1))]
+        assert zc.progression_cost(0.6, 20_000.0, 0.01, m) == (
+            100 * (k - 1) + 1, zc._em_term_count(0.6, 20_000.0 + 0.01 * m[-1]))
         values = zc.zeta_on_line(0.6, 20_000.0, 0.01, m)
-        pick = [0, count // 2, count - 1]
+        pick = [0, k // 2, k - 1]
         _assert_contract(0.6, 20_000.0 + 0.01 * m[pick], values[pick])
-    # one height at t = 2.9e4 sums its own terms once
-    assert _plan(0.6, 29_000.0, 1.0, [0]) == [(0, 0, False)]
+    # one height at t = 2.9e4 is a segment of one height
+    assert _plan(0.6, 29_000.0, 1.0, [0]) == [(0, 0)]
     assert zc.progression_cost(0.6, 29_000.0, 1.0, np.array([0])) == (1, zc._em_term_count(0.6, 29_000.0))
 
 
-def test_progression_merges_short_recurrence_pieces():
-    # meansquare's deep line at step 3: the block below 512 and the two short
-    # bands above it make one block with the term count of t = 1500
+def test_progression_short_bands_are_separate_segments():
+    # meansquare's deep line at step 3: one segment per band, each with the
+    # term count of its own largest |t|
     m = np.arange(1, 501)
-    assert _plan(0.9, 0.0, 3.0, m) == [(1, 500, False)]
-    assert zc.progression_cost(0.9, 0.0, 3.0, m) == (500, 500 * zc._em_term_count(0.9, 1500.0))
+    tops = (1, 2, 5, 10, 21, 42, 85, 170, 341, 500)
+    assert _plan(0.9, 0.0, 3.0, m) == list(zip((1,) + tuple(k + 1 for k in tops[:-1]), tops))
+    cost = (500, sum(zc._em_term_count(0.9, 3.0 * k) for k in tops))
+    assert zc.progression_cost(0.9, 0.0, 3.0, m) == cost
     pick = np.array([0, 169, 170, 340, 341, 499])
     _assert_contract(0.9, 3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, m)[pick])
-    # below t = 0 the largest |t| is in the first block joined, not the last
-    assert zc.progression_cost(0.9, 0.0, 3.0, -m) == (500, 500 * zc._em_term_count(0.9, 1500.0))
+    # below t = 0 the bands mirror those above
+    assert zc.progression_cost(0.9, 0.0, 3.0, -m) == cost
     _assert_contract(0.9, -3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, -m)[pick])
-    # at step 4 the third band is a NUFFT segment, which is never merged
-    assert _plan(0.9, 0.0, 4.0, m) == [(1, 255, False), (256, 500, True)]
-    # 400 heights below 512 and 150 in [600, 900) exceed one block; 300 and
-    # 150 do not
+    # 400 heights below 512 and 150 in [600, 900): the band [512, 1024)
+    # computes the 299 heights from 600.5 to 898.5
     sparse = 600 + 2 * np.arange(150)
-    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(400), sparse]) == [(0, 399, False), (600, 898, False)]
-    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(300), sparse]) == [(0, 898, False)]
-    # never across t = 0: heights -1200, -600, 600, 1200 make two blocks
-    assert _plan(0.75, 0.0, 600.0, [-2, -1, 1, 2]) == [(-2, -1, False), (1, 2, False)]
+    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(400), sparse])[-2:] == [(256, 399), (600, 898)]
+    # never across t = 0: heights -1200, -600, 600, 1200 make four segments
+    assert _plan(0.75, 0.0, 600.0, [-2, -1, 1, 2]) == [(-2, -2), (-1, -1), (1, 1), (2, 2)]
 
 
 def test_progression_gathers_beatty_and_swap_subsets():
@@ -432,8 +443,8 @@ def test_progression_gathers_beatty_and_swap_subsets():
 
 
 def test_progression_independent_of_threads():
-    # one thread: a rerun gives the same bytes.  Heights 400.35 + 0.7 m: the
-    # fallback blocks, then three NUFFT bands
+    # one thread: a rerun gives the same bytes.  Heights 400.35 + 0.7 m:
+    # the bands [256, 512) to [2048, 4096)
     m = np.arange(-3, 4000)
     first = zc.zeta_on_line(0.75, 400.35, 0.7, m)
     assert first.shape == m.shape
@@ -458,12 +469,16 @@ def test_progression_checks_points_and_crosses_zero():
     # the check works on real parts, so no inf * 1j turns into NaN on the way
     with pytest.raises(OutOfDomain, match=r"\(0\.75\+infj\)"):
         zc.zeta_on_line(0.75, math.inf, 1.0, np.arange(1, 5))
-    # only requested heights below 512 are evaluated: t = 0 is skipped here
+    # t = 0 is never evaluated unless requested: at Re s = 1 it is the pole
     m = np.array([0, 2])
+    assert _plan(1.0, -1.0, 1.0, m) == [(0, 0), (2, 2)]
     _assert_contract(1.0, -1.0 + m, zc.zeta_on_line(1.0, -1.0, 1.0, m))
-    # a line through t = 0 is cut there: NUFFT below -512 and above 512
+    # a line through t = 0 is cut there, and t = 0 is a segment of its own,
+    # between ten doubling bands on each side
     m = np.arange(2001)
-    assert [nufft for _, _, nufft in _plan(0.5, -1_000.0, 1.0, m)] == [True, False, False, True]
+    plan = _plan(0.5, -1_000.0, 1.0, m)
+    assert len(plan) == 21 and plan[0] == (0, 488) and plan[10] == (1000, 1000)
+    assert plan == [(2000 - last, 2000 - first) for first, last in reversed(plan)]
     check = np.array([0, 1, 488, 489, 1000, 1511, 1512, 1999, 2000])
     values = zc.zeta_on_line(0.5, -1_000.0, 1.0, m)
     _assert_contract(0.5, -1_000.0 + check, values[check])
