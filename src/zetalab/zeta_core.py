@@ -8,11 +8,11 @@ smallest N >= 20 for which Backlund's bound on the remainder,
 (_em_term_count): about 0.4|t| on and right of the critical line and
 0.6|t| at Re s = -0.9.  The corrections follow from N^{-s} by the ratio of
 consecutive terms, one exp per point.  The scalar `zeta` sums the N powers
-n^{-s} directly; `zeta_grid` reaches them by a recurrence along the points
-that restarts exactly every 64 points.  Both kernels lose about
-eps |t| log n of phase in the term n^{-s}, so the error grows with |t|, and
-left of the critical line with the size of the terms.  Measured against
-mpmath at 30 digits, the error relative to max(1, |zeta|) stays below
+n^{-s} directly, and `zeta_grid` calls it at every point of any array but
+a product grid.  The term n^{-s} loses about eps |t| log n of phase, so
+the error grows with |t|, and left of the critical line with the size of
+the terms.  Measured against mpmath at 30 digits, the error relative to
+max(1, |zeta|) stays below
 
     Re s          |t| <= 1e4   |t| <= 3e4
     [1, 40]       5e-12        2e-11
@@ -20,10 +20,10 @@ mpmath at 30 digits, the error relative to max(1, |zeta|) stays below
     [0, 1/2)      1e-10        5e-10
     (-1, 0)       1.5e-10      8e-10
 
-for both kernels; the largest values measured are 1.9e-12 / 6.0e-12,
-1.8e-11 / 9.0e-11, 3.5e-11 / 1.7e-10 and 4.2e-11 / 2.5e-10.  The
-absolute error is this times |zeta|, which grows like |t|^(1/2 - Re s)
-left of the line: at Re s = -0.99, t = 1e4 it is about 3e-6.
+and the measured errors are at most 1.9e-12 / 6.0e-12, 1.8e-11 / 9.0e-11,
+3.5e-11 / 1.7e-10 and 4.2e-11 / 2.5e-10.  The absolute error is this
+times |zeta|, which grows like |t|^(1/2 - Re s) left of the line: at
+Re s = -0.99, t = 1e4 it is about 3e-6.
 chi is assembled in log space so that nothing overflows at t ~ 1e4.
 
 The table certifies the strip SIGMA_MIN <= Re s <= SIGMA_MAX,
@@ -32,25 +32,23 @@ raise OutOfDomain for any point outside it, and PoleAt1 (not chi) for a
 point within POLE_GUARD of s = 1.  Widening the strip means measuring the
 table's columns out to the new edge first.
 
-A product grid, a 2-D array whose Re s depends only on the row and Im s
-only on the column (Rectangle.midpoint_grid builds one), with at least 64
-rows and 64 columns, takes a third path in zeta_grid.  Any other array
-runs the recurrence.  As n^{-s} =
-n^{-x_i} n^{-i y_j}, the partial sums of a tile are one real matrix
-product: the exps n^{-x_i} times the real and imaginary parts of the exps
-n^{-i y_j}.  Each factor is one exact exp, and with 64 points a side a
-point costs at most twice the exps it costs in the recurrence.  A tile
-holds at most _BLOCK_ELEMS factors on each side and _GRID_BLOCK points,
-so the memory beyond the output is bounded and the tail's temporaries stay
-in cache.  N^{-s} is the outer product of the two last factors.  The path
-chooses K with N: of the pairs that meet Backlund's bound it takes the one
-with least N + 12 K, as a correction costs about 12 ns per point in the
-tail and a term about 1 ns in the product (np.einsum, one thread of a
-2-vCPU Xeon).  On Bergman's rectangle 0.55..0.95 x 0.05..1.05 that is
-K = 4, N = 33, where K = 16 takes N = 20, and its 4e5-point grid takes
-about 45 ms against 400 ms by the recurrence.  Against mpmath at 30 digits,
-40 points of that grid err by at most 2.4e-15 (2.9e-15 by the
-recurrence).  zeta, the recurrence and the NUFFT tail keep K = 16.
+A product grid, a non-empty 2-D array whose Re s depends only on the row
+and Im s only on the column (Rectangle.midpoint_grid builds one), takes
+the other path in zeta_grid.  As n^{-s} = n^{-x_i} n^{-i y_j}, the partial
+sums of a tile are one real matrix product: the exps n^{-x_i} times the
+real and imaginary parts of the exps n^{-i y_j}.  Each factor is one exact
+exp, so r rows and c columns cost (r + c) N exps, where the points one by
+one would cost r c N.  A tile holds at most _BLOCK_ELEMS factors on each
+side and _GRID_BLOCK points, so the memory beyond the output is bounded
+and the tail's temporaries stay in cache.  N^{-s} is the outer product of
+the two last factors.  The path chooses K with N: of the pairs that meet
+Backlund's bound it takes the one with least N + 12 K, as a correction
+costs about 12 ns per point in the tail and a term about 1 ns in the
+product (np.einsum, one thread of a 2-vCPU Xeon).  On Bergman's rectangle
+0.55..0.95 x 0.05..1.05 that is K = 4, N = 33, where K = 16 takes N = 20,
+and its 4e5-point grid takes about 45 ms.  Against mpmath at 30 digits,
+40 points of that grid err by at most 2.4e-15.  zeta and the NUFFT tail
+keep K = 16.
 
 The scans of shift_search and the mean square of euler_product evaluate
 zeta on progressions s_m = sigma + i (t0 + delta m), m an integer, through
@@ -70,14 +68,14 @@ It is computed with the Gaussian gridding of Greengard-Lee (SIAM Review
 nearest points of an R K = 2 K point grid, tau = pi msp / (K^2 R (R - 1/2)),
 then one FFT, then deconvolution by sqrt(pi / tau) exp(k^2 tau); _em_tail
 adds the rest per point.  A segment costs O(N msp + K log K) instead of
-O(N K), so a scan to height H costs O(H log H).  Spreading costs about
-as much as the recurrence over 200 heights whatever the segment's length,
-and a segment of one height pays it too: one height at t = 2.9e4 takes
-about 6.5 ms, the scalar zeta 0.4 ms (one thread of a 2-vCPU Xeon).  The
-gridding adds an absolute error of kappa sum_{n <= N} n^{-sigma}, with
-kappa <= 3.2e-14 measured against the exact transform of the same a_n and
-x_n in extended precision, over 62 segments of the shapes the cuts form
-(Re s from -0.99 to 40, delta from 0.02 to 1.5).  That is at most 7e-12
+O(N K), so a scan to height H costs O(H log H).  Spreading costs the
+same whatever the segment's length and is nearly all of a short segment's
+time: one height at t = 2.9e4 takes about 6.5 ms, the scalar zeta 0.4 ms
+(one thread of a 2-vCPU Xeon).  The gridding adds an absolute error of
+kappa sum_{n <= N} n^{-sigma}, with kappa <= 3.2e-14 measured against
+the exact transform of the same a_n and x_n in extended precision, over
+62 segments of the shapes the cuts form (Re s from -0.99 to 40, delta
+from 0.02 to 1.5).  That is at most 7e-12
 for Re s >= 1/2 on the strip (sum n^{-1/2} <= 2 sqrt(N), N <= 1.3e4),
 4e-10 at Re s = 0 and 5e-6 at Re s = -0.99 near t = 3e4; left of 1/2
 |zeta| grows with the sum, about like (t / 2 pi)^{1/2 - Re s}.  This is
@@ -86,10 +84,10 @@ terms its lowest height needs, so its sum exceeds that height's own by at
 most 2^{1 - Re s} < 4.  As the bands double all the way down to t = 0, a
 low height sums only the few terms (N >= 20) of its own band, where one
 segment over t = 1..513 at Re s = -0.9 would err by 1e-9 at t = 1.  The
-phase of a_n exp(-i k x_n) loses about eps (|t_c| + |t - t_c|) log n, as
-the recurrence does.  Against mpmath at 30 digits the line kernel stays
-inside the table above; the largest values measured are 1.2e-12 / 5.5e-12,
-7.2e-12 / 4.9e-11, 1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10, and below
+phase of a_n exp(-i k x_n) loses about eps (|t_c| + |t - t_c|) log n.
+Against mpmath at 30 digits the line kernel stays inside the table above;
+the largest values measured are 1.2e-12 / 5.5e-12, 7.2e-12 / 4.9e-11,
+1.9e-11 / 8.8e-11 and 5.0e-11 / 1.5e-10, and below
 |t| = 512 (7005 points on 60 lines, Re s from -0.99 to 40, t from -3 to
 511.5) 9.8e-14, 3.5e-13, 1.3e-12 and 2.7e-12, at most 0.02 of the table.
 The transform itself (_type1: spread, FFT, deconvolution) takes any logs
@@ -126,8 +124,7 @@ POLE_GUARD = 1e-12  # radius of the guard disk around s = 1
 SIGMA_MIN, SIGMA_MAX, T_MAX = -0.99, 40.0, 30000.0
 _STRIP = f"the certified strip {SIGMA_MIN} <= Re s <= {SIGMA_MAX}, |Im s| <= {T_MAX}"
 
-_RESTART = 64  # points per exact restart of the partial-sum recurrence
-_BLOCK_ELEMS = 4_000_000  # working values per column slice of _partial_sums
+_BLOCK_ELEMS = 4_000_000  # most row factors, and most phases, per tile of a product grid
 _GRID_BLOCK = 1 << 15  # most points per tile of a product grid: the tail's temporaries stay in L2
 _CORRECTION_COST = 12  # a tail correction costs about as much as this many product-grid terms
 
@@ -157,7 +154,7 @@ _BERNOULLI = (
     -7709321041217.0 / 510,
     2577687858367.0 / 6,
 )
-_EM_K = len(_BERNOULLI) - 1  # corrections of zeta, the recurrence and the NUFFT tail
+_EM_K = len(_BERNOULLI) - 1  # corrections of zeta and the NUFFT tail
 # (2j - 1, 2j, B_2j, B_2(j-1) (2j + 1)(2j + 2)) for j = 1 .. _EM_K - 1: the
 # constants of _em_tail's step from T_j to T_{j+1}, each the float that the
 # step's expression would form
@@ -263,60 +260,17 @@ def check_zeta(s: complex) -> complex:
     return _check_strip(s)
 
 
+def _zeta_point(s: complex) -> complex:
+    """zeta(s) by Euler-Maclaurin summation at a point that check_zeta
+    passes; below the real axis, the conjugate of zeta(conj s)."""
+    if s.imag < 0.0:
+        return _zeta_em(s.conjugate(), _em_term_count(s.real, -s.imag)).conjugate()
+    return _zeta_em(s, _em_term_count(s.real, s.imag))
+
+
 def zeta(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation; refuses what check_zeta refuses."""
-    s = check_zeta(s)
-    if s.imag < 0.0:
-        return zeta(s.conjugate()).conjugate()
-    return _require_finite(_zeta_em(s, _em_term_count(s.real, s.imag)), "zeta")
-
-
-def _powers(s: np.ndarray, logs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Rows n^{-s} = exp(-s log n) into out: one row per point of s, one column per log."""
-    np.multiply.outer(-s, logs, out=out)
-    return np.exp(out, out=out)
-
-
-def _partial_sums(s: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """sum_{n <= N} n^{-s} for every point of the 1-D array s, N = logs.size.
-
-    The points are cut into tiles of _RESTART consecutive points.  A tile's
-    first row n^{-s} is exact; each later row is the one before times
-    exp(-(s_k - s_{k-1}) log n), with one such step row per distinct
-    consecutive difference as stored, so a progression pays a complex
-    multiply per term instead of an exp.  All tiles advance together, one
-    column slice of logs after another; the slices are cut so that the
-    rows, step rows and gather buffer of a slice hold at most _BLOCK_ELEMS
-    values, and the three buffers are reused from slice to slice.
-    """
-    out = np.zeros(s.size, dtype=np.complex128)
-    if s.size == 0:
-        return out
-    first = np.arange(0, s.size, _RESTART)
-    # positions 1.._RESTART-1 of every tile; those past the end repeat the
-    # last point and are never swept
-    at = np.minimum(first[:, None] + np.arange(1, _RESTART), s.size - 1)
-    diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
-    step_of = step_of.reshape(at.shape)
-    last = s.size - first[-1]  # points in the final tile
-    width = max(1, min(logs.size, _BLOCK_ELEMS // (2 * first.size + diffs.size)))
-    n_rows = (first.size, diffs.size, first.size)  # rows, step rows, gather
-    bufs = [np.empty(n * width, dtype=np.complex128) for n in n_rows]
-    for c in range(0, logs.size, width):
-        cols = logs[c : c + width]
-        row, steps, gather = (b[: n * cols.size].reshape(n, cols.size) for b, n in zip(bufs, n_rows))
-        _powers(s[first], cols, row)
-        _powers(diffs, cols, steps)
-        out[first] += row.sum(axis=1)
-        for j in range(1, min(_RESTART, s.size)):
-            k = first.size if j < last else first.size - 1
-            g = step_of[:k, j - 1]
-            if np.all(g == g[0]):  # a progression: one step row for every tile
-                row[:k] *= steps[g[0]]
-            else:
-                row[:k] *= np.take(steps, g, axis=0, out=gather[:k])
-            out[first[:k] + j] += row[:k].sum(axis=1)
-    return out
+    return _require_finite(_zeta_point(check_zeta(s)), "zeta")
 
 
 def check_points(sigma, t) -> None:
@@ -350,11 +304,10 @@ def check_progression(sigma: float, t0: float, delta: float, count: int) -> None
 
 
 def _grid_axes(s: np.ndarray):
-    """(x, y) when the array s is the product grid x_i + i y_j, Re s
-    depending only on the row and Im s only on the column, with at least
-    _RESTART rows and columns, and every point in the certified strip and
-    away from s = 1; None otherwise."""
-    if s.ndim != 2 or min(s.shape) < _RESTART:
+    """(x, y) when the array s is a non-empty product grid x_i + i y_j, Re s
+    depending only on the row and Im s only on the column, with every point
+    in the certified strip and away from s = 1; None otherwise."""
+    if s.ndim != 2 or s.size == 0:
         return None
     x, y = s.real[:, 0], s.imag[0]
     if not (np.array_equal(s.real, np.broadcast_to(x[:, None], s.shape))
@@ -406,35 +359,21 @@ def _product_grid(s: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def zeta_grid(s_values: np.ndarray) -> np.ndarray:
-    """Vectorised zeta over an array of points sharing one term count.
-
-    The term count is taken at the smallest Re s and the largest |Im s| in
-    the array, so this is intended for blocks of points with comparable
-    height.  A product grid (see _grid_axes) takes its partial sums from
-    matrix products, with the term count and Bernoulli corrections chosen
-    together (_product_grid).  Any other array runs along its flattened
-    points with a multiplicative recurrence (see _partial_sums); it is
-    cheapest when consecutive points differ by one of a few steps.  Raises
-    PoleAt1 or OutOfDomain for the first point near s = 1 or outside the
-    certified strip.
+    """zeta over an array of points.  A product grid (see _grid_axes) takes
+    its partial sums from matrix products, with the term count and
+    Bernoulli corrections chosen together (_product_grid); any other array
+    gets the scalar zeta's value at each point.  Raises PoleAt1 or
+    OutOfDomain for the first point near s = 1 or outside the certified
+    strip.
     """
     s_values = np.asarray(s_values, dtype=np.complex128)
-    flat = s_values.ravel()
     axes = _grid_axes(s_values)
     if axes is not None:
         out = _product_grid(s_values, *axes)
     else:  # a product grid with a bad point comes here to have it named
+        flat = s_values.ravel()
         check_points(flat.real, flat.imag)
-        neg = flat.imag < 0.0
-        work = np.where(neg, flat.conj(), flat)
-        n_terms = _em_term_count(
-            float(np.min(work.real, initial=SIGMA_MAX)),
-            float(np.max(work.imag, initial=0.0)),
-        )
-        logs = _logs(n_terms)
-        out = _partial_sums(work, logs)
-        out += _em_tail(work, np.exp(-work * logs[-1]), n_terms)
-        out = np.where(neg, out.conj(), out).reshape(s_values.shape)
+        out = np.array([_zeta_point(s) for s in flat.tolist()], dtype=np.complex128).reshape(s_values.shape)
     if not np.all(np.isfinite(out)):
         raise OutOfDomain("zeta_grid produced non-finite values")
     return out

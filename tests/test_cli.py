@@ -32,15 +32,11 @@ def run_cli(capsys, *argv):
 
 def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
     """Patch zeta_core so that each kernel call appends (zeta values
-    computed, terms summed): a recurrence block or a product grid sums
-    points times its term count, a NUFFT segment spreads one source per
-    term, a scalar call is one value."""
+    computed, terms summed): a product grid sums points times its term
+    count, a NUFFT segment spreads one source per term, a scalar call is
+    one value."""
     work = []
-    recurrence, product, nufft, scalar = zc._partial_sums, zc._product_grid, zc._nufft_segment, zc.zeta
-
-    def counting_recurrence(s, logs):
-        work.append((s.size, s.size * logs.size))
-        return recurrence(s, logs)
+    product, nufft, scalar = zc._product_grid, zc._nufft_segment, zc.zeta
 
     def counting_product(s, x, y):
         n_terms = zc._grid_plan(float(x.min()), float(np.abs(y).max()))[0]
@@ -55,7 +51,6 @@ def _count_kernel_work(monkeypatch) -> list[tuple[int, int]]:
         work.append((1, 0))
         return scalar(s)
 
-    monkeypatch.setattr(zc, "_partial_sums", counting_recurrence)
     monkeypatch.setattr(zc, "_product_grid", counting_product)
     monkeypatch.setattr(zc, "_nufft_segment", counting_nufft)
     monkeypatch.setattr(zc, "zeta", counting_scalar)

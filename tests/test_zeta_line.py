@@ -1,9 +1,9 @@
-"""The partial-sum recurrence in zeta_grid and the line kernel
-zeta_on_line, whose every piece is a NUFFT segment: the plan's cuts at
-doubling heights and t = 0, accuracy against mpmath from t -> 0 to the top
-of the strip, determinism on rerun and from a cold log cache, working
-memory, and equivalence of the scans with a direct exp-per-term
-summation."""
+"""zeta_grid's two paths, the product grid and the scalar kernel point by
+point, and the line kernel zeta_on_line, whose every piece is a NUFFT
+segment: the plan's cuts at doubling heights and t = 0, accuracy against
+mpmath from t -> 0 to the top of the strip, determinism on rerun and from
+a cold log cache, working memory, and equivalence of the scans with a
+direct exp-per-term summation."""
 
 import math
 import re
@@ -55,7 +55,7 @@ def _line_cases():
     }
 
 
-# first and last rows of the first two restart tiles, plus the block's end
+# both ends of the block and points between
 _SAMPLE = (0, 1, 63, 64, 127, 300, 511)
 
 
@@ -145,6 +145,9 @@ def test_midpoint_grid_against_mpmath():
 
 
 def test_grid_names_first_offending_point():
+    for shape in ((0,), (0, 5), (5, 0)):  # no point to name
+        empty = zc.zeta_grid(np.empty(shape, dtype=np.complex128))
+        assert empty.shape == shape and empty.dtype == np.complex128
     with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
         zc.zeta_grid(np.array([[0.5 + 3j, 1.0 + 0j], [-2.0 + 0j, 0.5 + 4j]]))
     with pytest.raises(OutOfDomain, match=r"\(-2\+0j\)"):
@@ -159,6 +162,10 @@ def _product_cases():
         "across-zero": np.add.outer(np.linspace(0.2, 0.8, 64), 1j * np.linspace(-8.0, 5.0, 97)),
         "left-of-zero": np.add.outer(np.linspace(-0.99, -0.1, 70), 1j * np.linspace(100.0, 110.0, 64)),
         "tall-right": np.add.outer(np.linspace(0.5, 2.0, 64), 1j * np.linspace(9_990.0, 10_000.0, 64)),
+        "bergman-default": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),  # 40 x 100
+        "row": np.add.outer(np.array([0.75]), 1j * np.linspace(10.0, 20.0, 7)),
+        "column": np.add.outer(np.linspace(-0.5, 2.0, 9), 1j * np.array([30.0])),
+        "single": np.array([[0.3 + 5.0j]]),
     }
 
 
@@ -166,10 +173,10 @@ def _product_cases():
 def test_product_grid_against_mpmath(monkeypatch, case):
     grid = _product_cases()[case]
 
-    def no_recurrence(s, logs):
-        raise AssertionError("a product grid ran the recurrence")
+    def no_point(s):
+        raise AssertionError("a product grid ran point by point")
 
-    monkeypatch.setattr(zc, "_partial_sums", no_recurrence)
+    monkeypatch.setattr(zc, "_zeta_point", no_point)
     values = zc.zeta_grid(grid)
     assert values.shape == grid.shape
     rng = np.random.default_rng(7)
@@ -214,14 +221,14 @@ def test_product_grid_names_first_offending_point(x, y, error):
         zc.zeta_grid(grid)
 
 
-def test_other_arrays_keep_the_recurrence(monkeypatch):
+def test_other_arrays_run_point_by_point(monkeypatch):
     def no_product(s, x, y):
         raise AssertionError("the product path ran")
 
     monkeypatch.setattr(zc, "_product_grid", no_product)
     calls = []
-    recurrence = zc._partial_sums
-    monkeypatch.setattr(zc, "_partial_sums", lambda s, logs: calls.append(s.size) or recurrence(s, logs))
+    point = zc._zeta_point
+    monkeypatch.setattr(zc, "_zeta_point", lambda s: calls.append(s) or point(s))
     grid = _product_cases()["bergman"]
     nudged_re, nudged_im = grid.copy(), grid.copy()
     nudged_re[5, 7] += 1e-9  # Re s no longer constant along its row
@@ -229,37 +236,30 @@ def test_other_arrays_keep_the_recurrence(monkeypatch):
     arrays = {
         "nudged-re": nudged_re,
         "nudged-im": nudged_im,
-        "40 x 100": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01),
         "transposed": grid.T,  # Re s along the columns
         "3-D": grid.reshape(2, 32, 80),
+        "below-zero": 0.75 - 1j * np.linspace(5.0, 50.0, 40),
     }
     for name, points in arrays.items():
         calls.clear()
-        zc.zeta_grid(points)
-        assert calls == [points.size], name
+        values = zc.zeta_grid(points)
+        assert calls == points.ravel().tolist(), name
+        assert values.tobytes() == np.array([zc.zeta(s) for s in points.ravel().tolist()]).tobytes(), name
 
 
-def test_working_memory_bounded_for_scattered_block(monkeypatch):
+def test_working_memory_bounded_for_scattered_block():
     heights = np.sort(np.random.default_rng(5).uniform(9_000.0, 10_000.0, 512))
-    budget = 200_000
-    monkeypatch.setattr(zc, "_BLOCK_ELEMS", budget)
-    zc.zeta_grid(0.5 + 1j * heights[:2])  # grow the log cache
+    n_terms = zc._em_term_count(0.5, heights[-1])
+    zc.zeta_grid(0.5 + 1j * heights[-2:])  # grow the log cache
     tracemalloc.start()
     try:
         zc.zeta_grid(0.5 + 1j * heights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * budget + 2**20
-
-
-def _direct_partial_sums(s, logs):
-    """The exp-per-term partial sum that the recurrence replaced."""
-    out = np.empty(s.size, dtype=np.complex128)
-    chunk = max(1, zc._BLOCK_ELEMS // logs.size)
-    for i in range(0, s.size, chunk):
-        out[i : i + chunk] = np.exp(-np.multiply.outer(s[i : i + chunk], logs)).sum(axis=1)
-    return out
+    # a few rows of n_terms complex values at a time, where the whole
+    # block at once would take 512 of them
+    assert peak < 4 * 16 * n_terms + 2**16
 
 
 def _criterion_10_and_11():
@@ -271,19 +271,13 @@ def _criterion_10_and_11():
 
 
 def _direct_progression(sigma, t0, delta, m):
-    """zeta on the progression by zeta_grid over blocks of 512 sorted
-    heights, which with _direct_partial_sums patched in sums exp per term."""
-    order = np.argsort(m, kind="stable")
-    points = sigma + 1j * (t0 + delta * m[order])
-    out = np.empty(m.size, dtype=np.complex128)
-    blocks = [points[i : i + 512] for i in range(0, m.size, 512)]
-    out[order] = np.concatenate([zc.zeta_grid(block) for block in blocks])
-    return out
+    """zeta on the progression by zeta_grid on its 1-D array of points,
+    which sums exp per term at each point."""
+    return zc.zeta_grid(sigma + 1j * (t0 + delta * np.asarray(m)))
 
 
 def test_scans_match_direct_summation(monkeypatch):
     hits, flip = _criterion_10_and_11()
-    monkeypatch.setattr(zc, "_partial_sums", _direct_partial_sums)
     monkeypatch.setattr(zc, "zeta_on_line", _direct_progression)
     ref_hits, ref_flip = _criterion_10_and_11()
     assert sorted(hits) == sorted(ref_hits)
@@ -291,56 +285,6 @@ def test_scans_match_direct_summation(monkeypatch):
     assert flip.predicted_hits == ref_flip.predicted_hits
     assert flip.confirmed_hits == ref_flip.confirmed_hits
     assert flip.disagreements == ref_flip.disagreements
-
-
-def _tile_sweep_partial_sums(s, logs):
-    """The partial-sum recurrence as it stood before the power rows were
-    shared with the Euler products: one loop that allocates its rows, step
-    rows and gather buffer afresh for every column slice."""
-    def powers(points, cols):
-        rows = np.multiply.outer(-points, cols)
-        return np.exp(rows, out=rows)
-
-    out = np.zeros(s.size, dtype=np.complex128)
-    if s.size == 0:
-        return out
-    first = np.arange(0, s.size, zc._RESTART)
-    at = np.minimum(first[:, None] + np.arange(1, zc._RESTART), s.size - 1)
-    diffs, step_of = np.unique(np.diff(s, prepend=s[0])[at], return_inverse=True)
-    step_of = step_of.reshape(at.shape)
-    last = s.size - first[-1]
-    width = max(1, zc._BLOCK_ELEMS // (2 * first.size + diffs.size))
-    for c in range(0, logs.size, width):
-        row = powers(s[first], logs[c : c + width])
-        steps = powers(diffs, logs[c : c + width])
-        gather = np.empty_like(row)
-        out[first] += row.sum(axis=1)
-        for j in range(1, min(zc._RESTART, s.size)):
-            k = first.size if j < last else first.size - 1
-            g = step_of[:k, j - 1]
-            if np.all(g == g[0]):
-                row[:k] *= steps[g[0]]
-            else:
-                row[:k] *= np.take(steps, g, axis=0, out=gather[:k])
-            out[first[:k] + j] += row[:k].sum(axis=1)
-        del row, steps, gather
-    return out
-
-
-@pytest.mark.parametrize("budget", [4_000_000, 200_000, 5_000])
-@pytest.mark.parametrize("case", ["progression", "sorted-beatty", "midpoint-grid"])
-def test_grid_bit_identical_to_tile_sweep(monkeypatch, case, budget):
-    points = {
-        "progression": 0.75 + 1j * (28_000.0 + np.arange(512)),
-        "sorted-beatty": 0.75 + 1j * _swap_heights()[:512],
-        # flattened, so that a product grid cannot skip the recurrence on both sides
-        "midpoint-grid": ep.Rectangle(0.55, 0.95, 0.05, 1.05).midpoint_grid(0.01).ravel(),
-    }[case]
-    monkeypatch.setattr(zc, "_BLOCK_ELEMS", budget)
-    values = zc.zeta_grid(points)
-    monkeypatch.setattr(zc, "_partial_sums", _tile_sweep_partial_sums)
-    reference = zc.zeta_grid(points)
-    assert values.tobytes() == reference.tobytes()
 
 
 def _assert_contract(sigma, heights, values):
