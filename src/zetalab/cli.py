@@ -332,15 +332,13 @@ def _joint_weyl(opt):
 def _meansquare(opt):
     from . import euler_product
     level = euler_product.TruncationLevel.of(opt.m)
-    # the shifts' refusals on the first two shifts, then the line's, before all N are built
-    head = min(opt.N, 2)
-    euler_product.mean_square_lines(level, opt.sigma, opt.shift_step * np.arange(1, head + 1), head)
-    zeta_core.check_progression(opt.sigma, 0.0, opt.shift_step, opt.N)
-    args = level, opt.sigma, opt.shift_step * np.arange(1, opt.N + 1), opt.N
+    args = opt.sigma, opt.shift_step, opt.N
     if opt.dry_run:
         return {**_line_estimate(args, euler_product.mean_square_lines),
                 "estimated_euler_sources": euler_product.euler_sources(level, opt.sigma)[0].size}
-    return asdict(euler_product.mean_square_discrete(*args)), None
+    euler_product.mean_square_lines(*args)  # every refusal, before the N shifts are built
+    shifts = opt.shift_step * np.arange(1, opt.N + 1)
+    return asdict(euler_product.mean_square_discrete(level, opt.sigma, shifts, opt.N)), None
 
 
 def _limit_theorem(opt):

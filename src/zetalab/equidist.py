@@ -1,5 +1,4 @@
-"""Weyl sums, the joint Beatty-progression exponential sum and the side
-conditions of a shift sequence.
+"""Weyl sums and the joint Beatty-progression exponential sum.
 
 Sums are accumulated in chunks: numpy pairwise summation inside a chunk,
 and math.fsum, correctly rounded, of the chunk sums at each checkpoint,
@@ -29,14 +28,12 @@ from typing import Callable
 import numpy as np
 
 from .beatty import BeattyPair, beatty_terms, check_floors
-from .errors import AmbiguousFloor, HypothesisViolation
+from .errors import AmbiguousFloor
 from .primes import is_prime
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
 _TILE = 1 << 8  # terms per tile of the joint Beatty sum
-_MIN_GAP = 0.05  # smallest gap x_{n+1} - x_n a shift sequence may have
-_LINEAR_BOUND = 100.0  # largest x_n / n a shift sequence may reach
 
 
 @dataclass(frozen=True)
@@ -317,28 +314,3 @@ def joint_beatty_weyl(
         return total + tail.sum() if lo + count == N else total
 
     return _accumulate_phases(chunk_sum, N)
-
-
-def validate_shift_sequence(x: np.ndarray) -> None:
-    """Check that the shifts are finite and meet the side conditions
-    x_n = O(n), gaps bounded below, required by the mean-square
-    approximation; refuse violating sequences."""
-    x = np.asarray(x, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        i = bad[0]
-        raise HypothesisViolation(f"shift sequence must be finite, got x_{i + 1} = {x[i]}")
-    if x.size >= 2:
-        gaps = np.diff(x)
-        if gaps.min() <= 0:
-            raise HypothesisViolation("shift sequence must be strictly increasing")
-        if gaps.min() < _MIN_GAP:
-            raise HypothesisViolation(
-                f"minimal gap {gaps.min():.3g} below required {_MIN_GAP}"
-            )
-    n = np.arange(1, x.size + 1)
-    growth = (x / n).max()
-    if growth > _LINEAR_BOUND:
-        raise HypothesisViolation(
-            f"x_n / n reaches {growth:.3g}, above the linear bound {_LINEAR_BOUND}"
-        )

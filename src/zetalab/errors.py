@@ -47,7 +47,9 @@ class Unclassifiable(ZetaLabError):
 
 
 class HypothesisViolation(ZetaLabError):
-    """A shift sequence is not finite or violates the growth/gap side conditions."""
+    """The shifts x_n = h n break a side condition of the mean-square
+    approximation: h must be finite and positive, at least 0.05 when N >= 2
+    and at most 100; or an array of shifts is not that lattice."""
 
 
 class PointOnBoundary(ZetaLabError):

@@ -26,11 +26,16 @@ up to 1.2e3 (m = 300) and 6e-12 near 9e3.  The working memory is the FFT
 grid, 2 K values for the K >= N modes, and the sources, about 4 per prime
 at sigma = 0.9.
 
+The shifts are the lattice x_n = h n, n = 1..N, and validate_shift_sequence
+checks the side conditions of the mean-square approximation on the step
+alone: h finite and positive, the gap h at least _MIN_GAP when N >= 2 and
+the growth x_n / n = h at most _LINEAR_BOUND.
+
 The random model of empirical_limit_theorem forms its factors
 1 - w_p p^{-s0}: they are multiplied in runs of floor(690 / b) with
 b = -log(1 - 2^{-Re s}), the largest |log| a factor with |w_p| = 1 can
 have, so no partial product leaves float range, and one complex log per
-run is summed (each factor is its own run for Re s <= 0).
+run is summed.
 """
 
 from __future__ import annotations
@@ -43,13 +48,14 @@ from typing import Optional
 import numpy as np
 
 from . import zeta_core
-from .equidist import validate_shift_sequence
 from .errors import HypothesisViolation, PointOnBoundary
 from .primes import first_n_primes, is_prime
 
 _LOG_RANGE = 690.0  # largest |log| allowed for a partial product of factors
 _LOG_BUDGET = 1e-15  # most that truncating the primes' log series moves log zeta_m
 _SAMPLE_BLOCK = 1 << 18  # random factors drawn at once by empirical_limit_theorem
+_MIN_GAP = 0.05  # smallest step h of the shifts x_n = h n when N >= 2
+_LINEAR_BOUND = 100.0  # largest step h of the shifts x_n = h n
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,13 @@ class TruncationLevel:
 
 def _log_product(factors: np.ndarray, sigma: float) -> np.ndarray:
     """sum(log(factors)) over the last axis, up to a multiple of 2 pi i, for
-    factors 1 - w p^{-s} with |w| = 1 and Re s = sigma.  Such a factor has
+    factors 1 - w p^{-s} with |w| = 1 and Re s = sigma > 0.  Such a factor has
     |log| at most b = -log(1 - 2^{-sigma}), so the factors are multiplied in
     runs of floor(690 / b), which keeps every partial product inside float
-    range (e^709), and one log is taken per run (per factor if sigma <= 0)."""
+    range (e^709), and one log is taken per run."""
     m = factors.shape[-1]
-    b = -math.log1p(-(2.0 ** -sigma)) if sigma > 0.0 else math.inf  # 0 if 2^{-sigma} underflows
-    chunk = max(1, m if b == 0.0 else int(min(m, _LOG_RANGE / b)))
+    b = -math.log1p(-(2.0 ** -sigma))
+    chunk = max(1, int(min(m, _LOG_RANGE / b)))
     cuts = np.arange(0, m, chunk)
     return np.log(np.multiply.reduceat(factors, cuts, axis=-1)).sum(axis=-1)
 
@@ -140,25 +146,35 @@ class MeanSquareStat:
             raise ValueError("mean-square statistic must be non-negative")
 
 
-def mean_square_lines(level, sigma, shifts, N, grid=None) -> list[zeta_core.Line]:
-    """The lines (Re s, t0, h, m) on which mean_square_discrete, given the
-    same arguments, evaluates zeta: one per anchor point, m = 1..N.
-    Refuses what the statistic refuses, and shifts other than x_n = h n
-    with h = x_1 > 0 (HypothesisViolation)."""
+def validate_shift_sequence(h: float, N: int) -> None:
+    """Refuse the shifts x_n = h n, n = 1..N, where the step h breaks the
+    side conditions of the mean-square approximation (HypothesisViolation):
+    h finite and positive, the gap h at least _MIN_GAP when there is a gap
+    (N >= 2), and x_n / n = h at most _LINEAR_BOUND."""
+    if not 0.0 < h < math.inf:
+        raise HypothesisViolation(f"shift step h must be finite and positive, got {h}")
+    if N >= 2 and h < _MIN_GAP:
+        raise HypothesisViolation(f"minimal gap {h:.3g} below required {_MIN_GAP}")
+    if h > _LINEAR_BOUND:
+        raise HypothesisViolation(f"x_n / n reaches {h:.3g}, above the linear bound {_LINEAR_BOUND}")
+
+
+def mean_square_lines(sigma, h, N, grid=None) -> list[zeta_core.Line]:
+    """The lines (Re s, t0, h, m) on which mean_square_discrete evaluates
+    zeta for the shifts x_n = h n, n = 1..N: one per anchor point,
+    m = 1..N.  Refuses what the statistic refuses of sigma, h, N and grid,
+    before the N shifts are built."""
     if not (0.5 < sigma < 1.0):
         raise ValueError("sigma must lie in (1/2, 1)")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    shifts = np.asarray(shifts, dtype=np.float64)[:N]
-    if shifts.size != N:
-        raise ValueError("fewer shifts than N")
-    validate_shift_sequence(shifts)
-    h, m = shifts[0], np.arange(1, N + 1)
-    if not (h > 0.0 and np.array_equal(shifts, h * m)):
-        raise HypothesisViolation("shifts must be x_n = h n with h = x_1 > 0")
+    validate_shift_sequence(h, N)
     anchors = np.asarray(grid, dtype=np.complex128) if grid is not None else np.array([sigma + 0j])
     if not np.all(anchors.real > 0.5):
         raise ValueError("grid anchors must have Re s > 1/2")
+    for s0 in anchors:
+        zeta_core.check_progression(s0.real, s0.imag, h, N)
+    m = np.arange(1, N + 1)
     return [(s0.real, s0.imag, h, m) for s0 in map(complex, anchors)]
 
 
@@ -171,10 +187,16 @@ def mean_square_discrete(
 ) -> MeanSquareStat:
     """(1/N) sum |zeta(sigma + i x_n) - P(sigma + i x_n)|^2, P the truncated
     product of `level`, or with the sup over a compact grid of anchor
-    points when `grid` is given.  The shifts must be x_n = h n, h > 0: zeta
-    comes from the line kernel zeta_core.zeta_on_line (mean_square_lines)
-    and P from one NUFFT per line (_zeta_m_on_shifts)."""
-    lines = mean_square_lines(level, sigma, shifts, N, grid)
+    points when `grid` is given.  The shifts must be x_n = h n with
+    h = x_1: zeta comes from the line kernel zeta_core.zeta_on_line
+    (mean_square_lines) and P from one NUFFT per line (_zeta_m_on_shifts)."""
+    shifts = np.asarray(shifts, dtype=np.float64)[:N]
+    h = shifts[0] if shifts.size else math.nan  # no x_1: refused as a step that is not finite
+    lines = mean_square_lines(sigma, h, N, grid)
+    if shifts.size != N:
+        raise ValueError("fewer shifts than N")
+    if not np.array_equal(shifts, h * np.arange(1, N + 1)):
+        raise HypothesisViolation("shifts must be x_n = h n with h = x_1 > 0")
     dev_sq = np.zeros(N)
     for s0_re, s0_im, h, m in lines:
         exact = zeta_core.zeta_on_line(s0_re, s0_im, h, m)

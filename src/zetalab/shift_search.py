@@ -63,12 +63,14 @@ class HitDensityReport:
             raise ValueError("density must lie in [0, 1]")
 
 
-def _all_of_window(flags: np.ndarray, N: int, l: int) -> np.ndarray:
-    """For n = 1..N, whether flags[n - 1 .. n + l - 2] all hold."""
-    window = np.ones(N, dtype=bool)
-    for k in range(l):
-        window &= flags[k : k + N]
-    return window
+def _window(fold, values: np.ndarray, l: int) -> np.ndarray:
+    """For n = 1..N, N = values.size - l + 1, the extreme of
+    values[n - 1 .. n + l - 2] that fold (np.maximum or np.minimum) picks."""
+    N = values.size - l + 1
+    out = values[:N].copy()
+    for k in range(1, l):
+        fold(out, values[k : k + N], out=out)
+    return out
 
 
 def disk_hit_lines(grid: VerticalGrid, disk: TargetDisk, N: int) -> list[zeta_core.Line]:
@@ -92,10 +94,9 @@ def scan_disk_hits(
     grid point, ascending, the largest such deviation of each, and a
     density report."""
     (line,) = disk_hit_lines(grid, disk, N)
-    dev = np.abs(zeta_core.zeta_on_line(*line) - disk.a)
-    hit_indices = np.nonzero(_all_of_window(dev < disk.epsilon, N, grid.l))[0] + 1
-    # row n - 1 of the window view is dev[n - 1 : n - 1 + l]
-    max_dev = np.lib.stride_tricks.sliding_window_view(dev, grid.l)[hit_indices - 1].max(axis=1)
+    worst = _window(np.maximum, np.abs(zeta_core.zeta_on_line(*line) - disk.a), grid.l)
+    hit = worst < disk.epsilon
+    hit_indices, max_dev = np.nonzero(hit)[0] + 1, worst[hit]
     report = HitDensityReport(
         N=N,
         hits=hit_indices.size,
@@ -264,9 +265,9 @@ def left_half_flip(grid: VerticalGrid, r: float, c: float, N: int) -> FlipReport
     that a predicted n clears r by at least r.  params' chi_lower_bound is b."""
     b, line = _flip_line(grid, r, c, N)
     # |zeta(1 - s - i t)| = |zeta((1 - Re s) + i t)| by reflection
-    mirrored = np.abs(zeta_core.zeta_on_line(*line))
-    predicted = np.nonzero(_all_of_window(mirrored >= 2.0 * r / c, N, grid.l))[0] + 1
-    certified = b * np.lib.stride_tricks.sliding_window_view(mirrored, grid.l)[predicted - 1].min(axis=1)
+    least = _window(np.minimum, np.abs(zeta_core.zeta_on_line(*line)), grid.l)
+    keep = least >= 2.0 * r / c
+    predicted, certified = np.nonzero(keep)[0] + 1, b * least[keep]
     return FlipReport(
         N=N,
         predicted_hits=tuple(int(n) for n in predicted),

@@ -138,7 +138,7 @@ BAD_PARAMETER = [
     (["bergman", "--f", "s", "--z-re", "nan", "--z-im", "0.5"],
      "z = (nan+0.5j) is not strictly inside"),
     (["meansquare", "--sigma", "0.75", "--m", "5", "--N", "10", "--shift-step", "nan"],
-     "shift sequence must be finite, got x_1 = nan"),
+     "shift step h must be finite and positive, got nan"),
     (["joint-weyl", "--alpha", "golden", "--N", "10"], "at least one weight must be nonzero"),
     *[(["ztheta", "--t", t], f"theta requires finite t >= 2, got {t}")
       for t in ("nan", "inf")],

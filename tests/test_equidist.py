@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zetalab import equidist as eq
 from zetalab.beatty import GOLDEN, SQRT2, SQRT3, BeattyPair, beatty_terms
 from zetalab.cli import run
-from zetalab.errors import AmbiguousFloor, HypothesisViolation
+from zetalab.errors import AmbiguousFloor
 
 TWO_PI_OVER_LOG2 = 2 * math.pi / math.log(2.0)
 
@@ -131,23 +131,6 @@ class TestJointBeattyWeyl:
         )
         rep = eq.joint_beatty_weyl(pair, 0.0, 0.0, fv, 4096)
         assert rep.sum_magnitude > 0.99
-
-
-class TestValidateShiftSequence:
-    def test_accepts_linear(self):
-        eq.validate_shift_sequence(np.arange(1, 1000, dtype=float))
-
-    def test_rejects_small_gap(self):
-        with pytest.raises(HypothesisViolation):
-            eq.validate_shift_sequence(np.array([1.0, 1.001, 2.0]))
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(HypothesisViolation):
-            eq.validate_shift_sequence(np.array([2.0, 1.0]))
-
-    def test_rejects_superlinear(self):
-        with pytest.raises(HypothesisViolation):
-            eq.validate_shift_sequence(np.array([1.0, 500.0]))
 
 
 def _weyl_reference(phase_fn, N, chunk=1 << 17):

@@ -197,13 +197,10 @@ class TestZetaMOnShifts:
         with pytest.raises(ValueError, match=r"Re s > 1/2"):
             ep.euler_sources(ep.TruncationLevel.of(5), sigma)
 
-    @pytest.mark.parametrize("sigma, m", [(-0.5, 100), (0.0, 100), (0.02, 5000),
-                                          (0.75, 5000), (3.0, 5000)])
+    @pytest.mark.parametrize("sigma, m", [(0.02, 5000), (0.75, 5000), (3.0, 5000)])
     def test_chunked_product_matches_log_sum(self, sigma, m):
         # near sigma = 0 the factor of p = 2 dominates and the chunks are
-        # short (161 factors at sigma = 0.02); at sigma <= 0 every factor is
-        # its own chunk, and m is kept small so that the product stays
-        # above the float range
+        # short (161 factors at sigma = 0.02)
         lvl = ep.TruncationLevel.of(m)
         rng = np.random.default_rng(3)
         phases = np.exp(2j * math.pi * rng.uniform(size=(4, lvl.m)))
@@ -228,6 +225,26 @@ class TestZetaMOnShifts:
         value = np.exp(-ep._log_product(1.0 - phases * x, 0.02))
         ref = math.exp(-total[k - 1])
         assert abs(value - ref) / ref < 1e-10
+
+
+class TestValidateShiftSequence:
+    def test_accepts_the_least_step(self):
+        ep.validate_shift_sequence(0.05, 1000)
+        ep.validate_shift_sequence(np.nextafter(0.05, 0.0), 1)  # one shift has no gap
+
+    def test_rejects_a_step_below_the_least_gap(self):
+        with pytest.raises(HypothesisViolation, match="minimal gap"):
+            ep.validate_shift_sequence(np.nextafter(0.05, 0.0), 2)
+
+    def test_largest_step_is_the_linear_bound(self):
+        ep.validate_shift_sequence(100.0, 1000)
+        with pytest.raises(HypothesisViolation, match="linear bound"):
+            ep.validate_shift_sequence(np.nextafter(100.0, np.inf), 1)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, h):
+        with pytest.raises(HypothesisViolation, match="finite and positive"):
+            ep.validate_shift_sequence(h, 10)
 
 
 class TestMeanSquare:

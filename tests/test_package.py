@@ -33,18 +33,24 @@ EXPORTED = {
 }
 
 
-def test_zeta_command_loads_only_its_modules():
+@pytest.mark.parametrize("argv, own, fft", [
+    (["zeta", "--re", "2"], [], False),
+    (["meansquare", "--sigma", "0.75", "--m", "200", "--N", "2000"],
+     ["euler_product", "primes"], True),
+], ids=["zeta", "meansquare"])
+def test_command_loads_only_its_modules(argv, own, fft):
     # the set-up a one-off command pays: `zetalab zeta` loads no other
-    # zetalab module, and no numpy.fft, which only the NUFFT transforms use
-    code = ("import sys\nfrom zetalab import cli\ncli.run(['zeta', '--re', '2'])\n"
+    # zetalab module, and no numpy.fft, which only the NUFFT transforms use;
+    # `zetalab meansquare` adds its Euler products and their primes alone
+    code = (f"import sys\nfrom zetalab import cli\ncli.run({argv!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'zetalab'))\n"
             "print('numpy.fft' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120, check=True)
-    *_, modules, fft = proc.stdout.splitlines()
-    assert modules == str(["zetalab", "zetalab.cli", "zetalab.config", "zetalab.errors",
-                           "zetalab.zeta_core"])
-    assert fft == "False"
+    *_, modules, loaded_fft = proc.stdout.splitlines()
+    expected = ["cli", "config", "errors", *own, "zeta_core"]
+    assert modules == str(sorted(["zetalab", *(f"zetalab.{m}" for m in expected)]))
+    assert loaded_fft == str(fft)
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
