@@ -144,26 +144,16 @@ def _beyond_range(what: str) -> AmbiguousFloor:
     )
 
 
-def beatty_terms(
-    alpha: float,
-    m: np.ndarray,
-    out: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def beatty_terms(alpha: float, m: np.ndarray) -> np.ndarray:
     """floor(m * alpha) for a float array of integer multipliers m >= 0, as
     floats: exact for a named alpha and for 1 / alpha of one (which the
     swap uses); for a literal alpha, a product within FLOOR_GUARD of an
     integer and not an exact float integer, or one at or beyond
-    LITERAL_RANGE, cannot be floored reliably and raises AmbiguousFloor.
-
-    `out` receives the floors and `scratch` is a work array, both float64
-    arrays of m's shape (allocated when not given), so that a caller going
-    through a long sequence chunk by chunk allocates nothing per chunk."""
+    LITERAL_RANGE, cannot be floored reliably and raises AmbiguousFloor."""
     surd = _SURD_OF.get(alpha)
-    out = np.empty(m.shape) if out is None else out
     if m.size == 0:
-        return out
-    x = np.multiply(m, alpha, out=np.empty(m.shape) if scratch is None else scratch)
+        return np.empty(m.shape)
+    x = m * alpha
     top = float(x.max())
     if surd is None and top >= LITERAL_RANGE:
         bad = int(m[np.argmax(x >= LITERAL_RANGE)])
@@ -172,7 +162,7 @@ def beatty_terms(
     # <= 2^-53 x + ulp(x) / 2; the reach doubles both.  A literal's reach
     # doubles the guard, to take in every product the guard looks at.
     reach = 2.0 * FLOOR_GUARD if surd is None else 2.0 ** -52 * top + math.ulp(top)
-    np.floor(x, out=out)
+    out = np.floor(x)
     x -= out  # the fraction, exactly
     if x.min() < reach or x.max() > 1.0 - reach:  # rare: settle these products
         near = np.nonzero((x < reach) | (x > 1.0 - reach))[0]
@@ -188,14 +178,9 @@ def beatty_terms(
 
 
 def _floor_chunks(alpha: float, m_top: int):
-    """floor(m alpha) over m = 1..m_top in ascending chunks, by beatty_terms,
-    whose work arrays stay in cache and are reused."""
-    offsets = np.arange(1.0, _CHUNK + 1.0)
-    m, out, scratch = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK)
+    """floor(m alpha) over m = 1..m_top in ascending chunks, by beatty_terms."""
     for start in range(0, m_top, _CHUNK):
-        c = min(_CHUNK, m_top - start)
-        np.add(offsets[:c], start, out=m[:c])
-        yield beatty_terms(alpha, m[:c], out[:c], scratch[:c])
+        yield beatty_terms(alpha, np.arange(start + 1.0, min(start + _CHUNK, m_top) + 1.0))
 
 
 def check_floors(alpha: float, m_top: int) -> None:

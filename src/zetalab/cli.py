@@ -109,8 +109,8 @@ _HELP = {
     "meansquare": "discrete mean-square approximation",
     "limit-theorem": "empirical discrete limit theorem",
     "hits": "disk-hit scan on a vertical grid",
-    "joint-hits": "joint Beatty / swap-permutation hit density",
-    "sis": "joint Beatty / swap-permutation hit density",
+    "joint-hits": "joint Beatty-progression hit density",
+    "sis": "swap-permutation hit density and its transferred bound",
     "flip": "left-half flip via the functional equation",
     "bergman": "Bergman sup bound on a rectangle",
 }
@@ -467,7 +467,7 @@ def run(argv: list[str]) -> int:
         else:
             _write_report(cfg, *out)
         return 0
-    except (ZetaLabError, ValueError, KeyError) as exc:
+    except (ZetaLabError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover

@@ -160,10 +160,10 @@ def validate_shift_sequence(h: float, N: int) -> None:
 
 
 def mean_square_lines(sigma, h, N, grid=None) -> list[zeta_core.Line]:
-    """The lines (Re s, t0, h, m) on which mean_square_discrete evaluates
-    zeta for the shifts x_n = h n, n = 1..N: one per anchor point,
-    m = 1..N.  Refuses what the statistic refuses of sigma, h, N and grid,
-    before the N shifts are built."""
+    """The lines (Re s, t0, h, N) on which mean_square_discrete evaluates
+    zeta for the shifts x_n = h n, n = 1..N: one per anchor point.  Refuses
+    what the statistic refuses of sigma, h, N and grid, before the N shifts
+    are built."""
     if not (0.5 < sigma < 1.0):
         raise ValueError("sigma must lie in (1/2, 1)")
     if N < 1:
@@ -174,8 +174,7 @@ def mean_square_lines(sigma, h, N, grid=None) -> list[zeta_core.Line]:
         raise ValueError("grid anchors must have Re s > 1/2")
     for s0 in anchors:
         zeta_core.check_progression(s0.real, s0.imag, h, N)
-    m = np.arange(1, N + 1)
-    return [(s0.real, s0.imag, h, m) for s0 in map(complex, anchors)]
+    return [(s0.real, s0.imag, h, N) for s0 in map(complex, anchors)]
 
 
 def mean_square_discrete(
@@ -198,8 +197,8 @@ def mean_square_discrete(
     if not np.array_equal(shifts, h * np.arange(1, N + 1)):
         raise HypothesisViolation("shifts must be x_n = h n with h = x_1 > 0")
     dev_sq = np.zeros(N)
-    for s0_re, s0_im, h, m in lines:
-        exact = zeta_core.zeta_on_line(s0_re, s0_im, h, m)
+    for s0_re, s0_im, h, count in lines:
+        exact = zeta_core.zeta_on_line(s0_re, s0_im, h, count)
         truncated = _zeta_m_on_shifts(level, complex(s0_re, s0_im), h, N)
         dev_sq = np.maximum(dev_sq, np.abs(exact - truncated) ** 2)
     mode = "sup-on-K" if grid is not None else "pointwise"

@@ -81,8 +81,7 @@ def disk_hit_lines(grid: VerticalGrid, disk: TargetDisk, N: int) -> list[zeta_co
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     grid.require_strip(0.5, 1.0)
-    zeta_core.check_progression(grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)
-    return [(grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))]
+    return [(grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)]
 
 
 def scan_disk_hits(
@@ -113,34 +112,56 @@ def scan_disk_hits(
     return hit_indices, max_dev, report
 
 
-def _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
-                multipliers) -> list[zeta_core.Line]:
+def _beatty_multipliers(pair: BeattyPair, n: np.ndarray) -> list[np.ndarray]:
+    """floor(n alpha) and floor(n alpha') for an int array n."""
+    n = n.astype(np.float64)
+    return [beatty_terms(a, n).astype(np.int64) for a in (pair.alpha, pair.alpha_prime)]
+
+
+def _swap_multipliers(pair: BeattyPair, n: np.ndarray) -> list[np.ndarray]:
+    """n and sigma_alpha(n) for an int array n."""
+    return [n, sigma_alpha(pair, n)]
+
+
+def _pair_lines(multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon,
+                N) -> list[zeta_core.Line]:
     """Refuse a pair scan's parameters, then return its lines: every grid
-    point on t1 + delta1 m1, then on t2 + delta2 m2, where (m1, m2) =
-    multipliers(n) for n = 1..N."""
+    point on t1 + delta1 m, then on t2 + delta2 m, m = 1 .. the largest
+    multiplier that multipliers(pair, n) gives its progression for n <= N.
+    Each multiplier rises on each Beatty class, whose members lie at most
+    ceil(max(alpha, alpha')) apart, so its largest is the largest over the
+    ceil(max(alpha, alpha')) + 1 integers that end at N.  The lines are
+    checked here, as the scan builds the N multipliers after this call."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if 0 in targets:
         raise VanishingTarget("constant targets must be nonzero")
-    for name, value in (("t1", t1), ("t2", t2), ("delta1", delta1), ("delta2", delta2),
-                        ("a1", targets[0]), ("a2", targets[1])):
+    for name, value in (("t1", t1), ("t2", t2), ("a1", targets[0]), ("a2", targets[1])):
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    _require_positive("epsilon", epsilon)
-    m1, m2 = multipliers(np.arange(1, N + 1))
+    for name, value in (("delta1", delta1), ("delta2", delta2), ("epsilon", epsilon)):
+        _require_positive(name, value)
+    last = np.arange(max(1, N - math.ceil(max(pair.alpha, pair.alpha_prime))), N + 1)
+    tops = [int(m.max()) for m in multipliers(pair, last)]
     pts = np.asarray(grid_pts, dtype=np.complex128).ravel()
-    progressions = ((t1, delta1, m1), (t2, delta2, m2))
-    return [(pt.real, pt.imag + t, d, m) for t, d, m in progressions for pt in pts]
+    lines = [(pt.real, pt.imag + t, d, top)
+             for t, d, top in ((t1, delta1, tops[0]), (t2, delta2, tops[1])) for pt in pts]
+    for line in lines:
+        zeta_core.check_progression(*line)
+    return lines
 
 
-def _pair_hits(lines: list[zeta_core.Line], targets, epsilon: float, N: int) -> np.ndarray:
-    """Whether the values of n <= N on every line lie within epsilon of
-    the target of their progression (the first half of the lines takes
-    targets[0])."""
+def _pair_hits(multipliers, args: tuple) -> np.ndarray:
+    """Whether each n <= N of the pair scan on `args` hits: its values on
+    every line, read at its multipliers, lie within epsilon of the target
+    of their progression (the first half of the lines takes targets[0])."""
+    pair, *_, targets, epsilon, N = args
+    lines = _pair_lines(multipliers, *args)
+    ms = multipliers(pair, np.arange(1, N + 1))
     ok = np.ones(N, dtype=bool)
     for i, line in enumerate(lines):
-        target = complex(targets[2 * i >= len(lines)])
-        ok &= np.abs(zeta_core.zeta_on_line(*line) - target) < epsilon
+        second = 2 * i >= len(lines)
+        ok &= np.abs(zeta_core.zeta_on_line(*line)[ms[second] - 1] - targets[second]) < epsilon
     return ok
 
 
@@ -162,13 +183,10 @@ def joint_beatty_lines(
     pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
 ) -> list[zeta_core.Line]:
     """The lines on which joint_beatty_hits, given the same arguments,
-    evaluates zeta, the multipliers floor(n alpha) and floor(n alpha');
-    refuses what the scan refuses."""
-    def floors(n):
-        n = n.astype(np.float64)
-        return [beatty_terms(a, n).astype(np.int64) for a in (pair.alpha, pair.alpha_prime)]
-
-    return _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N, floors)
+    evaluates zeta, up to floor(N alpha) and floor(N alpha'); refuses what
+    the scan refuses."""
+    return _pair_lines(_beatty_multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets,
+                       epsilon, N)
 
 
 def joint_beatty_hits(
@@ -183,9 +201,10 @@ def joint_beatty_hits(
     N: int,
 ) -> HitDensityReport:
     """Density of n <= N whose Beatty shifts on both lines approximate the
-    constant targets within epsilon over the finite grid."""
+    constant targets within epsilon over the finite grid, read at
+    floor(n alpha) and floor(n alpha') on the lines of joint_beatty_lines."""
     args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
-    ok = _pair_hits(joint_beatty_lines(*args), targets, epsilon, N)
+    ok = _pair_hits(_beatty_multipliers, args)
     return _pair_report(args, ok,
                         caveat="alpha membership in the admissible set is only testable "
                                "by the finite exclusion scan")
@@ -195,11 +214,13 @@ def sis_lines(
     pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
 ) -> list[zeta_core.Line]:
     """The lines on which corollary_sis_density, given the same arguments,
-    evaluates zeta itself, the multipliers n and sigma_alpha(n); refuses
-    what the scan refuses.  The scan adds joint_beatty_hits on the same
-    arguments for its transferred bound."""
-    return _pair_lines(t1, t2, delta1, delta2, grid_pts, targets, epsilon, N,
-                       lambda n: (n, sigma_alpha(pair, n)))
+    evaluates zeta itself, up to N and the largest sigma_alpha(n), n <= N;
+    refuses what the scan refuses.  sigma_alpha rises on each Beatty class,
+    so that largest is the largest sigma_alpha over the
+    ceil(max(alpha, alpha')) + 1 integers that end at N.  The scan adds
+    joint_beatty_hits on the same arguments for its transferred bound."""
+    return _pair_lines(_swap_multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets,
+                       epsilon, N)
 
 
 def corollary_sis_density(
@@ -215,9 +236,10 @@ def corollary_sis_density(
 ) -> HitDensityReport:
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
-    (1/alpha) * (Beatty-line density) for comparison."""
+    (1/alpha) * (Beatty-line density) for comparison.  The lines of
+    sis_lines are read at n and sigma_alpha(n)."""
     args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
-    ok = _pair_hits(sis_lines(*args), targets, epsilon, N)
+    ok = _pair_hits(_swap_multipliers, args)
     beatty_density = joint_beatty_hits(*args).density
     return _pair_report(args, ok, beatty_line_density=beatty_density,
                         transferred_lower_bound=beatty_density / pair.alpha,
@@ -248,8 +270,7 @@ def _flip_line(grid: VerticalGrid, r: float, c: float, N: int) -> tuple[float, z
     _require_positive("c", c)
     grid.require_strip(0.0, 0.5)
     b = zeta_core.chi_lower_bound_check(grid.s.real, c, grid.s.imag + grid.h)  # the first height
-    zeta_core.check_progression(1.0 - grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)
-    return b, (1.0 - grid.s.real, grid.s.imag, grid.h, np.arange(1, N + grid.l))
+    return b, (1.0 - grid.s.real, grid.s.imag, grid.h, N + grid.l - 1)
 
 
 def flip_lines(grid: VerticalGrid, r: float, c: float, N: int) -> list[zeta_core.Line]:

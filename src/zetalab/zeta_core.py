@@ -51,11 +51,11 @@ and its 4e5-point grid takes about 45 ms.  Against mpmath at 30 digits,
 keep K = 16.
 
 The scans of shift_search and the mean square of euler_product evaluate
-zeta on progressions s_m = sigma + i (t0 + delta m), m an integer, through
-zeta_on_line, whose every piece is a NUFFT segment.  The requested heights
-are cut at every |t| = 2^b, b any integer, and at t = 0 into segments of at
-most 2^15 consecutive m, from the first to the last requested m of the
-band; each segment takes the term count N of its largest |t|.  About the
+zeta on progressions s_m = sigma + i (t0 + delta m), m = 1 .. count, delta
+> 0, through zeta_on_line, whose every piece is a NUFFT segment, and read
+it at their multipliers.  The heights are cut at every |t| = 2^b, b any
+integer, and at t = 0 into segments of at most 2^15 consecutive m; each
+segment takes the term count N of its largest |t|.  About the
 segment's centre m_c, t_c = t0 + delta m_c, its partial sums are
 
     sum_{n <= N} n^{-s_m} = sum_n a_n exp(-i k x_n),
@@ -228,11 +228,17 @@ def _em_tail(s, power, n: int, k: int = _EM_K):
     from power = N^{-s}; s is a complex or an array of them.
     T_1 = c_1 s N^{-s-1} with c_k = B_{2k} / (2k)!, and each later term is
     T_{k+1} = T_k (s + 2k - 1)(s + 2k) c_{k+1} / (c_k N^2), so no power
-    beyond N^{-s} is taken."""
+    beyond N^{-s} is taken.  The right factors of power and term are named,
+    so that numpy cannot reuse them as temporaries: it would then swap the
+    operands of a complex product, which moves its last bit, only in calls
+    above 256 KiB."""
     term = power * s * (_BERNOULLI[0] / (2 * n))
-    tail = power * (n / (s - 1) - 0.5) + term
+    tail = n / (s - 1) - 0.5
+    tail = power * tail + term
     for a, b, num, den in _EM_STEPS[: k - 1]:
-        term = term * ((s + a) * (s + b)) * (num / (den * n * n))
+        ratio = s + a
+        ratio *= s + b
+        term = term * ratio * (num / (den * n * n))
         tail = tail + term
     return tail
 
@@ -289,10 +295,14 @@ def check_points(sigma, t) -> None:
 
 
 def check_progression(sigma: float, t0: float, delta: float, count: int) -> None:
-    """check_points on sigma + i (t0 + delta m), m = 1 .. count, delta > 0,
-    without building the heights.  t rises with m, so if m = 1 is good the
-    first bad m is the first with t > T_MAX or the first with t >= 0 or
-    near the pole, whichever comes first and is bad."""
+    """ValueError unless delta is finite and positive; then check_points on
+    sigma + i (t0 + delta m), m = 1 .. count, without building the heights.
+    t rises with m, so if m = 1 is good the first bad m is the first with
+    t > T_MAX or the first with t >= 0 or near the pole, whichever comes
+    first and is bad."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+
     def t(m):
         return t0 + delta * m  # as numpy forms it from an int64 m
 
@@ -444,58 +454,44 @@ def _nufft_segment(sigma: float, t0: float, delta: float, lo: int, count: int, n
     return partial + _em_tail(s, np.exp(-s * logs[-1]), n_terms)
 
 
-Line = tuple[float, float, float, np.ndarray]  # (sigma, t0, delta, m): a zeta_on_line call
+Line = tuple[float, float, float, int]  # (sigma, t0, delta, count): a zeta_on_line call
 
 
-def _progression_plan(sigma: float, t0: float, delta: float, m: np.ndarray):
-    """How zeta_on_line evaluates zeta(sigma + i (t0 + delta m)).
-
-    Returns (u, inverse, pieces): u holds the distinct m in ascending
-    order, m = u[inverse], and each piece (i, j, n_terms) is one NUFFT
-    segment over the consecutive m from u[i] to u[j - 1] with n_terms
-    Euler-Maclaurin terms, the count of its largest |t|.  The heights are
-    cut at every |t| = 2^b and at t = 0, and each band into runs of at most
-    _SEGMENT_POINTS consecutive m.  Raises PoleAt1 or OutOfDomain for the
-    first point of m near s = 1 or outside the certified strip."""
-    m = np.asarray(m, dtype=np.int64)
-    check_points(sigma, t0 + delta * m)
-    u, inverse = np.unique(m, return_inverse=True)
-    t = t0 + delta * u
+def _progression_plan(sigma: float, t0: float, delta: float, count: int):
+    """How zeta_on_line evaluates zeta(sigma + i (t0 + delta m)), m = 1 ..
+    count: the pieces (lo, n, n_terms), each one NUFFT segment over m = lo
+    .. lo + n - 1 with n_terms Euler-Maclaurin terms, the count of its
+    largest |t|.  The heights are cut at every |t| = 2^b and at t = 0, and
+    each band into runs of at most _SEGMENT_POINTS consecutive m.  Refuses
+    what check_progression refuses, before any array is built."""
+    check_progression(sigma, t0, delta, count)
+    t = t0 + delta * np.arange(1, count + 1)
     top = np.abs(t)
-    cuts = np.flatnonzero((np.diff(np.frexp(top)[1]) != 0) | (np.diff(np.sign(t)) != 0)) + 1
+    cuts = (np.flatnonzero((np.diff(np.frexp(top)[1]) != 0) | (np.diff(np.sign(t)) != 0)) + 1).tolist()
     pieces = []
-    for i, end in zip([0, *cuts], [*cuts, u.size]):
-        while i < end:
-            j = i + int(np.searchsorted(u[i:end], u[i] + _SEGMENT_POINTS))
-            pieces.append((int(i), int(j), _em_term_count(sigma, float(top[i:j].max()))))
-            i = j
-    return u, inverse, pieces
+    for start, end in zip([0, *cuts], [*cuts, count]):
+        for i in range(start, end, _SEGMENT_POINTS):
+            j = min(i + _SEGMENT_POINTS, end)
+            pieces.append((i + 1, j - i, _em_term_count(sigma, float(top[i:j].max()))))
+    return pieces
 
 
-def progression_cost(sigma: float, t0: float, delta: float, m: np.ndarray) -> tuple[int, int]:
+def progression_cost(sigma: float, t0: float, delta: float, count: int) -> tuple[int, int]:
     """(zeta values computed, terms summed) by zeta_on_line on the same
-    arguments: a NUFFT segment computes every height of its run of m and
-    spreads one source per term.  Refuses what zeta_on_line refuses."""
-    u, _, pieces = _progression_plan(sigma, t0, delta, m)
-    return (sum(int(u[j - 1] - u[i]) + 1 for i, j, _ in pieces),
-            sum(n_terms for _, _, n_terms in pieces))
+    arguments: count values, and one source spread per term of each NUFFT
+    segment.  Refuses what zeta_on_line refuses."""
+    return count, sum(n_terms for _, _, n_terms in _progression_plan(sigma, t0, delta, count))
 
 
-def zeta_on_line(sigma: float, t0: float, delta: float, m: np.ndarray) -> np.ndarray:
-    """zeta(sigma + i (t0 + delta m)) for a 1-D integer array m, in any
-    order: the line kernel of every scan and of the mean square.
+def zeta_on_line(sigma: float, t0: float, delta: float, count: int) -> np.ndarray:
+    """zeta(sigma + i (t0 + delta m)) for m = 1 .. count: the line kernel of
+    every scan and of the mean square, which read it at their multipliers.
 
     The NUFFT segments of _progression_plan are evaluated in order on the
-    calling thread and merged; a segment computes every height between its
-    first and last requested m, each once.  Raises PoleAt1 or OutOfDomain
-    for the first requested point near s = 1 or outside the certified
-    strip."""
-    u, inverse, pieces = _progression_plan(sigma, t0, delta, m)
-    values = [
-        _nufft_segment(sigma, t0, delta, int(u[i]), int(u[j - 1] - u[i]) + 1, n_terms)[u[i:j] - u[i]]
-        for i, j, n_terms in pieces
-    ]
-    out = np.concatenate(values)[inverse] if values else np.empty(0, dtype=np.complex128)
+    calling thread and joined.  Refuses what check_progression refuses."""
+    values = [_nufft_segment(sigma, t0, delta, *piece)
+              for piece in _progression_plan(sigma, t0, delta, count)]
+    out = np.concatenate([np.empty(0, dtype=np.complex128), *values])
     if not np.all(np.isfinite(out)):
         raise OutOfDomain("zeta_on_line produced non-finite values")
     return out

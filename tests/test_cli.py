@@ -214,6 +214,11 @@ BAD_PARAMETER = [
         ("0.45", "100", ["--c", "10"], "|chi| >= 10.0 not certified at sigma 0.45, t 101.0: b = 1.14"),
         ("0.3", "inf", [], "t must be finite and positive, got inf"),
     )],
+    # a pair scan's steps, as the other line commands' steps
+    *[([cmd, "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+        "--eps", "0.5", "--N", "10", flag, value], f"{flag[2:]} must be finite and positive")
+      for cmd, flag, value in (("joint-hits", "--delta1", "-1"), ("joint-hits", "--delta2", "0"),
+                               ("sis", "--delta1", "0"), ("sis", "--delta2", "-1"))],
 ]
 
 
@@ -236,6 +241,13 @@ class TestExitCodes:
     def test_pole_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "zeta", "--re", "1")
         assert code == 2
+
+    def test_internal_key_error_is_1(self, capsys, monkeypatch):
+        def broken(opt):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli._COMMANDS, "zeta", broken)
+        assert run_cli(capsys, "zeta", "--re", "2") == (1, "", "internal error: 'missing'\n")
 
     @pytest.mark.parametrize("argv, name", ZERO_SIZE)
     def test_zero_size_run_is_2(self, capsys, argv, name):
@@ -439,7 +451,7 @@ class TestCommands:
         path = tmp_path / "hits.csv"
         assert run_cli(capsys, *argv, "--output", str(path), "--format", "csv")[0] == 0
         assert run_cli(capsys, *argv, "--dry-run")[0] == 0
-        dev = np.abs(zc.zeta_on_line(0.75, -29995.0, 1.0, np.arange(1, 11)) - 1.0).tolist()
+        dev = np.abs(zc.zeta_on_line(0.75, -29995.0, 1.0, 10) - 1.0).tolist()
         lines = [f"{n},{d:.17g}\n" for n, d in enumerate(dev, 1) if d < 0.6]
         assert lines
         assert path.read_text() == "".join(["n,max_dev\n", *lines])
@@ -458,9 +470,9 @@ class TestCommands:
         seen = []
         line = zc.zeta_on_line
 
-        def spy(sigma, t0, delta, m):  # takes no thread count
-            seen.append(m.size)
-            return line(sigma, t0, delta, m)
+        def spy(sigma, t0, delta, count):  # takes no thread count
+            seen.append(count)
+            return line(sigma, t0, delta, count)
 
         monkeypatch.setattr(zc, "zeta_on_line", spy)
         assert run_cli(capsys, *argv, "--threads", "2")[0] == 0
@@ -626,6 +638,8 @@ class TestDryRunAndReports:
         (["flip", "--sigma", "0.3", "--t-start", "29990", "--h", "1", "--l", "1", "--r", "1"],
          "(0.7+30001j)"),
         (["meansquare", "--sigma", "0.75", "--m", "5", "--shift-step", "1"], "(0.75+30001j)"),
+        *[([cmd, "--alpha", "golden", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1",
+            "--eps", "0.7"], "(0.75+30001j)") for cmd in ("joint-hits", "sis")],
     ])
     @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
     def test_line_leaving_the_strip_is_refused_before_it_is_built(self, capsys, argv, point, dry):

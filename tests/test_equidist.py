@@ -270,8 +270,8 @@ def test_a_wrong_floor_raises_instead_of_summing(monkeypatch, which, error):
 
     monkeypatch.setattr(eq, "_accumulate_phases", no_sum)
     for bad_m, in_table in ((100, True), (2 * eq._TILE + 1, False), (4 * eq._TILE + 50, False)):
-        def wrong_terms(alpha, m, out=None, scratch=None):
-            out = beatty_terms(alpha, m, out=out, scratch=scratch)
+        def wrong_terms(alpha, m):
+            out = beatty_terms(alpha, m)
             if alpha == bad_alpha and (m.size > 0 and m[0] == 0.0) == in_table:
                 out[m == bad_m] += error
             return out
@@ -307,7 +307,7 @@ def test_unit_terms_take_the_exact_fraction_of_the_phase():
     n = np.arange(1_400_000, 1_400_256, dtype=np.float64)
     phase = (0.3 + beatty_terms(pair.alpha, n)) * fv.u1 + (0.6 + beatty_terms(pair.alpha_prime, n)) * fv.u2
     assert np.abs(phase).max() > 2e6
-    terms = eq._unit_terms(phase.copy(), np.empty(n.size, dtype=np.complex128))
+    terms = eq._unit_terms(phase.copy())
     with mpmath.workdps(30):
         for p, z in zip(phase, terms):
             frac = mpmath.mpf(float(p)) - mpmath.floor(float(p))  # of the float phase, exactly

@@ -7,7 +7,7 @@ import pytest
 from zetalab import shift_search as ss
 from zetalab.cli import run
 from zetalab import zeta_core as zc
-from zetalab.beatty import GOLDEN, SQRT2, BeattyPair
+from zetalab.beatty import GOLDEN, SQRT2, SQRT3, BeattyPair, beatty_terms, sigma_alpha
 from zetalab.errors import ChiBoundUnavailable, OutOfDomain, VanishingTarget
 
 from oracles import chi_abs_mpmath, zeta_mpmath
@@ -47,7 +47,7 @@ class TestScanDiskHits:
         grid = ss.VerticalGrid(s=0.75 + 10.3j, h=0.7, l=l)
         disk = ss.TargetDisk(a=1.0 + 0.1j, epsilon=0.6)
         N = 1500
-        values = zc.zeta_on_line(0.75, 10.3, 0.7, np.arange(1, N + l))
+        values = zc.zeta_on_line(0.75, 10.3, 0.7, N + l - 1)
         dev = np.abs(values - disk.a)
         reference = [
             (n, max(float(dev[n - 1 + k]) for k in range(l)))
@@ -136,6 +136,54 @@ class TestJointBeattyHits:
             ss.joint_beatty_hits(
                 pair, 10.0, 10.0, 1.0, 1.0, np.array([0.75]), (0.0, 1.0), 0.5, 10
             )
+
+
+def _pair_args(pair, N, delta=1.0):
+    return (pair, 10.5, 10.5, delta, delta, np.array([0.75 + 0j]), (1.0, 1.0), 0.5, N)
+
+
+class TestPairLines:
+    def test_lines_read_at_beatty_and_swap_multipliers(self):
+        # the second line of each scan, read at floor(k alpha') and at
+        # sigma_alpha(k): ends, extremes and random picks against mpmath
+        pair = BeattyPair.from_alpha(GOLDEN)
+        k = np.arange(1, 4001)
+        rng = np.random.default_rng(17)
+        for build, multipliers in ((ss.joint_beatty_lines, ss._beatty_multipliers),
+                                   (ss.sis_lines, ss._swap_multipliers)):
+            line = build(*_pair_args(pair, k.size))[1]
+            m = multipliers(pair, k)[1]
+            assert line == (0.75, 10.5, 1.0, m.max())
+            values = zc.zeta_on_line(*line)[m - 1]
+            pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1, rng.integers(0, m.size, 8)])
+            for i in pick:
+                exact = zeta_mpmath(complex(0.75, 10.5 + m[i]))
+                assert abs(values[i] - exact) / max(1.0, abs(exact)) < 5e-11, m[i]
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, SQRT3, math.pi / 2])
+    def test_lines_end_at_the_largest_multipliers(self, alpha):
+        # sis: N and max sigma_alpha(n) over n <= N; joint-hits: floor(N alpha)
+        # and floor(N alpha'), at every N <= 300 and at N = 10^5
+        pair = BeattyPair.from_alpha(alpha)
+        n = np.arange(1, 301)
+        swap_top = np.maximum.accumulate(sigma_alpha(pair, n))
+        floors = [beatty_terms(a, n.astype(np.float64)) for a in (pair.alpha, pair.alpha_prime)]
+        for N in n.tolist():
+            assert [line[3] for line in ss.sis_lines(*_pair_args(pair, N))] == [N, swap_top[N - 1]]
+            assert ([line[3] for line in ss.joint_beatty_lines(*_pair_args(pair, N))]
+                    == [floors[0][N - 1], floors[1][N - 1]])
+        N = 10 ** 5
+        line = ss.sis_lines(*_pair_args(pair, N, delta=0.1))[1]
+        assert line[3] == sigma_alpha(pair, np.arange(1, N + 1)).max()
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_positive(self, delta):
+        args = _pair_args(BeattyPair.from_alpha(GOLDEN), 10)
+        for scan in (ss.joint_beatty_lines, ss.joint_beatty_hits,
+                     ss.sis_lines, ss.corollary_sis_density):
+            for i, name in ((3, "delta1"), (4, "delta2")):
+                with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {delta}"):
+                    scan(*args[:i], delta, *args[i + 1:])
 
 
 class TestSisDensity:

@@ -16,7 +16,7 @@ import pytest
 from zetalab import euler_product as ep
 from zetalab import shift_search as ss
 from zetalab import zeta_core as zc
-from zetalab.beatty import GOLDEN, BeattyPair, beatty_terms, sigma_alpha
+from zetalab.beatty import GOLDEN, BeattyPair, sigma_alpha
 from zetalab.errors import OutOfDomain, PoleAt1
 
 mpmath.mp.dps = 30
@@ -270,10 +270,10 @@ def _criterion_10_and_11():
     return dict(zip(hits.tolist(), max_dev.tolist())), flip
 
 
-def _direct_progression(sigma, t0, delta, m):
+def _direct_progression(sigma, t0, delta, count):
     """zeta on the progression by zeta_grid on its 1-D array of points,
     which sums exp per term at each point."""
-    return zc.zeta_grid(sigma + 1j * (t0 + delta * np.asarray(m)))
+    return zc.zeta_grid(sigma + 1j * (t0 + delta * np.arange(1, count + 1)))
 
 
 def test_scans_match_direct_summation(monkeypatch):
@@ -297,10 +297,9 @@ def _assert_contract(sigma, heights, values):
 _EDGES = [2.0**b for b in range(-1, 15)]
 
 
-def _plan(sigma, t0, delta, m):
+def _plan(sigma, t0, delta, count):
     """(first m, last m) for each NUFFT segment of the progression plan."""
-    u, _, pieces = zc._progression_plan(sigma, t0, delta, np.asarray(m))
-    return [(int(u[i]), int(u[j - 1])) for i, j, _ in pieces]
+    return [(lo, lo + n - 1) for lo, n, _ in zc._progression_plan(sigma, t0, delta, count)]
 
 
 @pytest.mark.parametrize("sigma", [-0.9, 0.3, 0.5, 0.75, 1.0])
@@ -311,48 +310,42 @@ def test_progression_segment_edges_against_mpmath(sigma):
     delta = 0.25
     m = np.arange(1, round(_EDGES[-1] / delta) + 300)
     check = np.array([round(edge / delta) + k for edge in _EDGES for k in (-1, 0)] + [m[-1]])
-    values = zc.zeta_on_line(sigma, 0.0, delta, m)
-    _assert_contract(sigma, delta * check, values[check - m[0]])
+    values = zc.zeta_on_line(sigma, 0.0, delta, m.size)
+    _assert_contract(sigma, delta * check, values[check - 1])
 
 
 @pytest.mark.parametrize("sigma", [-0.99, -0.5, 0.3, 1.0])
 def test_progression_through_zero_against_mpmath(sigma):
     # heights -3.01, -2.99, .. 2.99: every band from [2, 4) down to
     # [2^-7, 2^-6) on both sides of t = 0, each checked at every height
-    heights = -3.01 + 0.02 * np.arange(301)
-    _assert_contract(sigma, heights, zc.zeta_on_line(sigma, -3.01, 0.02, np.arange(301)))
+    heights = -3.03 + 0.02 * np.arange(1, 302)
+    _assert_contract(sigma, heights, zc.zeta_on_line(sigma, -3.03, 0.02, 301))
 
 
 def test_progression_plan_cuts_at_doubling_heights():
-    # heights 500 .. 2249.5: one NUFFT segment per band [256, 512),
-    # [512, 1024), [1024, 2048), [2048, 2249.5]
-    m = np.arange(1000, 4500)
-    assert _plan(0.75, 0.0, 0.5, m) == [(1000, 1023), (1024, 2047), (2048, 4095), (4096, 4499)]
-    terms = [n for _, _, n in zc._progression_plan(0.75, 0.0, 0.5, m)[2]]
+    # heights 499.5 + 0.5 m = 500 .. 2249.5: one NUFFT segment per band
+    # [256, 512), [512, 1024), [1024, 2048), [2048, 2249.5]
+    assert _plan(0.75, 499.5, 0.5, 3500) == [(1, 24), (25, 1048), (1049, 3096), (3097, 3500)]
+    terms = [n for _, _, n in zc._progression_plan(0.75, 499.5, 0.5, 3500)]
     assert terms == [zc._em_term_count(0.75, 0.5 * top) for top in (1023, 2047, 4095, 4499)]
     # the bands go on doubling down to t -> 0
-    assert _plan(0.75, 0.0, 0.25, np.arange(1, 40)) == [
-        (1, 1), (2, 3), (4, 7), (8, 15), (16, 31), (32, 39)
-    ]
+    assert _plan(0.75, 0.0, 0.25, 39) == [(1, 1), (2, 3), (4, 7), (8, 15), (16, 31), (32, 39)]
     # a band longer than _SEGMENT_POINTS heights is cut into runs
-    assert _plan(0.75, 16_384.0, 0.25, np.arange(40_000)) == [(0, 32_767), (32_768, 39_999)]
+    assert _plan(0.75, 16_383.75, 0.25, 40_000) == [(1, 32_768), (32_769, 40_000)]
 
 
 def test_progression_short_segments_stay_on_the_nufft():
-    # a band's segment with few requested heights is still one NUFFT
-    # segment, which computes the whole span of m it covers
+    # a band that the line enters for few heights is still one NUFFT
+    # segment: heights 1499.5 + 0.5 m, the last k of them from t = 2048
     for k in (199, 200):
-        assert _plan(0.75, 0.0, 0.5, np.arange(3000, 4096 + k))[1:] == [(4096, 4095 + k)]
-        m = 100 * np.arange(k)
-        assert _plan(0.6, 20_000.0, 0.01, m) == [(0, 100 * (k - 1))]
-        assert zc.progression_cost(0.6, 20_000.0, 0.01, m) == (
-            100 * (k - 1) + 1, zc._em_term_count(0.6, 20_000.0 + 0.01 * m[-1]))
-        values = zc.zeta_on_line(0.6, 20_000.0, 0.01, m)
-        pick = [0, k // 2, k - 1]
-        _assert_contract(0.6, 20_000.0 + 0.01 * m[pick], values[pick])
+        count = 1096 + k
+        assert _plan(0.75, 1499.5, 0.5, count)[1:] == [(1097, count)]
+        heights = 1499.5 + 0.5 * np.arange(1, count + 1)
+        pick = [1095, 1096, 1096 + k // 2, count - 1]
+        _assert_contract(0.75, heights[pick], zc.zeta_on_line(0.75, 1499.5, 0.5, count)[pick])
     # one height at t = 2.9e4 is a segment of one height
-    assert _plan(0.6, 29_000.0, 1.0, [0]) == [(0, 0)]
-    assert zc.progression_cost(0.6, 29_000.0, 1.0, np.array([0])) == (1, zc._em_term_count(0.6, 29_000.0))
+    assert _plan(0.6, 28_999.0, 1.0, 1) == [(1, 1)]
+    assert zc.progression_cost(0.6, 28_999.0, 1.0, 1) == (1, zc._em_term_count(0.6, 29_000.0))
 
 
 def test_progression_short_bands_are_separate_segments():
@@ -360,72 +353,63 @@ def test_progression_short_bands_are_separate_segments():
     # term count of its own largest |t|
     m = np.arange(1, 501)
     tops = (1, 2, 5, 10, 21, 42, 85, 170, 341, 500)
-    assert _plan(0.9, 0.0, 3.0, m) == list(zip((1,) + tuple(k + 1 for k in tops[:-1]), tops))
+    assert _plan(0.9, 0.0, 3.0, 500) == list(zip((1,) + tuple(k + 1 for k in tops[:-1]), tops))
     cost = (500, sum(zc._em_term_count(0.9, 3.0 * k) for k in tops))
-    assert zc.progression_cost(0.9, 0.0, 3.0, m) == cost
+    assert zc.progression_cost(0.9, 0.0, 3.0, 500) == cost
     pick = np.array([0, 169, 170, 340, 341, 499])
-    _assert_contract(0.9, 3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, m)[pick])
-    # below t = 0 the bands mirror those above
-    assert zc.progression_cost(0.9, 0.0, 3.0, -m) == cost
-    _assert_contract(0.9, -3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, -m)[pick])
-    # 400 heights below 512 and 150 in [600, 900): the band [512, 1024)
-    # computes the 299 heights from 600.5 to 898.5
-    sparse = 600 + 2 * np.arange(150)
-    assert _plan(0.75, 0.5, 1.0, np.r_[np.arange(400), sparse])[-2:] == [(256, 399), (600, 898)]
-    # never across t = 0: heights -1200, -600, 600, 1200 make four segments
-    assert _plan(0.75, 0.0, 600.0, [-2, -1, 1, 2]) == [(-2, -2), (-1, -1), (1, 1), (2, 2)]
-
-
-def test_progression_gathers_beatty_and_swap_subsets():
-    pair = BeattyPair.from_alpha(GOLDEN)
-    k = np.arange(1, 4001)
-    rng = np.random.default_rng(17)
-    for m in (beatty_terms(GOLDEN, k.astype(np.float64)).astype(np.int64), sigma_alpha(pair, k)):
-        values = zc.zeta_on_line(0.75, 10.5, 1.0, m)
-        pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1, rng.integers(0, m.size, 8)])
-        _assert_contract(0.75, 10.5 + m[pick], values[pick])
+    _assert_contract(0.9, 3.0 * m[pick], zc.zeta_on_line(0.9, 0.0, 3.0, 500)[pick])
+    # below t = 0 the bands mirror those above: heights -1500 .. -3
+    assert zc.progression_cost(0.9, -1503.0, 3.0, 500) == cost
+    below = -1503.0 + 3.0 * m
+    _assert_contract(0.9, below[pick], zc.zeta_on_line(0.9, -1503.0, 3.0, 500)[pick])
+    # never across t = 0: heights -1200, -600, 0, 600, 1200 make five segments
+    assert _plan(0.75, -1800.0, 600.0, 5) == [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]
 
 
 def test_progression_independent_of_threads():
-    # one thread: a rerun gives the same bytes.  Heights 400.35 + 0.7 m:
+    # one thread: a rerun gives the same bytes.  Heights 397.55 + 0.7 m:
     # the bands [256, 512) to [2048, 4096)
-    m = np.arange(-3, 4000)
-    first = zc.zeta_on_line(0.75, 400.35, 0.7, m)
-    assert first.shape == m.shape
-    assert zc.zeta_on_line(0.75, 400.35, 0.7, m).tobytes() == first.tobytes()
-    assert zc.zeta_on_line(0.75, 400.35, 0.7, np.empty(0, dtype=np.int64)).size == 0
+    first = zc.zeta_on_line(0.75, 397.55, 0.7, 4003)
+    assert first.shape == (4003,)
+    assert zc.zeta_on_line(0.75, 397.55, 0.7, 4003).tobytes() == first.tobytes()
+    assert zc.zeta_on_line(0.75, 397.55, 0.7, 0).size == 0
 
 
 def test_progression_cold_log_cache_matches_warm(monkeypatch):
     # the pieces grow the log cache from 32 entries to their term counts
-    m = np.arange(1, 12_000)
     monkeypatch.setattr(zc, "_LOG_CACHE", np.log(np.arange(1.0, 33.0)))
-    cold = zc.zeta_on_line(0.75, 0.5, 1.0, m)
+    cold = zc.zeta_on_line(0.75, 0.5, 1.0, 11_999)
     assert zc._LOG_CACHE.size > 32
-    assert zc.zeta_on_line(0.75, 0.5, 1.0, m).tobytes() == cold.tobytes()
+    assert zc.zeta_on_line(0.75, 0.5, 1.0, 11_999).tobytes() == cold.tobytes()
 
 
 def test_progression_checks_points_and_crosses_zero():
-    with pytest.raises(OutOfDomain, match=r"\(0\.5\+30010j\)"):
-        zc.zeta_on_line(0.5, 29_990.0, 1.0, np.array([1, 5, 20, 30, 40]))
+    with pytest.raises(OutOfDomain, match=r"\(0\.5\+30001j\)"):
+        zc.zeta_on_line(0.5, 29_990.0, 1.0, 40)
     with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
-        zc.zeta_on_line(1.0, -2.0, 1.0, np.array([0, 2, 5]))
+        zc.zeta_on_line(1.0, -2.0, 1.0, 5)
     # the check works on real parts, so no inf * 1j turns into NaN on the way
     with pytest.raises(OutOfDomain, match=r"\(0\.75\+infj\)"):
-        zc.zeta_on_line(0.75, math.inf, 1.0, np.arange(1, 5))
-    # t = 0 is never evaluated unless requested: at Re s = 1 it is the pole
-    m = np.array([0, 2])
-    assert _plan(1.0, -1.0, 1.0, m) == [(0, 0), (2, 2)]
-    _assert_contract(1.0, -1.0 + m, zc.zeta_on_line(1.0, -1.0, 1.0, m))
+        zc.zeta_on_line(0.75, math.inf, 1.0, 4)
+    # every m of the line is evaluated, so at Re s = 1 a line through t = 0
+    # meets the pole, whatever its caller reads
+    with pytest.raises(PoleAt1, match=r"\(1\+0j\)"):
+        zc.zeta_on_line(1.0, -1.0, 1.0, 2)
     # a line through t = 0 is cut there, and t = 0 is a segment of its own,
-    # between ten doubling bands on each side
-    m = np.arange(2001)
-    plan = _plan(0.5, -1_000.0, 1.0, m)
-    assert len(plan) == 21 and plan[0] == (0, 488) and plan[10] == (1000, 1000)
-    assert plan == [(2000 - last, 2000 - first) for first, last in reversed(plan)]
+    # between ten doubling bands on each side: heights -1000 .. 1000
+    plan = _plan(0.5, -1_001.0, 1.0, 2001)
+    assert len(plan) == 21 and plan[0] == (1, 489) and plan[10] == (1001, 1001)
+    assert plan == [(2002 - last, 2002 - first) for first, last in reversed(plan)]
     check = np.array([0, 1, 488, 489, 1000, 1511, 1512, 1999, 2000])
-    values = zc.zeta_on_line(0.5, -1_000.0, 1.0, m)
+    values = zc.zeta_on_line(0.5, -1_001.0, 1.0, 2001)
     _assert_contract(0.5, -1_000.0 + check, values[check])
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_progression_refuses_a_step_that_is_not_positive(delta):
+    for call in (zc.check_progression, zc.zeta_on_line, zc.progression_cost):
+        with pytest.raises(ValueError, match=f"delta must be finite and positive, got {delta}"):
+            call(0.75, 10.0, delta, 5)
 
 
 @pytest.mark.parametrize("sigma, t0, delta, count", [
@@ -454,11 +438,10 @@ def test_check_progression_names_what_check_points_names(sigma, t0, delta, count
 
 
 def test_progression_working_memory_bounded():
-    m = np.arange(1, 2002)
-    zc.zeta_on_line(0.6, 28_000.5, 0.5, m[-2:])  # grow the log cache
+    zc.zeta_on_line(0.6, 28_000.5 + 0.5 * 1999, 0.5, 2)  # grow the log cache
     tracemalloc.start()
     try:
-        zc.zeta_on_line(0.6, 28_000.5, 0.5, m)
+        zc.zeta_on_line(0.6, 28_000.5, 0.5, 2001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
