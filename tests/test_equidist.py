@@ -307,7 +307,7 @@ def test_unit_terms_take_the_exact_fraction_of_the_phase():
     n = np.arange(1_400_000, 1_400_256, dtype=np.float64)
     phase = (0.3 + beatty_terms(pair.alpha, n)) * fv.u1 + (0.6 + beatty_terms(pair.alpha_prime, n)) * fv.u2
     assert np.abs(phase).max() > 2e6
-    terms = eq._unit_terms(phase.copy())
+    terms = eq._unit_terms(phase.copy(), np.empty(n.size, dtype=np.complex128))
     with mpmath.workdps(30):
         for p, z in zip(phase, terms):
             frac = mpmath.mpf(float(p)) - mpmath.floor(float(p))  # of the float phase, exactly
