@@ -218,10 +218,10 @@ def build_parser() -> _Parser:
     return _build(_HELP)
 
 
-def _line_estimate(args: tuple, *line_builders) -> dict:
-    """The zeta values and terms of the lines the run's scans evaluate zeta
-    on, taken in the run's order, so that the first refusal is the run's."""
-    costs = [zeta_core.progression_cost(*line) for lines in line_builders for line in lines(*args)]
+def _line_estimate(args: tuple, line_builder) -> dict:
+    """The zeta values and terms of the lines the run evaluates zeta on,
+    which line_builder(*args) builds with the run's refusals."""
+    costs = [zeta_core.progression_cost(*line) for line in line_builder(*args)]
     return {"estimated_evaluations": sum(c[0] for c in costs),
             "estimated_terms": sum(c[1] for c in costs)}
 
@@ -367,8 +367,8 @@ def _hits(opt):
     return asdict(rep), ["n,max_dev\n", *rows]
 
 
-def _pair_scan(scan: str, *line_builders: str):
-    """joint-hits and sis: a shift_search scan and the builders of the lines
+def _pair_scan(scan: str, line_builder: str):
+    """joint-hits and sis: a shift_search scan and the builder of the lines
     it evaluates zeta on, looked up by name at each call, so that a wrapper
     set on the module attribute sees the call."""
     def command(opt):
@@ -377,7 +377,7 @@ def _pair_scan(scan: str, *line_builders: str):
                 np.array([complex(opt.s_re, opt.s_im)]),
                 (complex(opt.a1_re, opt.a1_im), complex(opt.a2_re, opt.a2_im)), opt.eps, opt.N)
         if opt.dry_run:
-            return _line_estimate(args, *(getattr(shift_search, b) for b in line_builders))
+            return _line_estimate(args, getattr(shift_search, line_builder))
         return asdict(getattr(shift_search, scan)(*args)), None
     return command
 
@@ -422,7 +422,7 @@ _COMMANDS = {
     "beatty": _beatty, "weyl": _weyl, "joint-weyl": _joint_weyl, "meansquare": _meansquare,
     "limit-theorem": _limit_theorem, "hits": _hits, "flip": _flip, "bergman": _bergman,
     "joint-hits": _pair_scan("joint_beatty_hits", "joint_beatty_lines"),
-    "sis": _pair_scan("corollary_sis_density", "sis_lines", "joint_beatty_lines"),
+    "sis": _pair_scan("corollary_sis_density", "sis_lines"),
 }
 
 

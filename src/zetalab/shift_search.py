@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zeta_core
-from .beatty import BeattyPair, beatty_terms, sigma_alpha
+from .beatty import _CHUNK, BeattyPair, beatty_terms, check_floors, sigma_alpha
 from .errors import VanishingTarget
 
 
@@ -123,15 +123,19 @@ def _swap_multipliers(pair: BeattyPair, n: np.ndarray) -> list[np.ndarray]:
     return [n, sigma_alpha(pair, n)]
 
 
-def _pair_lines(multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon,
-                N) -> list[zeta_core.Line]:
-    """Refuse a pair scan's parameters, then return its lines: every grid
+def _pair_lines(args: tuple, *multipliers) -> list[zeta_core.Line]:
+    """Refuse the pair scan on `args`, then return its lines: every grid
     point on t1 + delta1 m, then on t2 + delta2 m, m = 1 .. the largest
-    multiplier that multipliers(pair, n) gives its progression for n <= N.
-    Each multiplier rises on each Beatty class, whose members lie at most
-    ceil(max(alpha, alpha')) apart, so its largest is the largest over the
-    ceil(max(alpha, alpha')) + 1 integers that end at N.  The lines are
-    checked here, as the scan builds the N multipliers after this call."""
+    multiplier that any map f in multipliers, f(pair, n), gives the
+    progression for n <= N.  Each multiplier rises on each Beatty class,
+    whose members lie at most ceil(max(alpha, alpha')) apart, so its
+    largest is the largest over the ceil(max(alpha, alpha')) + 1 integers
+    that end at N.  A literal pair's floors of alpha, then of alpha', and
+    then its swap if a map reads it, are first checked over n = 1 .. N in
+    ascending order, so that a refusal names the first n that cannot be
+    read, as beatty does.  The lines are checked here, as the scan builds
+    the N multipliers after this call."""
+    pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N = args
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if 0 in targets:
@@ -141,8 +145,14 @@ def _pair_lines(multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets, ep
             raise ValueError(f"{name} must be finite, got {value}")
     for name, value in (("delta1", delta1), ("delta2", delta2), ("epsilon", epsilon)):
         _require_positive(name, value)
+    for a in (pair.alpha, pair.alpha_prime):
+        check_floors(a, N)
+    if pair.surds is None and _swap_multipliers in multipliers:
+        for start in range(0, N, _CHUNK):
+            sigma_alpha(pair, np.arange(start + 1, min(start + _CHUNK, N) + 1))
     last = np.arange(max(1, N - math.ceil(max(pair.alpha, pair.alpha_prime))), N + 1)
-    tops = [int(m.max()) for m in multipliers(pair, last)]
+    reads = [f(pair, last) for f in multipliers]
+    tops = [max(int(ms[j].max()) for ms in reads) for j in (0, 1)]
     pts = np.asarray(grid_pts, dtype=np.complex128).ravel()
     lines = [(pt.real, pt.imag + t, d, top)
              for t, d, top in ((t1, delta1, tops[0]), (t2, delta2, tops[1])) for pt in pts]
@@ -151,18 +161,23 @@ def _pair_lines(multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets, ep
     return lines
 
 
-def _pair_hits(multipliers, args: tuple) -> np.ndarray:
-    """Whether each n <= N of the pair scan on `args` hits: its values on
-    every line, read at its multipliers, lie within epsilon of the target
-    of their progression (the first half of the lines takes targets[0])."""
+def _pair_hits(args: tuple, *multipliers) -> list[np.ndarray]:
+    """For each map of multipliers, whether each n <= N of the pair scan on
+    `args` hits: the values of every line, read at the map's multipliers,
+    lie within epsilon of the target of their progression (the first half
+    of the lines takes targets[0]).  Each line is evaluated once and read
+    by every map."""
     pair, *_, targets, epsilon, N = args
-    lines = _pair_lines(multipliers, *args)
-    ms = multipliers(pair, np.arange(1, N + 1))
-    ok = np.ones(N, dtype=bool)
+    lines = _pair_lines(args, *multipliers)
+    n = np.arange(1, N + 1)
+    reads = [f(pair, n) for f in multipliers]
+    hits = [np.ones(N, dtype=bool) for _ in multipliers]
     for i, line in enumerate(lines):
         second = 2 * i >= len(lines)
-        ok &= np.abs(zeta_core.zeta_on_line(*line)[ms[second] - 1] - targets[second]) < epsilon
-    return ok
+        values = zeta_core.zeta_on_line(*line)
+        for ok, ms in zip(hits, reads):
+            ok &= np.abs(values[ms[second] - 1] - targets[second]) < epsilon
+    return hits
 
 
 def _pair_report(args: tuple, ok: np.ndarray, **extra) -> HitDensityReport:
@@ -185,8 +200,8 @@ def joint_beatty_lines(
     """The lines on which joint_beatty_hits, given the same arguments,
     evaluates zeta, up to floor(N alpha) and floor(N alpha'); refuses what
     the scan refuses."""
-    return _pair_lines(_beatty_multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets,
-                       epsilon, N)
+    return _pair_lines((pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N),
+                       _beatty_multipliers)
 
 
 def joint_beatty_hits(
@@ -204,7 +219,7 @@ def joint_beatty_hits(
     constant targets within epsilon over the finite grid, read at
     floor(n alpha) and floor(n alpha') on the lines of joint_beatty_lines."""
     args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
-    ok = _pair_hits(_beatty_multipliers, args)
+    (ok,) = _pair_hits(args, _beatty_multipliers)
     return _pair_report(args, ok,
                         caveat="alpha membership in the admissible set is only testable "
                                "by the finite exclusion scan")
@@ -214,13 +229,13 @@ def sis_lines(
     pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N
 ) -> list[zeta_core.Line]:
     """The lines on which corollary_sis_density, given the same arguments,
-    evaluates zeta itself, up to N and the largest sigma_alpha(n), n <= N;
-    refuses what the scan refuses.  sigma_alpha rises on each Beatty class,
-    so that largest is the largest sigma_alpha over the
-    ceil(max(alpha, alpha')) + 1 integers that end at N.  The scan adds
-    joint_beatty_hits on the same arguments for its transferred bound."""
-    return _pair_lines(_swap_multipliers, pair, t1, t2, delta1, delta2, grid_pts, targets,
-                       epsilon, N)
+    evaluates zeta; refuses what the scan refuses.  The scan reads the
+    lines at n and sigma_alpha(n), and at floor(n alpha) and
+    floor(n alpha'), so they end at the largest multiplier either map
+    reads: floor(N alpha) on t1 + delta1 m, and on t2 + delta2 m the larger
+    of floor(N alpha') and the largest sigma_alpha(n), n <= N."""
+    return _pair_lines((pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N),
+                       _swap_multipliers, _beatty_multipliers)
 
 
 def corollary_sis_density(
@@ -236,11 +251,13 @@ def corollary_sis_density(
 ) -> HitDensityReport:
     """Density over n <= N of the progression pair (t1 + d1 n,
     t2 + d2 sigma_alpha(n)); also reports the transferred lower bound
-    (1/alpha) * (Beatty-line density) for comparison.  The lines of
-    sis_lines are read at n and sigma_alpha(n)."""
+    (1/alpha) * (Beatty-line density) for comparison.  Each line of
+    sis_lines is evaluated once and read at n and sigma_alpha(n) for the
+    density, and at floor(n alpha) and floor(n alpha') for the Beatty-line
+    density, which is joint_beatty_hits' density on the same arguments."""
     args = (pair, t1, t2, delta1, delta2, grid_pts, targets, epsilon, N)
-    ok = _pair_hits(_swap_multipliers, args)
-    beatty_density = joint_beatty_hits(*args).density
+    ok, beatty_ok = _pair_hits(args, _swap_multipliers, _beatty_multipliers)
+    beatty_density = float(beatty_ok.mean())
     return _pair_report(args, ok, beatty_line_density=beatty_density,
                         transferred_lower_bound=beatty_density / pair.alpha,
                         sampling_slack=2.0 / math.sqrt(N))

@@ -395,32 +395,27 @@ def _spread(s_c: complex, delta: float, logs: np.ndarray, size: int, tau: float,
     given, each placed at its node delta L mod 2 pi and smeared by the
     periodic Gaussian exp(-x^2 / (4 tau)) over the 2 _SPREAD nearest of
     `size` equispaced points of [0, 2 pi) (size a power of two).  Sources go
-    in chunks of _SPREAD_CHUNK that share one set of buffers."""
+    in chunks of _SPREAD_CHUNK."""
     offsets = np.arange(1 - _SPREAD, _SPREAD + 1)
     step = 2.0 * pi / size
-    rows = min(_SPREAD_CHUNK, logs.size)
-    weight = np.empty((rows, offsets.size))
-    part = np.empty_like(weight)
-    index = np.empty((rows, offsets.size), dtype=np.int64)
     re, im = np.zeros(size), np.zeros(size)
-    for c in range(0, logs.size, rows):
-        chunk = logs[c : c + rows]
-        k = chunk.size
+    for c in range(0, logs.size, _SPREAD_CHUNK):
+        chunk = logs[c : c + _SPREAD_CHUNK]
         source = np.exp(-s_c * chunk)
         if scale is not None:
-            source *= scale[c : c + rows]
+            source *= scale[c : c + _SPREAD_CHUNK]
         pos = np.mod(delta * chunk, 2.0 * pi) / step
         near = np.floor(pos)
         # distance in grid steps from each node to its 2 _SPREAD grid points
-        w = np.subtract.outer(pos - near, offsets, out=weight[:k])
+        w = np.subtract.outer(pos - near, offsets)
         w *= w
         w *= -step * step / (4.0 * tau)
         np.exp(w, out=w)
-        at = np.add.outer(near.astype(np.int64), offsets, out=index[:k])
+        at = np.add.outer(near.astype(np.int64), offsets)
         at &= size - 1
         at = at.ravel()
-        re += np.bincount(at, np.multiply(w, source.real[:, None], out=part[:k]).ravel(), size)
-        im += np.bincount(at, np.multiply(w, source.imag[:, None], out=part[:k]).ravel(), size)
+        re += np.bincount(at, (w * source.real[:, None]).ravel(), size)
+        im += np.bincount(at, (w * source.imag[:, None]).ravel(), size)
     return re + 1j * im
 
 

@@ -219,6 +219,14 @@ BAD_PARAMETER = [
         "--eps", "0.5", "--N", "10", flag, value], f"{flag[2:]} must be finite and positive")
       for cmd, flag, value in (("joint-hits", "--delta1", "-1"), ("joint-hits", "--delta2", "0"),
                                ("sis", "--delta1", "0"), ("sis", "--delta2", "-1"))],
+    # a literal pair scan checks its floors in order before it floors its last n, as
+    # beatty and joint-weyl do; alpha = 1.5, alpha' = 3 floors exactly, but 2 is in
+    # neither class
+    *[([cmd, "--alpha", "1.7", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1", "--eps", "0.7",
+        "--N", "100", "--delta1", "0.001", "--delta2", "0.001"],
+       "21 * 2.428571428571429 is within 1e-09 of an integer") for cmd in ("joint-hits", "sis")],
+    (["sis", "--alpha", "1.5", "--s-re", "0.75", "--a1-re", "1", "--a2-re", "1", "--eps", "0.7",
+      "--N", "100"], "2 lies in neither Beatty class of alpha = 1.5"),
 ]
 
 

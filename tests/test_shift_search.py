@@ -144,37 +144,89 @@ def _pair_args(pair, N, delta=1.0):
 
 class TestPairLines:
     def test_lines_read_at_beatty_and_swap_multipliers(self):
-        # the second line of each scan, read at floor(k alpha') and at
-        # sigma_alpha(k): ends, extremes and random picks against mpmath
+        # the second line of each scan, read at floor(k alpha') and, for sis,
+        # at sigma_alpha(k) too: ends, extremes and random picks against mpmath
         pair = BeattyPair.from_alpha(GOLDEN)
         k = np.arange(1, 4001)
         rng = np.random.default_rng(17)
-        for build, multipliers in ((ss.joint_beatty_lines, ss._beatty_multipliers),
-                                   (ss.sis_lines, ss._swap_multipliers)):
+        for build, maps in ((ss.joint_beatty_lines, [ss._beatty_multipliers]),
+                            (ss.sis_lines, [ss._swap_multipliers, ss._beatty_multipliers])):
             line = build(*_pair_args(pair, k.size))[1]
-            m = multipliers(pair, k)[1]
-            assert line == (0.75, 10.5, 1.0, m.max())
-            values = zc.zeta_on_line(*line)[m - 1]
-            pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1, rng.integers(0, m.size, 8)])
-            for i in pick:
-                exact = zeta_mpmath(complex(0.75, 10.5 + m[i]))
-                assert abs(values[i] - exact) / max(1.0, abs(exact)) < 5e-11, m[i]
+            reads = [f(pair, k)[1] for f in maps]
+            assert line == (0.75, 10.5, 1.0, max(m.max() for m in reads))
+            values = zc.zeta_on_line(*line)
+            for m in reads:
+                pick = np.unique(np.r_[0, np.argmin(m), np.argmax(m), m.size - 1,
+                                       rng.integers(0, m.size, 8)])
+                for i in pick:
+                    exact = zeta_mpmath(complex(0.75, 10.5 + m[i]))
+                    assert abs(values[m[i] - 1] - exact) / max(1.0, abs(exact)) < 5e-11, m[i]
 
-    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, SQRT3, math.pi / 2])
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, SQRT3, math.pi / 2, math.e])
     def test_lines_end_at_the_largest_multipliers(self, alpha):
-        # sis: N and max sigma_alpha(n) over n <= N; joint-hits: floor(N alpha)
-        # and floor(N alpha'), at every N <= 300 and at N = 10^5
+        # joint-hits: floor(N alpha) and floor(N alpha'); sis reads those too,
+        # so its lines end at floor(N alpha) and at the larger of floor(N alpha')
+        # and max sigma_alpha(n) over n <= N (the larger for alpha = e); at
+        # every N <= 300 and at N = 10^5
         pair = BeattyPair.from_alpha(alpha)
         n = np.arange(1, 301)
         swap_top = np.maximum.accumulate(sigma_alpha(pair, n))
         floors = [beatty_terms(a, n.astype(np.float64)) for a in (pair.alpha, pair.alpha_prime)]
         for N in n.tolist():
-            assert [line[3] for line in ss.sis_lines(*_pair_args(pair, N))] == [N, swap_top[N - 1]]
-            assert ([line[3] for line in ss.joint_beatty_lines(*_pair_args(pair, N))]
-                    == [floors[0][N - 1], floors[1][N - 1]])
+            beatty_tops = [floors[0][N - 1], floors[1][N - 1]]
+            assert [line[3] for line in ss.joint_beatty_lines(*_pair_args(pair, N))] == beatty_tops
+            assert ([line[3] for line in ss.sis_lines(*_pair_args(pair, N))]
+                    == [beatty_tops[0], max(swap_top[N - 1], beatty_tops[1])])
         N = 10 ** 5
-        line = ss.sis_lines(*_pair_args(pair, N, delta=0.1))[1]
-        assert line[3] == sigma_alpha(pair, np.arange(1, N + 1)).max()
+        line = ss.sis_lines(*_pair_args(pair, N, delta=0.05))[1]
+        assert line[3] == max(sigma_alpha(pair, np.arange(1, N + 1)).max(),
+                              int(beatty_terms(pair.alpha_prime, np.array([float(N)]))[0]))
+
+    @pytest.mark.parametrize("alpha", [GOLDEN, SQRT2, SQRT3])
+    def test_sis_beatty_density_is_the_joint_scans(self, alpha):
+        # sis reads the Beatty-line density from its own lines; it is
+        # joint_beatty_hits' density on the same arguments, bit for bit
+        pair = BeattyPair.from_alpha(alpha)
+        for N in (1, 37, 600, 2500):
+            for t1, t2, eps in ((10.0, 10.0, 0.7), (10.3, 23.9, 0.5)):
+                args = (pair, t1, t2, 1.0, 0.5, np.array([0.75 + 0j, 0.8 + 0.25j]),
+                        (1.0, 1.2), eps, N)
+                rep = ss.corollary_sis_density(*args)
+                beatty = ss.joint_beatty_hits(*args).density
+                assert rep.params["beatty_line_density"] == beatty
+                assert rep.params["transferred_lower_bound"] == beatty / pair.alpha
+
+    @pytest.mark.parametrize("pts", [[0.75 + 0j], [0.75 + 0j, 0.8 + 0.5j, 0.9 - 0.25j]])
+    def test_each_line_evaluated_once(self, monkeypatch, pts):
+        # 2 zeta_on_line calls per grid point, one per progression, for both scans
+        calls = []
+        on_line = zc.zeta_on_line
+
+        def counting(*line):
+            calls.append(line)
+            return on_line(*line)
+
+        monkeypatch.setattr(zc, "zeta_on_line", counting)
+        args = (BeattyPair.from_alpha(GOLDEN), 10.0, 10.0, 1.0, 1.0, np.array(pts),
+                (1.0, 1.2), 0.8, 500)
+        for scan, build in ((ss.corollary_sis_density, ss.sis_lines),
+                            (ss.joint_beatty_hits, ss.joint_beatty_lines)):
+            calls.clear()
+            scan(*args)
+            assert calls == build(*args) and len(calls) == 2 * len(pts)
+
+    def test_sis_refuses_a_beatty_read_past_the_strip_before_evaluating(self, monkeypatch):
+        # t1 + N = 3e4 is the swap's last height on the first progression, but
+        # the Beatty read floor(N alpha) = 1618 takes it to 30618
+        def never(*line):
+            raise AssertionError("zeta_on_line called before the refusal")
+
+        monkeypatch.setattr(zc, "zeta_on_line", never)
+        args = (BeattyPair.from_alpha(GOLDEN), 29000.0, 0.0, 1.0, 1.0, np.array([0.75 + 0j]),
+                (1.0, 1.2), 0.8, 1000)
+        for scan in (ss.sis_lines, ss.corollary_sis_density):
+            with pytest.raises(OutOfDomain, match=r"\(0\.75\+30001j\) outside"):
+                scan(*args)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_step_must_be_positive(self, delta):
